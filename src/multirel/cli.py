@@ -11,22 +11,7 @@ import argparse
 import json
 import sys
 
-from .dsl import (
-    BINARY_OPS,
-    CONSTS,
-    UNARY_OPS,
-    Bin,
-    Call,
-    Cmp,
-    Const,
-    Env,
-    Term,
-    Un,
-    Var,
-    env_from_json,
-    evaluate,
-    parse,
-)
+from .dsl import Cmp, env_from_json, evaluate, parse, slot_roles, slot_sorts
 from .errors import (
     EnumerationTooLarge,
     MaskTooWide,
@@ -55,7 +40,7 @@ def _parse_sizes(text: str) -> tuple[int, int]:
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
-        raise SystemExit(2)
+        parts = []
     if len(parts) != 2 or any(p < 1 for p in parts):
         print("error: --sizes expects two positive integers, e.g. 2,2", file=sys.stderr)
         raise SystemExit(2)
@@ -69,14 +54,7 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError, KeyError) as e:
         print(f"error: cannot load environment: {e}", file=sys.stderr)
         return 2
-    try:
-        value = evaluate(args.expr, env)
-    except _CAP_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (TermSyntaxError, UnboundVariable, ShapeMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    value = evaluate(args.expr, env)
     text = json.dumps(_value_json(value), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -124,12 +102,7 @@ def _cmd_check(args) -> int:
     if args.density is not None:
         kwargs["density"] = args.density
     if args.law:
-        try:
-            law = law_by_id(args.law)
-        except UnknownLaw as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        rep = check(law, **kwargs)
+        rep = check(law_by_id(args.law), **kwargs)
         if args.json:
             print(json.dumps(rep.to_json(timing=args.timing), indent=2))
         else:
@@ -156,62 +129,11 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-_MREL_ARG_OPS = set(
-    ("icup", "icap", "odot", "up", "down", "convex", "icpl", "dual", "nu",
-     "tau", "a", "kl", "pl", "do", "di", "cfo", "cfi", "dsup")
-)
-_REL_ARG_OPS = {"cnv", "dom", "L", "Pf", "syq"}
-
-
-def _infer_sorts(t: Term, expected: str | None, out: dict[str, set]):
-    """Collect the sort expectations each free variable appears under."""
-    if isinstance(t, Var):
-        out.setdefault(t.name, set())
-        if expected:
-            out[t.name].add(expected)
-        return
-    if isinstance(t, Const):
-        return
-    if isinstance(t, Call):
-        want = "mrel" if t.op in _MREL_ARG_OPS else "rel" if t.op in _REL_ARG_OPS else None
-        for a in t.args:
-            _infer_sorts(a, want, out)
-        return
-    if isinstance(t, Un):
-        _infer_sorts(t.arg, "rel" if t.op == "^" else expected, out)
-        return
-    if isinstance(t, (Bin, Cmp)):
-        op = t.op
-        if op in ("*", "@"):
-            want = "mrel"
-        elif op in (";", "\\", "/"):
-            want = "rel"
-        else:
-            want = None
-        _infer_sorts(t.left, want, out)
-        _infer_sorts(t.right, want, out)
-
-
 def _cmd_find_cex(args) -> int:
     sizes = _parse_sizes(args.sizes)
     claim = f"({args.lhs}) {args.rel} ({args.rhs})"
-    try:
-        lhs_t, rhs_t = parse(args.lhs), parse(args.rhs)
-        parse(claim)
-    except TermSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    wants: dict[str, set] = {}
-    _infer_sorts(lhs_t, None, wants)
-    _infer_sorts(rhs_t, None, wants)
-    for role in ("X", "Y"):
-        wants.pop(role, None)
-    # an operand required as a multirelation anywhere is generated as one;
-    # multirelations coerce to their powerset view in relational positions
-    sorts = {
-        name: ("mrel" if "mrel" in kinds or not kinds else "rel")
-        for name, kinds in wants.items()
-    }
+    term = Cmp(args.rel, parse(args.lhs), parse(args.rhs))
+    sorts = slot_sorts(term)
     if args.vars:
         for piece in args.vars.split(","):
             name, _, sort = piece.partition("=")
@@ -219,26 +141,21 @@ def _cmd_find_cex(args) -> int:
                 print(f"error: bad --vars entry {piece!r}", file=sys.stderr)
                 return 2
             sorts[name.strip()] = sort
-    slots = tuple(
-        Slot(name, sorts[name], "X", "Y") for name in sorted(sorts)
-    )
+    roles, ends = slot_roles(term, sorts)
+    slots = tuple(Slot(name, sorts[name], *ends[name]) for name in sorted(sorts))
     law = Law(
         id="adhoc",
         kind="neg",
         anchor=claim,
         claim=claim,
         slots=slots,
-        roles=("X", "Y"),
+        roles=roles,
         expected="fail",
         size_cap=max(sizes),
         count=args.random if args.random is not None else 2000,
         density=args.density if args.density is not None else 0.5,
     )
-    try:
-        rep = check(law, sizes=sizes, seed=args.seed, collect=1)
-    except _CAP_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    rep = check(law, sizes=sizes, seed=args.seed, collect=1)
     if rep.verdict == "skipped":
         print(f"skipped: {rep.reason}", file=sys.stderr)
         return 3
@@ -345,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CAP_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except (ShapeMismatch, TermSyntaxError, UnboundVariable, UnknownLaw) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 2
 
 

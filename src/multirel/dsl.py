@@ -13,16 +13,23 @@ token to its usual symbol.  Precedence, tightest first:
 
 Named operations use call syntax, e.g. ``do(R)`` or ``syq(T, S)``.
 Constants may take explicit carrier arguments (``Id(X)``, ``mem(Y)``,
-``At(X,Y)``, ``eta(pw(X))``); without arguments their carriers are
-inferred from the surrounding operation where that is unambiguous.
+``At(X,Y)``, ``eta(pw(X))``).
 
 Multirelations and relations into a materialized powerset are freely
 interchangeable: operations that need the other view convert on the fly.
+
+Terms are typed before they are evaluated: ``typecheck`` gives each node
+a sort (relation, multirelation or boolean) and carriers, by unification
+over one table of operator signatures.  It infers the carriers of constants
+given without arguments, and errors name the offending sub-term.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Callable, Mapping
 
 from .determinise import determinise as _determinise
@@ -87,19 +94,6 @@ class Cmp:
 
 
 Term = Var | Const | Call | Un | Bin | Cmp
-
-UNARY_OPS = (
-    "cnv", "cpl", "icpl", "up", "down", "convex", "dual", "nu", "tau",
-    "dom", "L", "a", "Pf", "kl", "pl", "do", "di", "cfo", "cfi", "dsup",
-)
-BINARY_OPS = ("icup", "icap", "odot", "syq")
-CONSTS = ("Id", "0", "U", "1", "eta", "ilow", "ihigh", "At", "coAt", "mem", "Om", "Cc", "mu")
-# constant name -> number of carrier arguments accepted in explicit form
-_CONST_ARITY = {
-    "Id": (1,), "0": (2,), "U": (2,), "1": (1,), "eta": (1,),
-    "ilow": (2,), "ihigh": (2,), "At": (2,), "coAt": (2,), "mem": (1,),
-    "Om": (1,), "Cc": (1,), "mu": (1,),
-}
 
 _CMP_OPS = ("==", "<=", "<u=", "<d=", "<ud=")
 
@@ -276,14 +270,14 @@ class _Parser:
             )
         self.take()
         name = t.text
-        if name in UNARY_OPS or name in BINARY_OPS:
+        if name in _OPS:
             self.expect("(")
             args = [self.comparison()]
             while self.peek().text == ",":
                 self.take()
                 args.append(self.comparison())
             self.expect(")")
-            want = 1 if name in UNARY_OPS else 2
+            want = len(_OPS[name].views)
             if len(args) != want:
                 raise TermSyntaxError(
                     f"{name} takes {want} argument(s), got {len(args)} "
@@ -291,7 +285,7 @@ class _Parser:
                     t.pos,
                 )
             return Call(name, tuple(args))
-        if name in CONSTS:
+        if name in _CONSTS:
             if self.peek().text == "(":
                 self.take()
                 args = [self.carrier_expr()]
@@ -299,10 +293,10 @@ class _Parser:
                     self.take()
                     args.append(self.carrier_expr())
                 self.expect(")")
-                if len(args) not in _CONST_ARITY[name]:
+                want = len(_CONSTS[name].letters)
+                if len(args) != want:
                     raise TermSyntaxError(
-                        f"{name} takes {_CONST_ARITY[name][0]} carrier argument(s) "
-                        f"(position {t.pos})",
+                        f"{name} takes {want} carrier argument(s) (position {t.pos})",
                         t.pos,
                     )
                 return Const(name, tuple(args))
@@ -395,132 +389,9 @@ def print_term(t: Term) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Environments
 
 Value = Rel | MRel | bool
-
-
-@dataclass(frozen=True)
-class _Poly:
-    """A constant whose carriers (and possibly sort) are still open.
-
-    Shape-preserving unary operations applied to an unresolved constant are
-    queued in ``pending`` and replayed once the carriers are known, so terms
-    like ``R * down(eta)`` infer the unit's carrier from ``R``.
-    """
-
-    name: str
-    shape: tuple[Carrier, Carrier] | None = None
-    pending: tuple[str, ...] = ()
-
-
-# unary operations that keep an operand's carriers unchanged
-_SHAPE_PRESERVING = (
-    "up", "down", "convex", "icpl", "dual", "nu", "tau",
-    "do", "di", "cfo", "cfi", "-", "cpl",
-)
-
-
-def _as_rel(v) -> Rel:
-    if isinstance(v, MRel):
-        return _mrel.mrel_to_rel(v)
-    if isinstance(v, Rel):
-        return v
-    raise ShapeMismatch(f"expected a relation, got {type(v).__name__}")
-
-
-def _as_mrel(v) -> MRel:
-    if isinstance(v, MRel):
-        return v
-    if isinstance(v, Rel):
-        return _mrel.rel_to_mrel(v)
-    raise ShapeMismatch(f"expected a multirelation, got {type(v).__name__}")
-
-
-def _resolve(p: _Poly, sort: str | None, src: Carrier | None, dst: Carrier | None):
-    """Build the constant ``p`` for the inferred context, or fail."""
-    v = _resolve_base(p, sort, src, dst)
-    for op in p.pending:
-        if op == "-":
-            v = _complement(v)
-        else:
-            v = _UNARY_IMPL[op](v)
-    return v
-
-
-def _resolve_base(p: _Poly, sort: str | None, src: Carrier | None, dst: Carrier | None):
-    name = p.name
-    if p.shape is not None:
-        src, dst = p.shape
-    if name in ("0", "U"):
-        if src is None or dst is None or sort is None:
-            raise ShapeMismatch(f"cannot infer the shape of constant {name}")
-        kind = "empty" if name == "0" else "universal"
-        if sort == "mrel":
-            return _mrel.mrel_const(kind, src, dst)
-        return _rel.rel_const(kind, src, dst)
-    if name == "Id":
-        s = src or dst
-        if s is None:
-            raise ShapeMismatch("cannot infer the carrier of Id")
-        return _rel.rel_const("identity", s, s)
-    if name in ("1", "eta"):
-        base = None
-        if sort == "mrel":
-            base = src or dst
-        else:
-            # relation view Y <-> P(Y): a powerset endpoint pins the carrier
-            if dst is not None and dst.base is not None:
-                base = dst.base
-            elif src is not None and src.base is None:
-                base = src
-            elif src is not None and src.base is not None:
-                base = src  # eta over a powerset carrier itself
-        if base is None:
-            raise ShapeMismatch("cannot infer the carrier of eta")
-        return _power.eta(base)
-    if name == "mem":
-        if src is not None and src.base is None:
-            return _power.member_rel(src)
-        if dst is not None and dst.base is not None:
-            return _power.member_rel(dst.base)
-        if src is not None and src.base is not None:
-            return _power.member_rel(src)
-        raise ShapeMismatch("cannot infer the carrier of mem")
-    if name in ("Om", "Cc"):
-        c = src or dst
-        if c is None or c.base is None:
-            raise ShapeMismatch(f"cannot infer the carrier of {name}")
-        build = _power.omega if name == "Om" else _power.ccomp
-        return build(c.base)
-    if name == "mu":
-        if dst is not None and dst.base is not None:
-            return _power.mu(dst.base)
-        if src is not None and src.base is not None and src.base.base is not None:
-            return _power.mu(src.base.base)
-        raise ShapeMismatch("cannot infer the carrier of mu")
-    if name in ("ilow", "ihigh", "At", "coAt"):
-        if src is None or dst is None:
-            raise ShapeMismatch(f"cannot infer the shape of {name}")
-        inner = dst.base if dst.base is not None else dst
-        kind = {
-            "ilow": "inner_unit",
-            "ihigh": "inner_counit",
-            "At": "atoms",
-            "coAt": "coatoms",
-        }[name]
-        return _mrel.mrel_const(kind, src, inner)
-    raise ShapeMismatch(f"cannot resolve constant {name}")
-
-
-def _mrel_shape(v) -> tuple[Carrier, Carrier]:
-    m = _as_mrel(v)
-    return m.src, m.dst
-
-
-def _rel_shape(v) -> tuple[Carrier, Carrier]:
-    r = _as_rel(v)
-    return r.src, r.dst
 
 
 class Env:
@@ -571,37 +442,138 @@ def env_from_json(data: Mapping) -> Env:
     return env
 
 
-def _carrier_value(c: CRef | CPow, env: Env) -> Carrier:
-    if isinstance(c, CPow):
-        return _rel.pow_carrier(_carrier_value(c.arg, env))
-    v = env[c.name]
-    if not isinstance(v, Carrier):
-        raise ShapeMismatch(f"{c.name!r} is not a carrier")
-    return v
+# ---------------------------------------------------------------------------
+# Sorts and carriers
+#
+# A multirelation src <-> P(dst) (sort "mrel") is the same arrow as the
+# relation src <-> pw(dst) (sort "rel"), and inference works on that
+# relation view.  A carrier is an atom (a role name, or a size once carriers
+# are concrete), Pw(carrier) or a variable; so is the sort of 0 and U.
 
 
-_UNARY_IMPL: dict[str, Callable] = {
-    "cnv": lambda v: _rel.rel_converse(_as_rel(v)),
-    "cpl": lambda v: _complement(v),
-    "icpl": lambda v: _mrel.inner_bool("icomp", _as_mrel(v)),
-    "up": lambda v: _mrel.closure("up", _as_mrel(v)),
-    "down": lambda v: _mrel.closure("down", _as_mrel(v)),
-    "convex": lambda v: _mrel.closure("convex", _as_mrel(v)),
-    "dual": lambda v: _mrel.inner_dual(_as_mrel(v)),
-    "nu": lambda v: _mrel.split_terminal(_as_mrel(v))[0],
-    "tau": lambda v: _mrel.split_terminal(_as_mrel(v))[1],
-    "dom": lambda v: _rel.domain(_as_rel(v)),
-    "L": lambda v: _power.power_transpose(_as_rel(v)),
-    "a": lambda v: _power.alpha(_as_mrel(v)),
-    "Pf": lambda v: _power.image_functor(_as_rel(v)),
-    "kl": lambda v: _peleg.kleisli_lift(_as_mrel(v)),
-    "pl": lambda v: _peleg.peleg_lift(_as_mrel(v)),
-    "do": lambda v: _determinise("fusion", _as_mrel(v)),
-    "di": lambda v: _determinise("fission", _as_mrel(v)),
-    "cfo": lambda v: _determinise("cofusion", _as_mrel(v)),
-    "cfi": lambda v: _determinise("cofission", _as_mrel(v)),
-    "dsup": lambda v: _dsup(_as_mrel(v)),
-}
+class _Var:
+    __slots__ = ("ref",)
+
+    def __init__(self):
+        self.ref = None
+
+
+class Pw:
+    """The powerset of a carrier, as a carrier type."""
+
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
+
+
+class Sig:
+    """The type of a named value: a relation ``src <-> dst`` (sort "rel")
+    or a multirelation ``src <-> P(dst)`` (sort "mrel")."""
+
+    __slots__ = ("sort", "src", "dst")
+
+    def __init__(self, sort: str, src, dst):
+        self.sort, self.src, self.dst = sort, src, dst
+
+
+def _find(x):
+    while isinstance(x, _Var) and x.ref is not None:
+        x = x.ref
+    return x
+
+
+def _unify(a, b) -> bool:
+    a, b = _find(a), _find(b)
+    if a is b:
+        return True
+    if isinstance(b, _Var):
+        a, b = b, a
+    if isinstance(a, _Var):
+        if _occurs(a, b):
+            return False
+        a.ref = b
+        return True
+    if isinstance(a, Pw) or isinstance(b, Pw):
+        return isinstance(a, Pw) and isinstance(b, Pw) and _unify(a.arg, b.arg)
+    return a == b
+
+
+def _occurs(v: _Var, x) -> bool:
+    x = _find(x)
+    return x is v or (isinstance(x, Pw) and _occurs(v, x.arg))
+
+
+def _ground(x) -> bool:
+    x = _find(x)
+    return _ground(x.arg) if isinstance(x, Pw) else not isinstance(x, _Var)
+
+
+def _show_carrier(x) -> str:
+    x = _find(x)
+    if isinstance(x, Pw):
+        return f"pw({_show_carrier(x.arg)})"
+    return "?" if isinstance(x, _Var) else str(x)
+
+
+def _carrier_value(x) -> Carrier:
+    x = _find(x)
+    return _rel.pow_carrier(_carrier_value(x.arg)) if isinstance(x, Pw) else Carrier(x)
+
+
+def _value_type(v):
+    if isinstance(v, Carrier):
+        return Pw(_value_type(v.base)) if v.base is not None else v.size
+    return Sig("mrel" if isinstance(v, MRel) else "rel", _value_type(v.src), _value_type(v.dst))
+
+
+def env_types(env: Env) -> dict:
+    """The type of every name bound in ``env``, for ``typecheck``."""
+    return {name: _value_type(v) for name, v in env.bindings.items()}
+
+
+# ---------------------------------------------------------------------------
+# Operations: one signature and one implementation each
+
+
+# Signature and implementation of an operation or a constant.  Each operand
+# is taken as a relation ("r", or "s" where an open sort follows its
+# sibling's), a multirelation ("m") or as it is ("*"), with carriers named
+# by letters, "p" for a powerset; "m" operands and "mrel" results name
+# (src, base).  Sort "same" (a multirelation when all operands are) and "?"
+# (0 and U: a multirelation where an "m" operand or a sibling is one, else
+# a relation) pick ``impl`` from a (relation, multirelation) pair.  Plain
+# named tuples keep import cheap.
+_Spec = namedtuple("_Spec", "views operands sort result letters impl")
+
+
+def _spec(sig: str, impl) -> _Spec:
+    """Read ``"r a b, r b c -> rel a c"``, or ``"mrel a a"`` for a constant."""
+    args, _, out = sig.rpartition("->")
+    operands = tuple(tuple(a.split()) for a in args.split(",") if a.strip())
+    sort, *result = out.split()
+    letters = tuple(dict.fromkeys(c[-1] for c in result))
+    return _Spec("".join(o[0] for o in operands), operands, sort, tuple(result), letters, impl)
+
+
+# Implementations look kernel functions up on their modules at call time,
+# so a wrapper installed on a module attribute (a tracer) sees these calls.
+_CONVERSE = _spec("r a b -> rel b a", lambda r: _rel.rel_converse(r))
+_COMPLEMENT = _spec(
+    "* a b -> same a b",
+    (lambda r: _rel.rel_bool("complement", r), lambda m: _mrel.mrel_bool("complement", m)),
+)
+
+
+def _outer(name: str) -> _Spec:
+    return _spec(
+        "* a b, * a b -> same a b",
+        (lambda r, s: _rel.rel_bool(name, r, s), lambda r, s: _mrel.mrel_bool(name, r, s)),
+    )
+
+
+def _on_mrel(fn: Callable) -> _Spec:
+    return _spec("m a b -> mrel a b", fn)
 
 
 def _dsup(m: MRel) -> MRel:
@@ -611,227 +583,306 @@ def _dsup(m: MRel) -> MRel:
     return acc
 
 
-def _complement(v):
-    if isinstance(v, MRel):
-        return _mrel.mrel_bool("complement", v)
-    return _rel.rel_bool("complement", _as_rel(v))
+_OPS: dict[str, _Spec] = {
+    # named operations
+    "cnv": _CONVERSE,
+    "cpl": _COMPLEMENT,
+    "icpl": _on_mrel(lambda m: _mrel.inner_bool("icomp", m)),
+    "up": _on_mrel(lambda m: _mrel.closure("up", m)),
+    "down": _on_mrel(lambda m: _mrel.closure("down", m)),
+    "convex": _on_mrel(lambda m: _mrel.closure("convex", m)),
+    "dual": _on_mrel(lambda m: _mrel.inner_dual(m)),
+    "nu": _on_mrel(lambda m: _mrel.split_terminal(m)[0]),
+    "tau": _on_mrel(lambda m: _mrel.split_terminal(m)[1]),
+    "dom": _spec("r a b -> rel a a", lambda r: _rel.domain(r)),
+    "L": _spec("r a b -> mrel a b", lambda r: _power.power_transpose(r)),
+    "a": _spec("m a b -> rel a b", lambda m: _power.alpha(m)),
+    "Pf": _spec("r a b -> rel pa pb", lambda r: _power.image_functor(r)),
+    "kl": _spec("m a b -> rel pa pb", lambda m: _peleg.kleisli_lift(m)),
+    "pl": _spec("m a b -> rel pa pb", lambda m: _peleg.peleg_lift(m)),
+    "do": _on_mrel(lambda m: _determinise("fusion", m)),
+    "di": _on_mrel(lambda m: _determinise("fission", m)),
+    "cfo": _on_mrel(lambda m: _determinise("cofusion", m)),
+    "cfi": _on_mrel(lambda m: _determinise("cofission", m)),
+    "dsup": _on_mrel(_dsup),
+    "icup": _spec("m a b, m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icup", r, s)),
+    "icap": _spec("m a b, m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icap", r, s)),
+    "odot": _spec("m a b, m b c -> mrel a c", lambda r, s: _peleg.odot(r, s)),
+    "syq": _spec("r c a, r c b -> rel a b", lambda t, s: _rel.symmetric_quotient(t, s)),
+    # operator tokens
+    "^": _CONVERSE,
+    "-": _COMPLEMENT,
+    ";": _spec("r a b, r b c -> rel a c", lambda r, s: _rel.rel_compose(r, s)),
+    "*": _spec("m a b, m b c -> mrel a c", lambda r, s: _peleg.peleg_compose(r, s)),
+    "@": _spec("m a b, m b c -> mrel a c", lambda r, s: _peleg.kleisli_compose(r, s)),
+    "&": _outer("inter"),
+    "|": _outer("union"),
+    "\\": _spec("s c a, s c b -> rel a b", lambda t, s: _rel.residual("right", t, s)),
+    "/": _spec("s a b, s c b -> rel a c", lambda t, s: _rel.residual("left", t, s)),
+    "==": _spec("* a b, * a b -> bool", (operator.eq, operator.eq)),
+    "<=": _spec(
+        "* a b, * a b -> bool",
+        (lambda r, s: _rel.is_subrel(r, s), lambda r, s: _mrel.is_submrel(r, s)),
+    ),
+    "<u=": _spec("m a b, m a b -> bool", lambda r, s: _mrel.preorder("smyth", r, s)),
+    "<d=": _spec("m a b, m a b -> bool", lambda r, s: _mrel.preorder("hoare", r, s)),
+    "<ud=": _spec("m a b, m a b -> bool", lambda r, s: _mrel.preorder("egli_milner", r, s)),
+}
 
 
-def _pair_for_lattice(lv, rv):
-    """Bring the operands of &, |, ==, <= to a common sort."""
-    if isinstance(lv, MRel) and isinstance(rv, MRel):
-        return lv, rv, "mrel"
-    if isinstance(lv, (Rel, MRel)) and isinstance(rv, (Rel, MRel)):
-        return _as_rel(lv), _as_rel(rv), "rel"
-    raise ShapeMismatch("boolean structure needs two relational operands")
+def _flexible(kind: str) -> _Spec:
+    return _spec(
+        "? a b",
+        (lambda a, b: _rel.rel_const(kind, a, b), lambda a, b: _mrel.mrel_const(kind, a, b)),
+    )
 
 
-class _Located(ShapeMismatch):
-    """A shape error already annotated with its sub-term."""
+def _mrel_const(kind: str) -> _Spec:
+    return _spec("mrel a b", lambda a, b: _mrel.mrel_const(kind, a, b))
 
 
-def _eval(t: Term, env: Env):
-    if isinstance(t, Var):
-        v = env[t.name]
-        if isinstance(v, Carrier):
-            raise _Located(f"{t.name!r} names a carrier, not a value")
-        return v
-    if isinstance(t, Const):
-        return _eval_const(t, env)
-    # evaluate children first, then apply this node inside an error frame
-    if isinstance(t, Call):
-        args = [_eval(a, env) for a in t.args]
-        return _apply(t, lambda: _eval_call(t.op, args))
-    if isinstance(t, Un):
-        v = _eval(t.arg, env)
-        return _apply(t, lambda: _eval_un(t.op, v))
-    if isinstance(t, Bin):
-        lv = _eval(t.left, env)
-        rv = _eval(t.right, env)
-        return _apply(t, lambda: _eval_bin(t.op, lv, rv))
-    if isinstance(t, Cmp):
-        lv = _eval(t.left, env)
-        rv = _eval(t.right, env)
-        return _apply(t, lambda: _eval_cmp(t.op, lv, rv))
-    raise TypeError(f"not a term: {t!r}")
+_UNIT = _spec("mrel a a", lambda a: _power.eta(a))
+
+_CONSTS: dict[str, _Spec] = {
+    "Id": _spec("rel a a", lambda a: _rel.rel_const("identity", a, a)),
+    "0": _flexible("empty"),
+    "U": _flexible("universal"),
+    "1": _UNIT,
+    "eta": _UNIT,
+    "ilow": _mrel_const("inner_unit"),
+    "ihigh": _mrel_const("inner_counit"),
+    "At": _mrel_const("atoms"),
+    "coAt": _mrel_const("coatoms"),
+    "mem": _spec("rel a pa", lambda a: _power.member_rel(a)),
+    "Om": _spec("rel pa pa", lambda a: _power.omega(a)),
+    "Cc": _spec("rel pa pa", lambda a: _power.ccomp(a)),
+    "mu": _spec("rel ppa pa", lambda a: _power.mu(a)),
+}
 
 
-def _apply(t: Term, f):
+# ---------------------------------------------------------------------------
+# Inference
+
+
+# A term node with its sort and relation-view carriers; for a constant, its
+# letters' carriers and the enclosing term that errors name.
+_Node = namedtuple("_Node", "term spec kids sort src dst letters ctx", defaults=(None,) * 4)
+
+
+def _located(message: str, t: Term) -> ShapeMismatch:
+    return ShapeMismatch(f"{message} [in sub-term: {print_term(t)}]")
+
+
+def _carrier(token: str, letters: dict):
+    c = letters.setdefault(token[-1], _Var())
+    for _ in token[:-1]:
+        c = Pw(c)
+    return c
+
+
+def _lookup(types: Mapping, name: str, t: Term, value: bool):
     try:
-        return f()
-    except _Located:
-        raise
-    except ShapeMismatch as e:
-        raise _Located(f"{e} [in sub-term: {print_term(t)}]") from None
+        ty = types[name]
+    except KeyError:
+        raise UnboundVariable(f"unbound name {name!r}") from None
+    if isinstance(ty, Sig) != value:
+        what = "names a carrier, not a value" if value else "is not a carrier"
+        raise _located(f"{name!r} {what}", t)
+    return ty
 
 
-def _eval_const(t: Const, env: Env):
-    if not t.args:
-        return _Poly(t.name)
-    carriers = tuple(_carrier_value(a, env) for a in t.args)
-    if t.name in ("0", "U"):
-        return _Poly(t.name, (carriers[0], carriers[1]))
-    if t.name == "Id":
-        return _rel.rel_const("identity", carriers[0], carriers[0])
-    if t.name in ("1", "eta"):
-        return _power.eta(carriers[0])
-    if t.name == "mem":
-        return _power.member_rel(carriers[0])
-    if t.name == "Om":
-        return _power.omega(carriers[0])
-    if t.name == "Cc":
-        return _power.ccomp(carriers[0])
-    if t.name == "mu":
-        return _power.mu(carriers[0])
-    kind = {
-        "ilow": "inner_unit",
-        "ihigh": "inner_counit",
-        "At": "atoms",
-        "coAt": "coatoms",
-    }[t.name]
-    return _mrel.mrel_const(kind, carriers[0], carriers[1])
+def _carrier_arg(c: CRef | CPow, types: Mapping, t: Term):
+    if isinstance(c, CPow):
+        return Pw(_carrier_arg(c.arg, types, t))
+    return _lookup(types, c.name, t, False)
 
 
-_MREL_OPERAND_OPS = (
-    "icup", "icap", "odot", "up", "down", "convex", "icpl", "dual", "nu",
-    "tau", "a", "kl", "pl", "do", "di", "cfo", "cfi", "dsup",
-)
+def _operands(t: Term) -> tuple[Term, ...]:
+    if isinstance(t, Call):
+        return t.args
+    if isinstance(t, Un):
+        return (t.arg,)
+    if isinstance(t, (Bin, Cmp)):
+        return (t.left, t.right)
+    return ()
 
 
-def _eval_call(op: str, args: list):
-    if len(args) == 1 and isinstance(args[0], _Poly) and op in _SHAPE_PRESERVING:
-        p = args[0]
-        if p.shape is None:
-            return _Poly(p.name, p.shape, p.pending + (op,))
-    if len(args) == 1 and isinstance(args[0], _Poly) and args[0].shape is not None:
-        sort = "mrel" if op in _MREL_OPERAND_OPS else "rel"
-        args = [_resolve(args[0], sort, None, None)]
-    if len(args) == 2 and isinstance(args[0], _Poly) != isinstance(args[1], _Poly):
-        i = 0 if isinstance(args[0], _Poly) else 1
-        sib = args[1 - i]
-        p = args[i]
-        if op in ("icup", "icap"):
-            src, dst = _mrel_shape(sib)
-            args[i] = _resolve(p, "mrel", src, dst)
-        elif op == "odot":
-            src, dst = _mrel_shape(sib)
-            args[i] = _resolve(p, "mrel", None, src) if i == 0 else _resolve(p, "mrel", dst, None)
-        elif op == "syq":
-            src, _ = _rel_shape(sib)
-            args[i] = _resolve(p, "rel", src, None)
-    if any(isinstance(a, _Poly) for a in args):
-        raise ShapeMismatch(
-            f"operand of {op} has no inferable shape; give the constant "
-            f"explicit carrier arguments"
-        )
-    if op in _UNARY_IMPL:
-        return _UNARY_IMPL[op](args[0])
-    if op == "icup":
-        return _mrel.inner_bool("icup", _as_mrel(args[0]), _as_mrel(args[1]))
-    if op == "icap":
-        return _mrel.inner_bool("icap", _as_mrel(args[0]), _as_mrel(args[1]))
-    if op == "odot":
-        return _peleg.odot(_as_mrel(args[0]), _as_mrel(args[1]))
-    if op == "syq":
-        return _rel.symmetric_quotient(_as_rel(args[0]), _as_rel(args[1]))
-    raise ShapeMismatch(f"unknown operation {op!r}")
-
-
-def _eval_un(op: str, v):
-    if isinstance(v, _Poly):
-        if op == "-":
-            return _Poly(v.name, v.shape, v.pending + ("-",))
-        raise ShapeMismatch(f"operand of {op} has no inferable shape")
-    if op == "^":
-        return _rel.rel_converse(_as_rel(v))
-    return _complement(v)
-
-
-def _eval_bin(op: str, lv, rv):
-    if op in (";",):
-        if isinstance(lv, _Poly) and isinstance(rv, _Poly):
-            raise ShapeMismatch("cannot infer shapes on both sides of ';'")
-        if isinstance(lv, _Poly):
-            rs, _ = _rel_shape(rv)
-            lv = _resolve(lv, "rel", None, rs)
-        if isinstance(rv, _Poly):
-            _, ld = _rel_shape(lv)
-            rv = _resolve(rv, "rel", ld, None)
-        return _rel.rel_compose(_as_rel(lv), _as_rel(rv))
-    if op in ("*", "@"):
-        if isinstance(lv, _Poly) and isinstance(rv, _Poly):
-            raise ShapeMismatch(f"cannot infer shapes on both sides of {op!r}")
-        if isinstance(lv, _Poly):
-            rs, _ = _mrel_shape(rv)
-            lv = _resolve(lv, "mrel", None, rs)
-        if isinstance(rv, _Poly):
-            _, ld = _mrel_shape(lv)
-            rv = _resolve(rv, "mrel", ld, None)
-        f = _peleg.peleg_compose if op == "*" else _peleg.kleisli_compose
-        return f(_as_mrel(lv), _as_mrel(rv))
-    if op in ("&", "|"):
-        lv, rv = _resolve_against_sibling(lv, rv)
-        a, b, sort = _pair_for_lattice(lv, rv)
-        name = "inter" if op == "&" else "union"
-        if sort == "mrel":
-            return _mrel.mrel_bool(name, a, b)
-        return _rel.rel_bool(name, a, b)
-    if op in ("\\", "/"):
-        if isinstance(lv, _Poly) or isinstance(rv, _Poly):
-            lv, rv = _resolve_against_sibling(lv, rv)
-        side = "right" if op == "\\" else "left"
-        return _rel.residual(side, _as_rel(lv), _as_rel(rv))
-    raise ShapeMismatch(f"unknown operator {op!r}")
-
-
-def _resolve_against_sibling(lv, rv):
-    if isinstance(lv, _Poly) and isinstance(rv, _Poly):
-        raise ShapeMismatch("cannot infer shapes: both operands are bare constants")
-    if isinstance(lv, _Poly):
-        if isinstance(rv, MRel):
-            lv = _resolve(lv, "mrel", rv.src, rv.dst)
-        elif isinstance(rv, Rel):
-            lv = _resolve(lv, "rel", rv.src, rv.dst)
+def _walk(t: Term, types: Mapping, consts: list, ctx: Term) -> _Node:
+    if isinstance(t, Var):
+        ty = _lookup(types, t.name, t, True)
+        return _Node(t, None, (), ty.sort, ty.src, Pw(ty.dst) if ty.sort == "mrel" else ty.dst)
+    if isinstance(t, Const):
+        spec = _CONSTS[t.name]
+        letters = {x: _carrier_arg(a, types, t) for x, a in zip(spec.letters, t.args)}
+        src, dst = (_carrier(c, letters) for c in spec.result)
+        if spec.sort == "?":  # the target waits for the sort
+            sort, dst = _Var(), _Var()
         else:
-            raise ShapeMismatch("cannot infer a constant's shape from a boolean")
-    if isinstance(rv, _Poly):
-        if isinstance(lv, MRel):
-            rv = _resolve(rv, "mrel", lv.src, lv.dst)
-        elif isinstance(lv, Rel):
-            rv = _resolve(rv, "rel", lv.src, lv.dst)
-        else:
-            raise ShapeMismatch("cannot infer a constant's shape from a boolean")
-    return lv, rv
+            sort, dst = spec.sort, Pw(dst) if spec.sort == "mrel" else dst
+        consts.append(_Node(t, spec, (), sort, src, dst, letters, ctx))
+        return consts[-1]
+    spec = _OPS[t.op]
+    kids = [_walk(k, types, consts, t) for k in _operands(t)]
+    sorts = [_find(k.sort) for k in kids]
+    if "bool" in sorts:
+        if isinstance(t, Cmp) and t.op == "==" and sorts == ["bool", "bool"]:
+            return _Node(t, spec, kids, "bool")
+        raise _located("booleans can only be compared with '=='" if isinstance(t, Cmp)
+                       else f"{t.op!r} needs relational operands, not a boolean", t)
+    letters: dict = {}
+    for (view, s, d), kid in zip(spec.operands, kids):
+        if view == "m":  # fixes an open sort; a fixed one converts
+            _unify(kid.sort, "mrel")
+        src, dst = _carrier(s, letters), _carrier(d, letters)
+        dst = Pw(dst) if view == "m" else dst
+        if not (_unify(kid.src, src) and _unify(kid.dst, dst)):
+            raise _located(
+                f"{t.op!r} cannot take {print_term(kid.term)}: it is "
+                f"{_show_carrier(kid.src)} -> {_show_carrier(kid.dst)} as a relation, "
+                f"where {_show_carrier(src)} -> {_show_carrier(dst)} is needed",
+                t,
+            )
+    sort = spec.sort
+    if spec.views[0] in "*s":  # a multirelation when all operands are; open sorts follow
+        known = {v for v in sorts if not isinstance(v, _Var)}
+        same = ("mrel" if known == {"mrel"} else "rel") if known else sorts[0]
+        for v in sorts:
+            _unify(v, same)
+        sort = same if sort == "same" else sort
+    if sort == "bool":
+        return _Node(t, spec, kids, sort)
+    src, dst = (_carrier(c, letters) for c in spec.result)
+    return _Node(t, spec, kids, sort, src, Pw(dst) if spec.sort == "mrel" else dst)
 
 
-def _eval_cmp(op: str, lv, rv) -> bool:
-    if isinstance(lv, bool) or isinstance(rv, bool):
-        if op != "==" or not (isinstance(lv, bool) and isinstance(rv, bool)):
-            raise ShapeMismatch("booleans can only be compared with '=='")
-        return lv == rv
-    lv, rv = _resolve_against_sibling(lv, rv)
-    if op == "==":
-        if isinstance(lv, MRel) and isinstance(rv, MRel):
-            return lv == rv
-        return _as_rel(lv) == _as_rel(rv)
-    if op == "<=":
-        if isinstance(lv, MRel) and isinstance(rv, MRel):
-            return _mrel.is_submrel(lv, rv)
-        return _rel.is_subrel(_as_rel(lv), _as_rel(rv))
-    mode = {"<u=": "smyth", "<d=": "hoare", "<ud=": "egli_milner"}[op]
-    return _mrel.preorder(mode, _as_mrel(lv), _as_mrel(rv))
+class Typed:
+    """A term's inferred sort ("rel", "mrel" or "bool") and its evaluator,
+    which does no inference and no sort tests."""
+
+    __slots__ = ("sort", "run")
+
+    def __init__(self, sort: str, run: Callable[[dict], Value]):
+        self.sort, self.run = sort, run
 
 
-def eval_term(t: Term, env: Env):
-    """Evaluate a term; shape errors carry the offending sub-term text."""
-    v = _eval(t, env)
-    if isinstance(v, _Poly):
-        raise ShapeMismatch(
-            f"term {print_term(t)!r} is a constant with no inferable shape"
-        )
-    return v
+def typecheck(t: Term, types: Mapping) -> Typed:
+    """Infer the sort and carriers of every node of ``t``.
+
+    ``types`` maps carrier names to carrier types (a role name, a size or
+    ``Pw``) and value names to their ``Sig``.  Raises ShapeMismatch naming
+    the offending sub-term, or UnboundVariable."""
+    consts: list[_Node] = []
+    root = _walk(t, types, consts, t)
+    for node in consts:
+        name = node.term.name
+        if node.spec.sort == "?":
+            dst = _carrier(node.spec.result[1], node.letters)
+            sort = _find(node.sort)
+            if isinstance(sort, _Var):  # nothing asked for a multirelation
+                sort.ref = sort = "rel"
+            if not _unify(node.dst, Pw(dst) if sort == "mrel" else dst):
+                raise _located(f"{name} has no carriers that fit here", node.ctx)
+        if not all(map(_ground, node.letters.values())):
+            raise _located(f"cannot infer the carriers of {name}; give them explicitly", node.ctx)
+    return Typed(_find(root.sort), _compile(root))
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+
+
+def _convert(f: Callable, sort: str, view: str) -> Callable:
+    if view in "rs" and sort == "mrel":
+        return lambda b: _mrel.mrel_to_rel(f(b))
+    if view == "m" and sort == "rel":
+        return lambda b: _mrel.rel_to_mrel(f(b))
+    return f
+
+
+def _compile(node: _Node) -> Callable[[dict], Value]:
+    t, spec = node.term, node.spec
+    if isinstance(t, Var):
+        return lambda b, name=t.name: b[name]
+    sort = _find(node.sort)
+    impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
+    if isinstance(t, Const):
+        carriers = [node.letters[x] for x in spec.letters]
+        return lambda b: impl(*map(_carrier_value, carriers))
+    sorts = [_find(k.sort) for k in node.kids]
+    views = spec.views
+    if isinstance(impl, tuple):
+        as_mrel = all(s == "mrel" for s in sorts)
+        impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(sorts)
+    fns = [_convert(_compile(k), s, v) for k, s, v in zip(node.kids, sorts, views)]
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda b: impl(f(b))
+    f, g = fns
+    return lambda b: impl(f(b), g(b))
+
+
+def eval_term(t: Term | Typed, env: Env):
+    """Evaluate a term.  A raw term is typed against ``env`` first, so a
+    shape error names its sub-term before anything is evaluated."""
+    if not isinstance(t, Typed):
+        t = typecheck(t, env_types(env))
+    return t.run(env.bindings)
 
 
 def evaluate(text: str, env: Env):
     """Parse and evaluate in one step."""
     return eval_term(parse(text), env)
+
+
+# ---------------------------------------------------------------------------
+# Slots of a free-standing claim
+
+
+def slot_sorts(t: Term) -> dict[str, str]:
+    """A sort for each value name in ``t``: "rel" where only relations are
+    required of it, "mrel" where a multirelation is required anywhere or
+    nothing constrains it.  A complement passes on what is required of it."""
+    wants: dict[str, set[str]] = {}
+
+    def walk(t: Term, view: str):
+        if isinstance(t, Var):
+            wants.setdefault(t.name, set()).add(view)
+        elif not isinstance(t, Const):
+            spec = _OPS[t.op]
+            for v, kid in zip(spec.views, _operands(t)):
+                walk(kid, view if spec is _COMPLEMENT else v)
+
+    walk(t, "*")
+    return {n: "rel" if w & {"r", "s"} and "m" not in w else "mrel" for n, w in wants.items()}
+
+
+class _Roles(dict):
+    """Types in which each name not given is a carrier role of that name."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = name
+        return name
+
+
+def slot_roles(t: Term, sorts: Mapping[str, str]) -> tuple[tuple[str, ...], dict]:
+    """All carrier roles, and each slot's (src, dst) roles, for the value
+    names of ``t`` at the given sorts.  Names whose carriers must agree
+    share a role: ``a(R * S)`` gives R: X -> Y and S: Y -> Z.  Carrier names
+    in ``t`` are roles of their own; the others are named X, Y, Z, ... in
+    order of first use.  Raises ShapeMismatch if ``t`` is ill-shaped or a
+    slot would range over a powerset carrier."""
+    types = _Roles({name: Sig(sort, _Var(), _Var()) for name, sort in sorts.items()})
+    typecheck(t, types)
+    fresh = (n for n in chain("XYZWVU", (f"X{i}" for i in count(1))) if n not in types)
+    named: dict[_Var, str] = {}
+    ends: dict[str, tuple] = {}
+    for name in sorted(sorts):
+        pair = (_find(types[name].src), _find(types[name].dst))
+        for c in pair:
+            if isinstance(c, Pw):
+                raise ShapeMismatch(f"{name} would range over {_show_carrier(c)}, a powerset")
+            if isinstance(c, _Var) and c not in named:
+                named[c] = next(fresh)
+        ends[name] = tuple(named.get(c, c) for c in pair)
+    written = sorted(n for n, ty in types.items() if isinstance(ty, str))
+    return tuple(dict.fromkeys([r for pair in ends.values() for r in pair] + written)), ends

@@ -13,9 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .dsl import Env, Term, env_from_json, eval_term, parse
+from .dsl import Env, Sig, Term, Typed, env_from_json, eval_term, parse, typecheck
 from .errors import (
     EnumerationTooLarge,
     MaskTooWide,
@@ -65,6 +65,29 @@ class Law:
 
     def parsed_claim(self) -> Term:
         return parse(self.claim)
+
+
+class _Terms:
+    """A law's claim and guard, parsed once and typed once per carrier sizes."""
+
+    def __init__(self, law: Law):
+        self.law = law
+        self.claim = law.parsed_claim()
+        self.guard = parse(law.guard) if law.guard else None
+        self.typed: dict[tuple[int, ...], tuple | None] = {}
+
+    def at(self, carriers: Mapping[str, Carrier]) -> tuple[Typed, Typed | None]:
+        """Raises ShapeMismatch where the sizes make the claim ill-shaped."""
+        key = tuple(carriers[r].size for r in self.law.roles)
+        if key not in self.typed:
+            self.typed[key] = None  # stays None if typing raises
+            types = {r: c.size for r, c in carriers.items()}
+            types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
+            guard = self.guard and typecheck(self.guard, types)
+            self.typed[key] = (typecheck(self.claim, types), guard)
+        if self.typed[key] is None:
+            raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
+        return self.typed[key]
 
 
 @dataclass
@@ -201,8 +224,7 @@ def check(
     started = time.monotonic()
     base_seed = law_seed(seed, law.id)
     resolved = _resolve_sizes(law, sizes)
-    claim = law.parsed_claim()
-    guard = parse(law.guard) if law.guard else None
+    terms = _Terms(law)
     density = law.density if density is None else density
 
     def finish(mode, checked, skipped, verdict, reason, cex):
@@ -230,7 +252,7 @@ def check(
             if isinstance(value, Carrier)
         }
         try:
-            ok = bool(eval_term(claim, env))
+            ok = bool(eval_term(terms.claim, env))
         except (PowersetTooLarge, MaskTooWide, EnumerationTooLarge) as e:
             return finish("pinned", 0, 0, "skipped", str(e), [])
         verdict = "pass" if ok else "fail"
@@ -240,7 +262,6 @@ def check(
         return finish("pinned", 1, 0, verdict, None, cex)
 
     carriers = {role: Carrier(resolved[role]) for role in law.roles}
-    base_env = Env(dict(carriers))
 
     # choose exhaustive vs seeded-random by the size of the tuple space
     try:
@@ -284,12 +305,13 @@ def check(
             ]
             yield from zip(*streams)
 
+    claim, guard = terms.at(carriers)
+    env = Env()
     checked = 0
     skipped = 0
     failures: list[dict] = []
     try:
         for tup in tuples():
-            env = Env(base_env.bindings)
             for slot, value in zip(law.slots, tup):
                 env.bindings[slot.name] = value
             if guard is not None and not eval_term(guard, env):
@@ -297,7 +319,8 @@ def check(
                 continue
             checked += 1
             if not eval_term(claim, env):
-                small = shrink(law, carriers, dict(zip((s.name for s in law.slots), tup)))
+                values = dict(zip((s.name for s in law.slots), tup))
+                small = shrink(law, carriers, values, terms)
                 failures.append(_counterexample_json(*small))
                 if len(failures) >= collect:
                     break
@@ -327,8 +350,7 @@ def _pinned_json(pinned: dict) -> dict:
 # Shrinking
 
 
-def _still_fails(law: Law, carriers: dict[str, Carrier], values: dict) -> bool:
-    env = Env({**carriers, **values})
+def _still_fails(law: Law, terms: _Terms, carriers: dict[str, Carrier], values: dict) -> bool:
     try:
         for slot in law.slots:
             v = values[slot.name]
@@ -339,9 +361,11 @@ def _still_fails(law: Law, carriers: dict[str, Carrier], values: dict) -> bool:
                 flags = classify_mrel(v) if slot.sort == "mrel" else classify_rel(v)
                 if not all(getattr(flags, n) for n in slot.needs):
                     return False
-        if law.guard is not None and not eval_term(parse(law.guard), env):
+        claim, guard = terms.at(carriers)
+        env = Env(values)
+        if guard is not None and not eval_term(guard, env):
             return False
-        return not eval_term(law.parsed_claim(), env)
+        return not eval_term(claim, env)
     except (ShapeMismatch, PowersetTooLarge, MaskTooWide, EnumerationTooLarge):
         return False
 
@@ -406,10 +430,12 @@ def _drop_top_element(law: Law, carriers, values, role):
 
 
 def shrink(
-    law: Law, carriers: dict[str, Carrier], values: dict
+    law: Law, carriers: dict[str, Carrier], values: dict, terms: _Terms | None = None
 ) -> tuple[dict[str, Carrier], dict]:
     """Greedy reduction: drop pairs, then clear mask bits, then drop unused
-    top carrier elements; every accepted step still fails the law."""
+    top carrier elements; every accepted step still fails the law.
+    ``terms`` passes on a check's parsed and typed claim and guard."""
+    terms = terms or _Terms(law)
     carriers = dict(carriers)
     values = dict(values)
     changed = True
@@ -421,7 +447,7 @@ def shrink(
             for pair in pairs:
                 cand = dict(values)
                 cand[slot.name] = _drop_pair(v, pair)
-                if _still_fails(law, carriers, cand):
+                if _still_fails(law, terms, carriers, cand):
                     values = cand
                     changed = True
                     break
@@ -445,7 +471,7 @@ def shrink(
                         continue
                     cand = dict(values)
                     cand[slot.name] = cand_val
-                    if _still_fails(law, carriers, cand):
+                    if _still_fails(law, terms, carriers, cand):
                         values = cand
                         changed = True
                         break
@@ -457,7 +483,7 @@ def shrink(
             continue
         for role in law.roles:
             out = _drop_top_element(law, carriers, values, role)
-            if out is not None and _still_fails(law, out[0], out[1]):
+            if out is not None and _still_fails(law, terms, out[0], out[1]):
                 carriers, values = out
                 changed = True
                 break

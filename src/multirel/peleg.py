@@ -1,10 +1,10 @@
 """Peleg and Kleisli liftings and compositions, and the decomposition of a
 multirelation into its univalent same-domain parts.
 
-The direct composition enumerates choice functions per pair and is guarded
-by ENUM_CAP; the oracle recomputes the same composition through the
-decomposition-and-lifting route so the two can be played against each
-other in tests.
+The direct composition folds choice functions per pair, keeping distinct
+unions only, and ENUM_CAP bounds each step of that fold; the oracle
+recomputes the same composition through the decomposition-and-lifting
+route so the two can be played against each other in tests.
 """
 
 from __future__ import annotations
@@ -66,30 +66,29 @@ def peleg_lift(r: MRel) -> Rel:
             dom_mask |= 1 << a
     rows = []
     for a_mask in range(px.size):
-        if a_mask & ~dom_mask:
-            rows.append(0)
-            continue
-        rows.append(_choice_unions(r, a_mask, f"subset {a_mask}"))
+        acc = 0
+        if not a_mask & ~dom_mask:
+            for c in _choice_unions(r, a_mask, f"subset {a_mask}"):
+                acc |= 1 << c
+        rows.append(acc)
     return Rel(px, py, tuple(rows))
 
 
-def _choice_unions(s: MRel, b_mask: int, what: str) -> int:
-    """Bitset over P(dst) of all unions of one chosen mask per element of
-    ``b_mask``; 1<<0 when the mask is empty (the empty union)."""
-    size = 1
-    for b in bits(b_mask):
-        size *= len(s.rows[b])
-        if size > ENUM_CAP:
-            raise EnumerationTooLarge(
-                f"{what}: choice product {size}+ exceeds cap {ENUM_CAP}", size
-            )
+def _choice_unions(s: MRel, b_mask: int, what: str) -> set[int]:
+    """All unions of one chosen mask per element of ``b_mask``; {0} when
+    the mask is empty.  The fold keeps distinct unions only, so the cap
+    bounds each step's work (kept unions times choices), not the product
+    of all choices."""
     acc = {0}
     for b in bits(b_mask):
-        acc = {c | m for c in acc for m in s.rows[b]}
-    out = 0
-    for c in acc:
-        out |= 1 << c
-    return out
+        row = s.rows[b]
+        work = len(acc) * len(row)
+        if work > ENUM_CAP:
+            raise EnumerationTooLarge(
+                f"{what}: {work} choice unions in one step exceed cap {ENUM_CAP}", work
+            )
+        acc = {c | m for c in acc for m in row}
+    return acc
 
 
 def peleg_compose(r: MRel, s: MRel) -> MRel:
@@ -109,18 +108,7 @@ def peleg_compose(r: MRel, s: MRel) -> MRel:
         for b_mask in row:
             if any(not s.rows[b] for b in bits(b_mask)):
                 continue
-            acc_pair = {0}
-            size = 1
-            for b in bits(b_mask):
-                size *= len(s.rows[b])
-                if size > ENUM_CAP:
-                    raise EnumerationTooLarge(
-                        f"pair ({a},{b_mask}): choice product {size}+ exceeds cap {ENUM_CAP}",
-                        size,
-                    )
-            for b in bits(b_mask):
-                acc_pair = {c | m for c in acc_pair for m in s.rows[b]}
-            acc |= acc_pair
+            acc |= _choice_unions(s, b_mask, f"pair ({a},{b_mask})")
         out_rows.append(acc)
     return MRel.make(r.src, s.dst, out_rows)
 

@@ -92,6 +92,12 @@ class TestCheck:
         assert rep["seed"] == 3
         assert "elapsed_ms" not in rep
 
+    def test_malformed_sizes_get_a_message(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["check", "--all", "--sizes", "x,2"])
+        assert e.value.code == 2
+        assert "--sizes expects two positive integers" in capsys.readouterr().err
+
     def test_json_timing_flag(self, capsys):
         assert main(
             ["check", "--law", "L2.1-alpha-eta-id", "--json", "--timing"]
@@ -131,6 +137,59 @@ class TestFindCex:
             ]
         )
         assert rc == 0
+
+    def test_roles_inferred_from_the_claim(self, capsys):
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "a(R * S)",
+                "--rhs", "a(R) ; a(S)",
+                "--rel", "==",
+                "--sizes", "2,3",
+            ]
+        )
+        assert rc == 1
+        witness = json.loads(capsys.readouterr().out)
+        assert set(witness["carriers"]) == {"X", "Y", "Z"}
+        # R: X -> Y and S: Y -> Z
+        assert witness["slots"]["R"]["dst"] == witness["slots"]["S"]["src"]
+
+    def test_unequal_sizes_do_not_crash(self, capsys):
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "R * S",
+                "--rhs", "S * R",
+                "--rel", "==",
+                "--sizes", "2,3",
+            ]
+        )
+        assert rc in (0, 1)
+
+    def test_ill_shaped_claim_usage_error(self, capsys):
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "R ; mem(Y)",
+                "--rhs", "R",
+                "--rel", "==",
+                "--sizes", "2,2",
+            ]
+        )
+        assert rc == 2
+        assert "R ; mem(Y)" in capsys.readouterr().err
+
+    def test_vars_override_sorts(self, capsys):
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "R", "--rhs", "R", "--rel", "==",
+                "--sizes", "2,2", "--vars", "R=rel",
+            ]
+        )
+        assert rc == 0
+        # the 16 relations 2 <-> 2, not the 256 multirelations
+        assert "16 instances" in capsys.readouterr().out
 
     def test_bad_vars_usage_error(self):
         rc = main(

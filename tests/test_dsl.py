@@ -17,6 +17,8 @@ from multirel.dsl import (
     evaluate,
     parse,
     print_term,
+    slot_roles,
+    slot_sorts,
 )
 from conftest import C, M, R
 
@@ -193,6 +195,21 @@ class TestEval:
             evaluate("up(R) & (S * R)", env)
         assert "S * R" in str(e.value)
 
+    def test_shape_errors_precede_evaluation(self):
+        # mem(W) would exceed the powerset cap if it were ever evaluated
+        env = std_env(R=R(2, 2, []), W=C(40))
+        with pytest.raises(ShapeMismatch) as e:
+            evaluate("mem(W) == R", env)
+        assert "mem(W) == R" in str(e.value)
+
+    def test_open_constants_take_their_siblings_sort(self):
+        env = std_env(R=M(2, 2, [(0, [0])]))
+        # nothing asks for a multirelation: the relation X -> Y
+        assert evaluate("-0(X, Y)", env) == R(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        # beside a multirelation: the multirelation X -> P(Y)
+        assert evaluate("R | 0(X, Y)", env) == M(2, 2, [(0, [0])])
+        assert evaluate("R \\ U(X, Y)", env).dst.size == 4
+
     def test_ambiguous_constant_is_an_error(self):
         with pytest.raises(ShapeMismatch):
             evaluate("1 * 1", std_env())
@@ -220,6 +237,27 @@ class TestEval:
         assert evaluate("(R == R) == (R <= R)", env) is True
         with pytest.raises(ShapeMismatch):
             evaluate("(R == R) <= R", env)
+
+
+class TestSlots:
+    def test_sorts_follow_required_views(self):
+        t = parse("(-R ; S) == up(T) & V")
+        assert slot_sorts(t) == {"R": "rel", "S": "rel", "T": "mrel", "V": "mrel"}
+
+    def test_roles_follow_composition(self):
+        t = parse("a(R * S) == a(R) ; a(S)")
+        roles, ends = slot_roles(t, {"R": "mrel", "S": "mrel"})
+        assert roles == ("X", "Y", "Z")
+        assert ends == {"R": ("X", "Y"), "S": ("Y", "Z")}
+
+    def test_written_carriers_are_roles(self):
+        roles, ends = slot_roles(parse("R ; Id(Y) == S"), {"R": "rel", "S": "rel"})
+        assert ends == {"R": ("X", "Y"), "S": ("X", "Y")}
+        assert roles == ("X", "Y")
+
+    def test_powerset_slot_is_an_error(self):
+        with pytest.raises(ShapeMismatch):
+            slot_roles(parse("a(R) == R"), {"R": "rel"})
 
 
 class TestEnvJson:

@@ -41,6 +41,21 @@ class TestRegistry:
                 assert parse(print_term(g)) == g
 
 
+    def test_claims_type_as_booleans(self):
+        # over distinct symbolic roles, so no claim relies on two roles
+        # happening to have the same size; regressions over their pins
+        from multirel.dsl import Sig, env_types, typecheck
+
+        for law in registry():
+            if law.kind == "regression":
+                types = env_types(env_from_json(law.pinned))
+            else:
+                types = {role: role for role in law.roles}
+                types.update((s.name, Sig(s.sort, s.src, s.dst)) for s in law.slots)
+            for text in filter(None, (law.claim, law.guard)):
+                assert typecheck(parse(text), types).sort == "bool", (law.id, text)
+
+
 class TestCheck:
     def test_lambda_alpha_exhaustive_counts(self):
         rep = check(law_by_id("L2.1-lambda-alpha-inverse"), sizes=(2, 2))

@@ -7,6 +7,7 @@ from multirel import (
     ENUM_CAP,
     EnumerationTooLarge,
     GenSpec,
+    MRel,
     alpha,
     classify_mrel,
     classify_rel,
@@ -180,6 +181,25 @@ class TestPelegCompose:
             lhs = peleg_compose(mrel_bool("union", r, s), t)
             rhs = mrel_bool("union", peleg_compose(r, t), peleg_compose(s, t))
             assert lhs == rhs
+
+
+    def test_cap_bounds_the_fold_not_the_choice_product(self):
+        # 40^4 = 2.56M choice functions, yet over a 6-element carrier the
+        # fold never keeps more than 64 distinct unions
+        r = M(1, 4, [(0, [0, 1, 2, 3])])
+        s = MRel.make(C(4), C(6), [range(40)] * 4)
+        assert peleg_compose(r, s).rows[0] == tuple(range(64))
+        assert peleg_lift(s).rows[0b1111] == (1 << 64) - 1
+        # a step that would form 2048 * 2048 unions is still refused
+        wide = MRel.make(C(2), C(12), [range(2048), range(2048, 4096)])
+        with pytest.raises(EnumerationTooLarge):
+            peleg_compose(M(1, 2, [(0, [0, 1])]), wide)
+
+    def test_agrees_with_oracle_on_wider_carriers(self):
+        rs = list(some_mrels(2, 4, 20, seed=21, density=0.3))
+        ss = list(some_mrels(4, 3, 20, seed=22, density=0.3))
+        for r, s in zip(rs, ss):
+            assert peleg_compose(r, s) == peleg_compose_oracle(r, s)
 
 
 class TestUnivalentLaws:
