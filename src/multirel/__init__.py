@@ -94,7 +94,7 @@ from .determinise import (
     fixpoint_class,
     fusion,
 )
-from .generate import GenSpec, SplitMix64, count_matching, instances, mix64
+from .generate import GenSpec, SplitMix64, count_matching, instances, mix64, space_size
 from .dsl import Env, evaluate, parse, print_term
 from .laws import Law, LawReport, Slot, check
 from .registry import law_by_id, registry

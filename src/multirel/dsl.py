@@ -840,20 +840,39 @@ def evaluate(text: str, env: Env):
 
 def slot_sorts(t: Term) -> dict[str, str]:
     """A sort for each value name in ``t``: "rel" where only relations are
-    required of it, "mrel" where a multirelation is required anywhere or
-    nothing constrains it.  A complement passes on what is required of it."""
-    wants: dict[str, set[str]] = {}
+    asked of it, "mrel" where a multirelation is asked anywhere or nothing
+    is.  Operands whose sort follows their siblings' (under ``&``, ``|``,
+    a comparison or a residual) share what is asked of any of them and
+    the sorts of those siblings; a complement passes on what is asked of
+    it.  A residual's operands are relations unless a sibling says
+    otherwise."""
+    names: dict[str, _Var] = {}
+    asked: list[tuple[_Var, str]] = []
 
-    def walk(t: Term, view: str):
+    def walk(t: Term):
         if isinstance(t, Var):
-            wants.setdefault(t.name, set()).add(view)
-        elif not isinstance(t, Const):
-            spec = _OPS[t.op]
-            for v, kid in zip(spec.views, _operands(t)):
-                walk(kid, view if spec is _COMPLEMENT else v)
+            return names.setdefault(t.name, _Var())
+        if isinstance(t, Const):
+            return _Var() if _CONSTS[t.name].sort == "?" else _CONSTS[t.name].sort
+        spec = _OPS[t.op]
+        same = _Var()
+        for view, kid in zip(spec.views, map(walk, _operands(t))):
+            if view in "*s" and isinstance(kid, _Var):
+                _unify(kid, same)
+            elif view in "*s":
+                asked.append((same, kid))
+            elif isinstance(kid, _Var):
+                asked.append((kid, "mrel" if view == "m" else "rel"))
+            if view == "s":
+                asked.append((same, "s"))
+        return same if spec.sort == "same" else spec.sort
 
-    walk(t, "*")
-    return {n: "rel" if w & {"r", "s"} and "m" not in w else "mrel" for n, w in wants.items()}
+    walk(t)
+    wants: dict[_Var, set[str]] = {}
+    for v, sort in asked:
+        wants.setdefault(_find(v), set()).add(sort)
+    rel = {"rel", "s"}
+    return {n: "rel" if wants.get(_find(v), {"mrel"}) <= rel else "mrel" for n, v in names.items()}
 
 
 class _Roles(dict):

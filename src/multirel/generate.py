@@ -6,18 +6,29 @@ portable: the stream for a given seed is identical everywhere.  Instance
 ``k`` of a random stream is generated from the sub-seed ``mix64(seed ^ k)``
 so a stream can be split into chunks without changing its contents.
 
-Exhaustive streams use numeric encoding order: instance ``i`` contains the
-candidate pair ``(a, b)`` (or ``(a, mask)``) exactly when the corresponding
-bit of ``i`` is set, candidates ordered row-major.
+Every stream is built by one row model: an instance has a row for each
+source element, drawn from the same list of candidates.  A subset draw
+takes any subset of the candidates.  It builds relations (the candidates
+are the bits ``1 << b``), general multirelations (all masks) and the inner
+deterministic and inner univalent filters (the singleton masks, plus the
+empty mask for inner univalent).  A pick draw takes exactly one candidate
+row.  It builds the outer deterministic and outer univalent filters (one
+mask, or for outer univalent also no mask).  Any other filter rejects
+instances after they are built.
+
+Exhaustive streams use numeric encoding order.  For a subset draw with
+``n`` candidates, instance ``i`` takes candidate ``j`` into row ``a``
+exactly when bit ``a * n + j`` of ``i`` is set.  Pick draws follow
+``itertools.product`` order over the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import ENUM_CAP, POW_CAP, EnumerationTooLarge, PowersetTooLarge
+from .errors import POW_CAP, EnumerationTooLarge, PowersetTooLarge
 from .mrel import MRel, classify_mrel
 from .rel import Carrier, Rel, classify_rel
 
@@ -77,9 +88,8 @@ class GenSpec:
     where: frozenset[str] = field(default_factory=frozenset)
 
 
-# Filters with constructive generators: rows are drawn from a restricted
-# vocabulary instead of rejecting after the fact.  The outer generators
-# pick whole rows (ignoring density), the inner ones filter mask sets.
+# Filters with constructive generators; the first one a spec names shapes
+# its rows, and the rest reject.
 _CONSTRUCTIVE = (
     "inner_deterministic",
     "inner_univalent",
@@ -88,162 +98,91 @@ _CONSTRUCTIVE = (
 )
 
 
-def _allowed_masks(filter_name: str, dst: int) -> list[int] | None:
-    if filter_name == "inner_deterministic":
-        return [1 << b for b in range(dst)]
-    if filter_name == "inner_univalent":
-        return [0] + [1 << b for b in range(dst)]
-    return None
+def _model(kind: str, spec: GenSpec) -> tuple[bool, Sequence, frozenset[str]]:
+    """A stream's row model: whether each row picks one candidate (else it
+    takes any subset of them), the candidates, and the filters left to
+    reject by.  Picked candidates are whole multirelation rows."""
+    nd = spec.shape[1]
+    bits = [1 << b for b in range(nd)]
+    if kind == "rel":
+        return False, bits, frozenset(spec.where)
+    if kind != "mrel":
+        raise ValueError(f"unknown instance kind {kind!r}")
+    shaping = next((f for f in _CONSTRUCTIVE if f in spec.where), None)
+    residual = frozenset(spec.where) - {shaping}
+    if shaping == "inner_deterministic":
+        return False, bits, residual
+    if shaping == "inner_univalent":
+        return False, [0] + bits, residual
+    if nd > POW_CAP:
+        raise PowersetTooLarge(f"multirelation rows over 2^{nd} masks exceed cap 2^{POW_CAP}")
+    if shaping is None:
+        return False, range(1 << nd), residual
+    singles = [(m,) for m in range(1 << nd)]
+    return True, [()] + singles if shaping == "outer_univalent" else singles, residual
 
 
-def _check_exhaustive_bits(bits_needed: int, what: str):
-    if bits_needed > EXHAUSTIVE_BITS:
-        raise EnumerationTooLarge(
-            f"exhaustive {what} needs 2^{bits_needed} instances (cap 2^{EXHAUSTIVE_BITS})",
-            bits_needed,
-        )
+def _size(pick: bool, n: int, rows: int) -> int:
+    return n**rows if pick else 1 << (n * rows)
 
 
-def _rel_stream(spec: GenSpec) -> Iterator[Rel]:
-    ns, nd = spec.shape
-    src, dst = Carrier(ns), Carrier(nd)
-    if spec.mode == "exhaustive":
-        _check_exhaustive_bits(ns * nd, "relations")
-        for code in range(1 << (ns * nd)):
-            rows = tuple((code >> (a * nd)) & ((1 << nd) - 1) for a in range(ns))
-            yield Rel(src, dst, rows)
-        return
-    threshold = density_threshold(spec.density)
-    for k in range(spec.count):
-        rng = SplitMix64(mix64(spec.seed ^ k))
-        rows = []
-        for _ in range(ns):
-            row = 0
-            for b in range(nd):
-                if rng.bernoulli(threshold):
-                    row |= 1 << b
-            rows.append(row)
-        yield Rel(src, dst, tuple(rows))
+def space_size(kind: str, spec: GenSpec) -> int:
+    """How many instances the row model builds for ``spec``: the length of
+    its exhaustive stream when every filter is constructive, otherwise a
+    bound on that length.  Nothing is enumerated."""
+    pick, candidates, _ = _model(kind, spec)
+    return _size(pick, len(candidates), spec.shape[0])
 
 
-def _mrel_rows_from_code(code: int, ns: int, per_row: int, masks: list[int]) -> list[list[int]]:
-    rows = []
-    for a in range(ns):
-        chunk = (code >> (a * per_row)) & ((1 << per_row) - 1)
-        rows.append([masks[i] for i in range(per_row) if chunk >> i & 1])
-    return rows
+def rejects(kind: str, spec: GenSpec) -> bool:
+    """Whether the stream drops some instances it builds, so that it can be
+    shorter than ``space_size``."""
+    return bool(_model(kind, spec)[2])
 
 
-def _mrel_stream(spec: GenSpec) -> Iterator[MRel]:
-    ns, nd = spec.shape
-    src, dst = Carrier(ns), Carrier(nd)
-    constructive = next((f for f in _CONSTRUCTIVE if f in spec.where), None)
-    residual_filter = set(spec.where)
-    if constructive:
-        residual_filter.discard(constructive)
-
-    if spec.mode == "exhaustive":
-        if constructive in ("outer_deterministic", "outer_univalent"):
-            if nd > POW_CAP:
-                raise PowersetTooLarge(
-                    f"single-valued rows need 2^{nd} masks (cap 2^{POW_CAP})"
-                )
-            per_row = (1 << nd) + (1 if constructive == "outer_univalent" else 0)
-            total = per_row ** ns
-            if total > ENUM_CAP:
-                raise EnumerationTooLarge(
-                    f"{total} {constructive} instances exceed cap {ENUM_CAP}", total
-                )
-            rows_vocab: list[tuple[int, ...]] = [()] if constructive == "outer_univalent" else []
-            rows_vocab += [(c,) for c in range(1 << nd)]
-            for choice in product(rows_vocab, repeat=ns):
-                m = MRel(src, dst, tuple(choice))
-                if not residual_filter or classify_mrel(m).matches(residual_filter):
-                    yield m
-            return
-        masks = _allowed_masks(constructive, nd) if constructive else None
-        if masks is None:
-            if nd > POW_CAP:
-                raise PowersetTooLarge(
-                    f"exhaustive multirelations need 2^{nd} masks per row (cap 2^{POW_CAP})"
-                )
-            masks = list(range(1 << nd))
-        per_row = len(masks)
-        _check_exhaustive_bits(ns * per_row, "multirelations")
-        for code in range(1 << (ns * per_row)):
-            m = MRel.make(src, dst, _mrel_rows_from_code(code, ns, per_row, masks))
-            if not residual_filter or classify_mrel(m).matches(residual_filter):
-                yield m
-        return
-
-    threshold = density_threshold(spec.density)
-    produced = 0
-    candidate = 0
-    budget = max(1000, spec.count * 1000)
-    while produced < spec.count:
-        if candidate >= budget:
-            raise EnumerationTooLarge(
-                f"rejection sampling for {sorted(spec.where)} exhausted after "
-                f"{candidate} candidates",
-                candidate,
-            )
-        rng = SplitMix64(mix64(spec.seed ^ candidate))
-        candidate += 1
-        if constructive in ("outer_deterministic", "outer_univalent"):
-            if nd > POW_CAP:
-                raise PowersetTooLarge(
-                    f"single-valued rows need 2^{nd} masks (cap 2^{POW_CAP})"
-                )
-            rows = []
-            for _ in range(ns):
-                if constructive == "outer_univalent":
-                    pick = rng.below((1 << nd) + 1)
-                    rows.append(() if pick == 0 else (pick - 1,))
-                else:
-                    rows.append((rng.below(1 << nd),))
-            m = MRel(src, dst, tuple(rows))
-        else:
-            masks = _allowed_masks(constructive, nd) if constructive else None
-            if masks is None:
-                if nd > POW_CAP:
-                    raise PowersetTooLarge(
-                        f"random multirelations need 2^{nd} candidate masks per row "
-                        f"(cap 2^{POW_CAP})"
-                    )
-                masks = list(range(1 << nd))
-            rows = []
-            for _ in range(ns):
-                rows.append([m for m in masks if rng.bernoulli(threshold)])
-            m = MRel.make(src, dst, rows)
-        if residual_filter and not classify_mrel(m).matches(residual_filter):
-            continue
-        produced += 1
-        yield m
+def satisfies(value: Rel | MRel, needs: Iterable[str]) -> bool:
+    """Whether ``value`` has every property flag named in ``needs``."""
+    flags = classify_rel(value) if isinstance(value, Rel) else classify_mrel(value)
+    return all(getattr(flags, name) for name in needs)
 
 
 def instances(kind: str, spec: GenSpec) -> Iterator[Rel] | Iterator[MRel]:
     """Stream of generated instances; see the module docstring for order
     and determinism guarantees."""
-    if kind == "rel":
-        stream = _rel_stream(spec)
-        if spec.where and spec.mode == "exhaustive":
-            return (r for r in stream if _rel_matches(r, spec.where))
-        if spec.where:
-            return _rel_rejection(spec)
-        return stream
-    if kind == "mrel":
-        return _mrel_stream(spec)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    return _stream(kind, spec, *_model(kind, spec))
 
 
-def _rel_matches(r: Rel, where: frozenset[str]) -> bool:
-    flags = classify_rel(r)
-    return all(getattr(flags, name) for name in where)
-
-
-def _rel_rejection(spec: GenSpec) -> Iterator[Rel]:
+def _stream(kind, spec, pick, candidates, residual) -> Iterator:
     ns, nd = spec.shape
     src, dst = Carrier(ns), Carrier(nd)
+    n = len(candidates)
+    # a subset draw joins its chosen candidates into a row
+    join, make = (sum, Rel) if kind == "rel" else (tuple, MRel)
+    if spec.mode == "exhaustive":
+        size = _size(pick, n, ns)
+        if size > 1 << EXHAUSTIVE_BITS:
+            raise EnumerationTooLarge(
+                f"exhaustive {kind} stream needs {size} instances (cap 2^{EXHAUSTIVE_BITS})",
+                size,
+            )
+        if pick:
+            choices = product(candidates, repeat=ns)
+        else:
+            # the row of each n-bit chunk of the code; a relation row is the chunk
+            rows = range(1 << n) if kind == "rel" else [
+                join(c for j, c in enumerate(candidates) if chunk >> j & 1)
+                for chunk in range(1 << n)
+            ]
+            width = (1 << n) - 1
+            choices = (
+                tuple(rows[code >> (a * n) & width] for a in range(ns)) for code in range(size)
+            )
+        for choice in choices:
+            value = make(src, dst, choice)
+            if not residual or satisfies(value, residual):
+                yield value
+        return
+
     threshold = density_threshold(spec.density)
     produced = 0
     candidate = 0
@@ -257,17 +196,17 @@ def _rel_rejection(spec: GenSpec) -> Iterator[Rel]:
             )
         rng = SplitMix64(mix64(spec.seed ^ candidate))
         candidate += 1
-        rows = []
-        for _ in range(ns):
-            row = 0
-            for b in range(nd):
-                if rng.bernoulli(threshold):
-                    row |= 1 << b
-            rows.append(row)
-        r = Rel(src, dst, tuple(rows))
-        if _rel_matches(r, spec.where):
-            produced += 1
-            yield r
+        if pick:
+            choice = tuple(candidates[rng.below(n)] for _ in range(ns))
+        else:
+            choice = tuple(
+                join(c for c in candidates if rng.bernoulli(threshold)) for _ in range(ns)
+            )
+        value = make(src, dst, choice)
+        if residual and not satisfies(value, residual):
+            continue
+        produced += 1
+        yield value
 
 
 def count_matching(kind: str, spec: GenSpec) -> int:

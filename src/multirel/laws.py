@@ -13,9 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
-from .dsl import Env, Sig, Term, Typed, env_from_json, eval_term, parse, typecheck
+from .dsl import Env, Sig, Term, Typed, env_from_json, env_types, eval_term, parse, typecheck
 from .errors import (
     EnumerationTooLarge,
     MaskTooWide,
@@ -23,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     UnknownLaw,
 )
-from .generate import GenSpec, instances, mix64
+from .generate import GenSpec, instances, mix64, rejects, satisfies, space_size
 from .mrel import MRel
 from .rel import Carrier, Rel
 
@@ -83,11 +84,20 @@ class _Terms:
             self.typed[key] = None  # stays None if typing raises
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
-            guard = self.guard and typecheck(self.guard, types)
-            self.typed[key] = (typecheck(self.claim, types), guard)
+            guard = self.guard and self.boolean("guard", types)
+            self.typed[key] = (self.boolean("claim", types), guard)
         if self.typed[key] is None:
             raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
         return self.typed[key]
+
+    def boolean(self, what: str, types: Mapping) -> Typed:
+        """The "claim" or the "guard", typed; raises ShapeMismatch unless
+        it is a boolean."""
+        typed = typecheck(getattr(self, what), types)
+        if typed.sort != "bool":
+            text = f"the {what} {getattr(self.law, what)}"
+            raise ShapeMismatch(f"{self.law.id}: {text} is a {typed.sort}, not a boolean")
+        return typed
 
 
 @dataclass
@@ -162,54 +172,11 @@ def _resolve_sizes(law: Law, sizes: Sequence[int] | None) -> dict[str, int]:
     return out
 
 
-def _exhaustive_count(slot: Slot, sizes: dict[str, int], budget: int) -> int:
-    """Stream length for a slot, constructive filters included.
-
-    For rejection-filtered slots whose raw space already exceeds the
-    budget, the raw size is returned instead of enumerating: the check
-    will degrade to random sampling either way.
-    """
-    ns, nd = sizes[slot.src], sizes[slot.dst]
-    if slot.sort == "rel":
-        raw = 1 << (ns * nd)
-        if slot.needs:
-            if raw > budget:
-                return raw
-            return sum(1 for _ in _slot_stream(slot, sizes, "exhaustive", 0, 0, 0.5))
-        return raw
-    if "inner_deterministic" in slot.needs and len(slot.needs) == 1:
-        return 1 << (ns * nd)
-    if "inner_univalent" in slot.needs and len(slot.needs) == 1:
-        return 1 << (ns * (nd + 1))
-    if "outer_deterministic" in slot.needs and len(slot.needs) == 1:
-        return (1 << nd) ** ns
-    if "outer_univalent" in slot.needs and len(slot.needs) == 1:
-        return ((1 << nd) + 1) ** ns
-    raw = 1 << (ns * (1 << nd))
-    if slot.needs:
-        if raw > budget:
-            return raw
-        return sum(1 for _ in _slot_stream(slot, sizes, "exhaustive", 0, 0, 0.5))
-    return raw
-
-
-def _slot_stream(
-    slot: Slot,
-    sizes: dict[str, int],
-    mode: str,
-    seed: int,
-    count: int,
-    density: float,
-) -> Iterator:
-    spec = GenSpec(
-        (sizes[slot.src], sizes[slot.dst]),
-        mode,
-        count=count,
-        density=density,
-        seed=seed,
-        where=frozenset(slot.needs),
-    )
-    return instances(slot.sort, spec)
+def _stream_args(slot: Slot, sizes: dict[str, int], mode="exhaustive", seed=0, count=0,
+                 density=0.5) -> tuple[str, GenSpec]:
+    """A slot's ``(kind, spec)``, as ``instances`` and ``space_size`` take them."""
+    shape = (sizes[slot.src], sizes[slot.dst])
+    return slot.sort, GenSpec(shape, mode, count, density, seed, frozenset(slot.needs))
 
 
 def check(
@@ -251,8 +218,9 @@ def check(
             for name, value in env.bindings.items()
             if isinstance(value, Carrier)
         }
+        claim = terms.boolean("claim", env_types(env))
         try:
-            ok = bool(eval_term(terms.claim, env))
+            ok = eval_term(claim, env)
         except (PowersetTooLarge, MaskTooWide, EnumerationTooLarge) as e:
             return finish("pinned", 0, 0, "skipped", str(e), [])
         verdict = "pass" if ok else "fail"
@@ -263,13 +231,20 @@ def check(
 
     carriers = {role: Carrier(resolved[role]) for role in law.roles}
 
-    # choose exhaustive vs seeded-random by the size of the tuple space
+    # choose exhaustive vs seeded-random by the size of the tuple space; a
+    # stream that rejects instances can be shorter than its space, so where
+    # every space fits the budget but their product does not, such streams
+    # are enumerated (once, for the check too) and their lengths decide
+    args = [_stream_args(s, resolved) for s in law.slots]
+    counted: dict[int, list] = {}
     try:
-        space = 1
-        for slot in law.slots:
-            space *= _exhaustive_count(slot, resolved, law.budget)
+        spaces = [space_size(*a) for a in args]
+        if prod(spaces) > law.budget and max(spaces) <= law.budget:
+            counted = {i: list(instances(*a)) for i, a in enumerate(args) if rejects(*a)}
+            spaces = [len(counted[i]) if i in counted else n for i, n in enumerate(spaces)]
     except (EnumerationTooLarge, PowersetTooLarge, MaskTooWide) as e:
         return finish("exhaustive", 0, 0, "skipped", str(e), [])
+    space = prod(spaces)
     mode = "exhaustive" if space <= law.budget else "random"
     n_random = count if count is not None else law.count
 
@@ -285,22 +260,15 @@ def check(
             yield ()
             return
         if mode == "exhaustive":
-            streams = [
-                list(_slot_stream(s, resolved, "exhaustive", 0, 0, density))
-                for s in law.slots
-            ]
-            yield from product(*streams)
+            yield from product(
+                *(counted[i] if i in counted else instances(*a) for i, a in enumerate(args))
+            )
             return
         for phase, d in enumerate(densities):
             streams = [
-                _slot_stream(
-                    s,
-                    resolved,
-                    "random",
-                    mix64(base_seed ^ (1000 * phase + i + 1)),
-                    n_random,
-                    d,
-                )
+                instances(*_stream_args(
+                    s, resolved, "random", mix64(base_seed ^ (1000 * phase + i + 1)), n_random, d
+                ))
                 for i, s in enumerate(law.slots)
             ]
             yield from zip(*streams)
@@ -352,15 +320,8 @@ def _pinned_json(pinned: dict) -> dict:
 
 def _still_fails(law: Law, terms: _Terms, carriers: dict[str, Carrier], values: dict) -> bool:
     try:
-        for slot in law.slots:
-            v = values[slot.name]
-            if slot.needs:
-                from .mrel import classify_mrel
-                from .rel import classify_rel
-
-                flags = classify_mrel(v) if slot.sort == "mrel" else classify_rel(v)
-                if not all(getattr(flags, n) for n in slot.needs):
-                    return False
+        if not all(satisfies(values[s.name], s.needs) for s in law.slots if s.needs):
+            return False
         claim, guard = terms.at(carriers)
         env = Env(values)
         if guard is not None and not eval_term(guard, env):

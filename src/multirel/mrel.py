@@ -118,9 +118,6 @@ class PropertyFlags:
     down_closed: bool
     union_closed: bool
 
-    def matches(self, required: Iterable[str]) -> bool:
-        return all(getattr(self, name) for name in required)
-
 
 def _require_same_shape(r: MRel, s: MRel, op: str):
     if r.src.size != s.src.size or r.dst.size != s.dst.size:

@@ -7,9 +7,11 @@ lines and timings.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from multirel import (
     GenSpec,
@@ -378,6 +380,10 @@ def test_criterion_8_full_check_deterministic(capsys):
         out2 = capsys.readouterr().out
         assert rc2 == 0
         assert out1 == out2
+        # the bytes of every report are pinned: a change to them must come
+        # with a new hash, and say why
+        pinned = (Path(__file__).parent / "data" / "check_all_2x2_seed7.sha256").read_text()
+        assert hashlib.sha256(out1.encode()).hexdigest() == pinned.strip()
         payload = json.loads(out1)
         assert payload["all_as_declared"] is True
         assert len(payload["reports"]) == len(registry())

@@ -191,6 +191,20 @@ class TestFindCex:
         # the 16 relations 2 <-> 2, not the 256 multirelations
         assert "16 instances" in capsys.readouterr().out
 
+    def test_slot_beside_a_relation_is_a_relation(self, capsys):
+        # T is constrained only by its sibling R ; S, so it is a relation
+        # X -> Z, not a multirelation whose powerset target S would share
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "R ; S", "--rhs", "T", "--rel", "==",
+                "--sizes", "2,2",
+            ]
+        )
+        assert rc in (0, 1)
+        witness = json.loads(capsys.readouterr().out)
+        assert all("pairs" in slot for slot in witness["slots"].values())
+
     def test_bad_vars_usage_error(self):
         rc = main(
             [

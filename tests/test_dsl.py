@@ -244,6 +244,16 @@ class TestSlots:
         t = parse("(-R ; S) == up(T) & V")
         assert slot_sorts(t) == {"R": "rel", "S": "rel", "T": "mrel", "V": "mrel"}
 
+    def test_sibling_constrained_slots_take_the_siblings_sort(self):
+        assert slot_sorts(parse("R ; S == T")) == {"R": "rel", "S": "rel", "T": "rel"}
+        assert slot_sorts(parse("(R | S) ; T == V"))["R"] == "rel"
+        assert slot_sorts(parse("R <= Id(X)")) == {"R": "rel"}
+        assert slot_sorts(parse("up(Q) & T == V")) == {"Q": "mrel", "T": "mrel", "V": "mrel"}
+        # residual operands stay relations unless a sibling says otherwise
+        assert slot_sorts(parse("R \\ S == T")) == {"R": "rel", "S": "rel", "T": "rel"}
+        # nothing constrains R or S
+        assert slot_sorts(parse("R == S")) == {"R": "mrel", "S": "mrel"}
+
     def test_roles_follow_composition(self):
         t = parse("a(R * S) == a(R) ; a(S)")
         roles, ends = slot_roles(t, {"R": "mrel", "S": "mrel"})

@@ -55,6 +55,20 @@ class TestRegistry:
             for text in filter(None, (law.claim, law.guard)):
                 assert typecheck(parse(text), types).sort == "bool", (law.id, text)
 
+    def test_no_law_is_stated_twice(self):
+        from multirel.dsl import print_term
+
+        def statement(law):
+            guard = law.guard and print_term(parse(law.guard))
+            return (print_term(parse(law.claim)), guard, law.slots, law.roles, law.kind,
+                    law.expected)
+
+        first: dict = {}
+        for law in registry():
+            assert first.setdefault(statement(law), law.id) == law.id, (
+                f"{law.id} restates {first[statement(law)]}"
+            )
+
 
 class TestCheck:
     def test_lambda_alpha_exhaustive_counts(self):
@@ -102,6 +116,24 @@ class TestCheck:
         assert rep.mode == "exhaustive"
         assert rep.checked == 16 ** 3
         assert rep.verdict == "pass"
+
+    def test_non_boolean_claims_are_rejected(self):
+        import pytest
+
+        from multirel.errors import ShapeMismatch
+
+        law = Law("dev-rel-claim", "theorem", "a relation, not a claim", "R ; S",
+                  (Slot("R", "rel", "X", "Y"), Slot("S", "rel", "Y", "X")))
+        with pytest.raises(ShapeMismatch, match="claim R ; S is a rel"):
+            check(law, sizes=(2, 2))
+        guarded = Law("dev-rel-guard", "theorem", "a relation as a guard", "R == R",
+                      (Slot("R", "rel", "X", "Y"),), guard="-R")
+        with pytest.raises(ShapeMismatch, match="guard -R is a rel"):
+            check(guarded, sizes=(2, 2))
+        pinned = Law("dev-rel-pinned", "regression", "a pinned relation", "R", pinned={
+            "carriers": {"X": 1}, "rels": {"R": {"src": 1, "dst": 1, "pairs": []}}})
+        with pytest.raises(ShapeMismatch, match="claim R is a rel"):
+            check(pinned)
 
     def test_law_seed_is_stable(self):
         assert law_seed(7, "some-law") == law_seed(7, "some-law")
