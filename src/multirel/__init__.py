@@ -12,6 +12,7 @@ from .errors import (
     ENUM_CAP,
     MASK_CAP,
     POW_CAP,
+    CapExceeded,
     EnumerationTooLarge,
     IdentityShapeMismatch,
     MaskTooWide,

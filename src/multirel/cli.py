@@ -13,10 +13,8 @@ import sys
 
 from .dsl import Cmp, env_from_json, evaluate, parse, slot_roles, slot_sorts
 from .errors import (
-    EnumerationTooLarge,
-    MaskTooWide,
+    CapExceeded,
     MultirelError,
-    PowersetTooLarge,
     ShapeMismatch,
     TermSyntaxError,
     UnboundVariable,
@@ -26,8 +24,6 @@ from .laws import Law, LawReport, Slot, check
 from .mrel import MRel
 from .registry import law_by_id, registry
 from .rel import Rel
-
-_CAP_ERRORS = (PowersetTooLarge, MaskTooWide, EnumerationTooLarge)
 
 
 def _value_json(v):
@@ -259,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_find_cex(args)
         if args.command == "convert":
             return _cmd_convert(args)
-    except _CAP_ERRORS as e:
+    except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ShapeMismatch, TermSyntaxError, UnboundVariable, UnknownLaw) as e:

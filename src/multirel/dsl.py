@@ -400,11 +400,6 @@ class Env:
     def __init__(self, bindings: Mapping[str, Carrier | Rel | MRel] | None = None):
         self.bindings: dict[str, Carrier | Rel | MRel] = dict(bindings or {})
 
-    def bind(self, name: str, value: Carrier | Rel | MRel) -> "Env":
-        out = Env(self.bindings)
-        out.bindings[name] = value
-        return out
-
     def __getitem__(self, name: str):
         try:
             return self.bindings[name]

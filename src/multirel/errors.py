@@ -13,7 +13,9 @@ MASK_CAP = 62
 # Largest carrier whose powerset may be materialized as relation columns/rows.
 POW_CAP = 16
 
-# Largest choice-function product enumerated by Peleg machinery.
+# Most work one step of the Peleg choice fold may do (distinct unions kept
+# times the next element's choices), and most univalent parts
+# ``d_subrelations`` may list.
 ENUM_CAP = 1 << 20
 
 
@@ -29,16 +31,22 @@ class IdentityShapeMismatch(ShapeMismatch):
     """Identity relation requested with distinct source and destination."""
 
 
-class PowersetTooLarge(MultirelError):
+class CapExceeded(MultirelError):
+    """A computation would pass one of the hard size limits."""
+
+
+class PowersetTooLarge(CapExceeded):
     """A carrier of size > POW_CAP would need its powerset materialized."""
 
 
-class MaskTooWide(MultirelError):
+class MaskTooWide(CapExceeded):
     """A subset mask over a carrier of size > MASK_CAP was requested."""
 
 
-class EnumerationTooLarge(MultirelError):
-    """An enumeration would exceed ENUM_CAP items.
+class EnumerationTooLarge(CapExceeded):
+    """An enumeration would be too large: Peleg work over ENUM_CAP, an
+    exhaustive instance stream over 2^generate.EXHAUSTIVE_BITS instances,
+    or rejection sampling past its candidate budget.
 
     Carries enough context to identify the offending input.
     """

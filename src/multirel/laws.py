@@ -17,16 +17,10 @@ from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .dsl import Env, Sig, Term, Typed, env_from_json, env_types, eval_term, parse, typecheck
-from .errors import (
-    EnumerationTooLarge,
-    MaskTooWide,
-    PowersetTooLarge,
-    ShapeMismatch,
-    UnknownLaw,
-)
+from .errors import CapExceeded, ShapeMismatch, UnknownLaw
 from .generate import GenSpec, instances, mix64, rejects, satisfies, space_size
 from .mrel import MRel
-from .rel import Carrier, Rel
+from .rel import Carrier, Rel, bits
 
 
 @dataclass(frozen=True)
@@ -148,14 +142,10 @@ def law_seed(global_seed: int, law_id: str) -> int:
     return mix64(global_seed ^ _fnv1a(law_id))
 
 
-def _value_json(v) -> dict:
-    return v.to_json()
-
-
 def _counterexample_json(carriers: dict[str, Carrier], values: dict[str, Rel | MRel]) -> dict:
     return {
         "carriers": {k: carriers[k].size for k in sorted(carriers)},
-        "slots": {k: _value_json(values[k]) for k in sorted(values)},
+        "slots": {k: values[k].to_json() for k in sorted(values)},
     }
 
 
@@ -221,7 +211,7 @@ def check(
         claim = terms.boolean("claim", env_types(env))
         try:
             ok = eval_term(claim, env)
-        except (PowersetTooLarge, MaskTooWide, EnumerationTooLarge) as e:
+        except CapExceeded as e:
             return finish("pinned", 0, 0, "skipped", str(e), [])
         verdict = "pass" if ok else "fail"
         cex = []
@@ -242,7 +232,7 @@ def check(
         if prod(spaces) > law.budget and max(spaces) <= law.budget:
             counted = {i: list(instances(*a)) for i, a in enumerate(args) if rejects(*a)}
             spaces = [len(counted[i]) if i in counted else n for i, n in enumerate(spaces)]
-    except (EnumerationTooLarge, PowersetTooLarge, MaskTooWide) as e:
+    except CapExceeded as e:
         return finish("exhaustive", 0, 0, "skipped", str(e), [])
     space = prod(spaces)
     mode = "exhaustive" if space <= law.budget else "random"
@@ -292,7 +282,7 @@ def check(
                 failures.append(_counterexample_json(*small))
                 if len(failures) >= collect:
                     break
-    except (PowersetTooLarge, MaskTooWide, EnumerationTooLarge) as e:
+    except CapExceeded as e:
         return finish(mode, checked, skipped, "skipped", str(e), [])
     failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
     verdict = "fail" if failures else "pass"
@@ -327,125 +317,62 @@ def _still_fails(law: Law, terms: _Terms, carriers: dict[str, Carrier], values: 
         if guard is not None and not eval_term(guard, env):
             return False
         return not eval_term(claim, env)
-    except (ShapeMismatch, PowersetTooLarge, MaskTooWide, EnumerationTooLarge):
+    except (ShapeMismatch, CapExceeded):
         return False
 
 
-def _drop_pair(value, pair):
-    if isinstance(value, Rel):
-        a, b = pair
-        rows = list(value.rows)
-        rows[a] &= ~(1 << b)
-        return Rel(value.src, value.dst, tuple(rows))
-    a, m = pair
-    rows = [list(r) for r in value.rows]
-    rows[a] = [x for x in rows[a] if x != m]
-    return MRel.make(value.src, value.dst, rows)
+def _fits(value: Rel | MRel, src: Carrier, dst: Carrier) -> bool:
+    """Whether every pair of ``value`` lies within ``src`` and ``dst``: a
+    relation's pair ends in an element, a multirelation's in a mask."""
+    bound = dst.size if isinstance(value, Rel) else 1 << dst.size
+    return all(a < src.size and b < bound for a, b in value.pairs())
 
 
-def _mask_step(value: MRel, a: int, m: int, bit: int) -> MRel | None:
-    smaller = m & ~bit
-    if smaller in value.rows[a]:
-        return None
-    rows = [list(r) for r in value.rows]
-    rows[a] = [smaller if x == m else x for x in rows[a]]
-    return MRel.make(value.src, value.dst, rows)
-
-
-def _drop_top_element(law: Law, carriers, values, role):
-    """Remove the top element of a carrier role if nothing references it."""
-    size = carriers[role].size
-    if size <= 1:
-        return None
-    top = size - 1
-    new_values = {}
+def _smaller(law: Law, carriers: dict[str, Carrier], values: dict) -> Iterator[tuple[dict, dict]]:
+    """Every one-step reduction ``(carriers, values)`` of an instance, in
+    the order the shrinker tries them: drop one pair; clear one bit of a
+    multirelation's mask, low bit first, unless the smaller mask is already
+    in its row; drop the top element of a carrier role that no pair uses."""
     for slot in law.slots:
         v = values[slot.name]
-        src_hit = slot.src == role
-        dst_hit = slot.dst == role
-        if isinstance(v, Rel):
-            if src_hit and v.rows[top]:
-                return None
-            if dst_hit and any(r >> top & 1 for r in v.rows):
-                return None
-            rows = [r for a, r in enumerate(v.rows) if not (src_hit and a == top)]
-            new_values[slot.name] = (rows, "rel", slot)
-        else:
-            if src_hit and v.rows[top]:
-                return None
-            if dst_hit and any(m >> top & 1 for row in v.rows for m in row):
-                return None
-            rows = [list(r) for a, r in enumerate(v.rows) if not (src_hit and a == top)]
-            new_values[slot.name] = (rows, "mrel", slot)
-    new_carriers = dict(carriers)
-    new_carriers[role] = Carrier(size - 1)
-    rebuilt = {}
-    for name, (rows, sort, slot) in new_values.items():
-        src = new_carriers[slot.src]
-        dst = new_carriers[slot.dst]
-        if sort == "rel":
-            rebuilt[name] = Rel(src, dst, tuple(rows))
-        else:
-            rebuilt[name] = MRel.make(src, dst, rows)
-    return new_carriers, rebuilt
+        pairs = sorted(v.pairs())
+        for pair in pairs:
+            kept = [p for p in pairs if p != pair]
+            yield carriers, {**values, slot.name: type(v).from_pairs(v.src, v.dst, kept)}
+    for slot in law.slots:
+        v = values[slot.name]
+        if not isinstance(v, MRel):
+            continue
+        pairs = sorted(v.pairs())
+        for a, m in pairs:
+            for b in bits(m):
+                smaller = m & ~(1 << b)
+                if smaller not in v.rows[a]:
+                    edited = [(a, smaller) if p == (a, m) else p for p in pairs]
+                    yield carriers, {**values, slot.name: MRel.from_pairs(v.src, v.dst, edited)}
+    for role in law.roles:
+        if carriers[role].size > 1:
+            fewer = {**carriers, role: Carrier(carriers[role].size - 1)}
+            ends = {s.name: (fewer[s.src], fewer[s.dst]) for s in law.slots}
+            if all(_fits(values[name], *ends[name]) for name in ends):
+                yield fewer, {
+                    name: type(values[name]).from_pairs(*ends[name], values[name].pairs())
+                    for name in ends
+                }
 
 
 def shrink(
     law: Law, carriers: dict[str, Carrier], values: dict, terms: _Terms | None = None
 ) -> tuple[dict[str, Carrier], dict]:
-    """Greedy reduction: drop pairs, then clear mask bits, then drop unused
-    top carrier elements; every accepted step still fails the law.
+    """Greedy reduction: move to the first of ``_smaller``'s candidates that
+    still fails the law, and start again from there until none does.
     ``terms`` passes on a check's parsed and typed claim and guard."""
     terms = terms or _Terms(law)
-    carriers = dict(carriers)
-    values = dict(values)
-    changed = True
-    while changed:
-        changed = False
-        for slot in law.slots:
-            v = values[slot.name]
-            pairs = sorted(v.pairs())
-            for pair in pairs:
-                cand = dict(values)
-                cand[slot.name] = _drop_pair(v, pair)
-                if _still_fails(law, terms, carriers, cand):
-                    values = cand
-                    changed = True
-                    break
-            if changed:
+    carriers, values = dict(carriers), dict(values)
+    while True:
+        for cand in _smaller(law, carriers, values):
+            if _still_fails(law, terms, *cand):
+                carriers, values = cand
                 break
-        if changed:
-            continue
-        for slot in law.slots:
-            v = values[slot.name]
-            if not isinstance(v, MRel):
-                continue
-            for a, m in sorted(v.pairs()):
-                if m == 0:
-                    continue
-                probe = m
-                while probe:
-                    b = probe & -probe
-                    cand_val = _mask_step(v, a, m, b)
-                    probe &= ~b
-                    if cand_val is None:
-                        continue
-                    cand = dict(values)
-                    cand[slot.name] = cand_val
-                    if _still_fails(law, terms, carriers, cand):
-                        values = cand
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        for role in law.roles:
-            out = _drop_top_element(law, carriers, values, role)
-            if out is not None and _still_fails(law, terms, out[0], out[1]):
-                carriers, values = out
-                changed = True
-                break
-    return carriers, values
+        else:
+            return carriers, values

@@ -170,20 +170,19 @@ def mrel_const(kind: str, x: Carrier, y: Carrier) -> MRel:
 
 def inner_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     """Inner union/intersection of rows, or per-mask complement."""
+    if op not in ("icomp", "icup", "icap"):
+        raise ValueError(f"unknown inner operation {op!r}")
     if op == "icomp":
         top = full_mask(r.dst.size)
         return MRel.make(r.src, r.dst, [[m ^ top for m in row] for row in r.rows])
     if s is None:
         raise ValueError(f"{op} needs a second operand")
     _require_same_shape(r, s, op)
-    rows = []
-    for row_r, row_s in zip(r.rows, s.rows):
-        if op == "icup":
-            rows.append({m | n for m in row_r for n in row_s})
-        elif op == "icap":
-            rows.append({m & n for m in row_r for n in row_s})
-        else:
-            raise ValueError(f"unknown inner operation {op!r}")
+    both = zip(r.rows, s.rows)
+    if op == "icup":
+        rows = [{m | n for m in row_r for n in row_s} for row_r, row_s in both]
+    else:
+        rows = [{m & n for m in row_r for n in row_s} for row_r, row_s in both]
     return MRel.make(r.src, r.dst, rows)
 
 
@@ -211,8 +210,13 @@ def inner_union_family(rs: Sequence[MRel], shape: tuple[Carrier, Carrier] | None
     return acc
 
 
+_OUTER = {"union": set.union, "inter": set.intersection, "minus": set.difference}
+
+
 def mrel_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     """Outer boolean structure: multirelations are relations into a powerset."""
+    if op != "complement" and op not in _OUTER:
+        raise ValueError(f"unknown boolean operation {op!r}")
     if op == "complement":
         _require_pow_ok(r.dst, "outer complement")
         everything = range(1 << r.dst.size)
@@ -222,17 +226,8 @@ def mrel_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     if s is None:
         raise ValueError(f"{op} needs a second operand")
     _require_same_shape(r, s, op)
-    rows = []
-    for row_r, row_s in zip(r.rows, s.rows):
-        if op == "union":
-            rows.append(set(row_r) | set(row_s))
-        elif op == "inter":
-            rows.append(set(row_r) & set(row_s))
-        elif op == "minus":
-            rows.append(set(row_r) - set(row_s))
-        else:
-            raise ValueError(f"unknown boolean operation {op!r}")
-    return MRel.make(r.src, r.dst, rows)
+    combine = _OUTER[op]
+    return MRel.make(r.src, r.dst, [combine(set(a), b) for a, b in zip(r.rows, s.rows)])
 
 
 def is_submrel(r: MRel, s: MRel) -> bool:
@@ -247,6 +242,8 @@ def closure(mode: str, r: MRel) -> MRel:
     """
     if mode == "convex":
         return mrel_bool("inter", closure("up", r), closure("down", r))
+    if mode not in ("up", "down"):
+        raise ValueError(f"unknown closure mode {mode!r}")
     _require_pow_ok(r.dst, f"{mode}-closure")
     top = full_mask(r.dst.size)
     rows = []
@@ -261,15 +258,13 @@ def closure(mode: str, r: MRel) -> MRel:
                     if s == 0:
                         break
                     s = (s - 1) & free
-            elif mode == "down":
+            else:
                 s = m
                 while True:
                     out.add(s)
                     if s == 0:
                         break
                     s = (s - 1) & m
-            else:
-                raise ValueError(f"unknown closure mode {mode!r}")
         rows.append(out)
     return MRel.make(r.src, r.dst, rows)
 

@@ -50,6 +50,13 @@ class TestEval:
         big.write_text(json.dumps({"carriers": {"X": 40}}))
         assert main(["eval", "--env", str(big), "--expr", "mem(X)"]) == 3
 
+    def test_cap_errors_are_one_class(self):
+        # the class that main maps to exit 3 and that check reports as skipped
+        from multirel import CapExceeded, EnumerationTooLarge, MaskTooWide, PowersetTooLarge
+
+        for cap_error in (PowersetTooLarge, MaskTooWide, EnumerationTooLarge):
+            assert issubclass(cap_error, CapExceeded)
+
 
 class TestLaws:
     def test_listing_contains_required(self, capsys):

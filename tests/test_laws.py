@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from multirel.dsl import Env, env_from_json, eval_term, parse
 from multirel.laws import Law, Slot, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
@@ -149,52 +151,69 @@ class TestCheck:
             law_by_id("L9.9-no-such-law")
 
 
-class TestShrink:
-    def _assoc_law(self):
-        return Law(
-            id="dev-assoc",
-            kind="neg",
-            anchor="associativity probe",
-            claim="((R * S) * T) == (R * (S * T))",
-            slots=(
-                Slot("R", "mrel", "X", "Y"),
-                Slot("S", "mrel", "Y", "Z"),
-                Slot("T", "mrel", "Z", "W"),
-            ),
-            roles=("X", "Y", "Z", "W"),
-            expected="fail",
-        )
-
-    def test_nonassoc_witness_shrinks_small(self):
-        law = self._assoc_law()
-        c3 = Carrier(3)
-        carriers = {"X": c3, "Y": c3, "Z": c3, "W": c3}
-        values = {
+def _shrink_input(name):
+    """A failing instance of a stated non-law: ``(law, carriers, values)``."""
+    c2, c3 = Carrier(2), Carrier(3)
+    if name == "assoc":
+        law = Law("dev-assoc", "neg", "associativity probe", "((R * S) * T) == (R * (S * T))",
+                  (Slot("R", "mrel", "X", "Y"), Slot("S", "mrel", "Y", "Z"),
+                   Slot("T", "mrel", "Z", "W")), roles=("X", "Y", "Z", "W"), expected="fail")
+        return law, {"X": c3, "Y": c3, "Z": c3, "W": c3}, {
             "R": M(3, 3, [(0, [0, 1]), (1, [0]), (2, [2])]),
             "S": M(3, 3, [(0, [0]), (0, [1]), (1, [0]), (1, [2]), (2, [2])]),
             "T": M(3, 3, [(0, [0]), (0, [1]), (1, [0]), (1, [2]), (2, [2])]),
         }
-        small_carriers, small_values = shrink(law, carriers, values)
+    if name == "galois":
+        law = Law("dev-galois", "neg", "inclusion Galois probe", "(a(R) <= S) == (R <= L(S))",
+                  (Slot("R", "mrel", "X", "Y"), Slot("S", "rel", "X", "Y")), expected="fail")
+        return law, {"X": c2, "Y": c2}, {
+            "R": M(2, 2, [(0, []), (1, [0, 1])]),
+            "S": R(2, 2, [(0, 0), (1, 0), (1, 1)]),
+        }
+    if name == "alpha":
+        law = Law("dev-alpha", "neg", "alpha is not multiplicative", "a(R * S) == a(R) ; a(S)",
+                  (Slot("R", "mrel", "X", "Y"), Slot("S", "mrel", "Y", "Z")),
+                  roles=("X", "Y", "Z"), expected="fail")
+        return law, {"X": c3, "Y": c3, "Z": c3}, {
+            "R": M(3, 3, [(0, [0, 1]), (0, [2]), (1, [1, 2]), (2, [0, 1, 2])]),
+            "S": M(3, 3, [(0, [0, 2]), (1, []), (1, [1]), (2, [0, 1, 2])]),
+        }
+    law = Law("dev-up", "neg", "not every multirelation is up-closed", "up(R) == R",
+              (Slot("R", "mrel", "X", "Y"),), expected="fail")
+    return law, {"X": c3, "Y": c3}, {"R": M(3, 3, [(0, [0, 2]), (1, [1]), (1, [0, 1, 2]), (2, [2])])}
+
+
+# shrink's exact results on the inputs above, which pin the order in which
+# it tries its reductions.  "assoc" and "galois" drop pairs and then top
+# elements (of every role, and of a relation's roles); "alpha" also clears
+# mask bits; "up" clears a mask bit and drops the top elements of a
+# multirelation's target role.
+_SHRUNK = {
+    "assoc": {"carriers": {"W": 2, "X": 1, "Y": 2, "Z": 1}, "slots": {
+        "R": {"src": 1, "dst": 2, "rows": [[[0, 1]]]},
+        "S": {"src": 2, "dst": 1, "rows": [[[0]], [[0]]]},
+        "T": {"src": 1, "dst": 2, "rows": [[[0], [1]]]}}},
+    "galois": {"carriers": {"X": 1, "Y": 1}, "slots": {
+        "R": {"src": 1, "dst": 1, "rows": [[[]]]},
+        "S": {"src": 1, "dst": 1, "pairs": [[0, 0]]}}},
+    "alpha": {"carriers": {"X": 3, "Y": 3, "Z": 3}, "slots": {
+        "R": {"src": 3, "dst": 3, "rows": [[], [], [[1, 2]]]},
+        "S": {"src": 3, "dst": 3, "rows": [[], [], [[2]]]}}},
+    "up": {"carriers": {"X": 3, "Y": 1}, "slots": {
+        "R": {"src": 3, "dst": 1, "rows": [[], [], [[]]]}}},
+}
+
+
+class TestShrink:
+    def test_nonassoc_witness_shrinks_small(self):
+        small_carriers, small_values = shrink(*_shrink_input("assoc"))
         total = sum(v.count() for v in small_values.values())
         assert total <= 9
 
     def test_galois_subset_failure_shrinks_to_pinned_family(self):
         # shrinking any inclusion-Galois failure lands on (a renaming of)
         # one of the four pinned one-point instances; recorded, not required
-        law = Law(
-            id="dev-galois",
-            kind="neg",
-            anchor="inclusion Galois probe",
-            claim="(a(R) <= S) == (R <= L(S))",
-            slots=(Slot("R", "mrel", "X", "Y"), Slot("S", "rel", "X", "Y")),
-            expected="fail",
-        )
-        c2 = Carrier(2)
-        carriers = {"X": c2, "Y": c2}
-        values = {
-            "R": M(2, 2, [(0, []), (1, [0, 1])]),
-            "S": R(2, 2, [(0, 0), (1, 0), (1, 1)]),
-        }
+        law, carriers, values = _shrink_input("galois")
         sc, sv = shrink(law, carriers, values)
         env = Env({**sc, **sv})
         assert eval_term(parse(law.claim), env) is False
@@ -204,14 +223,7 @@ class TestShrink:
     def test_shrunk_witness_is_pair_minimal(self):
         from multirel.mrel import MRel
 
-        law = self._assoc_law()
-        c3 = Carrier(3)
-        carriers = {"X": c3, "Y": c3, "Z": c3, "W": c3}
-        values = {
-            "R": M(3, 3, [(0, [0, 1]), (1, [0]), (2, [2])]),
-            "S": M(3, 3, [(0, [0]), (0, [1]), (1, [0]), (1, [2]), (2, [2])]),
-            "T": M(3, 3, [(0, [0]), (0, [1]), (1, [0]), (1, [2]), (2, [2])]),
-        }
+        law, carriers, values = _shrink_input("assoc")
         sc, sv = shrink(law, carriers, values)
         env = Env({**sc, **sv})
         assert eval_term(parse(law.claim), env) is False
@@ -223,3 +235,11 @@ class TestShrink:
                 cand[name] = MRel.make(v.src, v.dst, rows)
                 env2 = Env({**sc, **cand})
                 assert eval_term(parse(law.claim), env2) is True
+
+    @pytest.mark.parametrize("name", sorted(_SHRUNK))
+    def test_result_is_pinned(self, name):
+        carriers, values = shrink(*_shrink_input(name))
+        assert {
+            "carriers": {k: c.size for k, c in carriers.items()},
+            "slots": {k: v.to_json() for k, v in values.items()},
+        } == _SHRUNK[name]

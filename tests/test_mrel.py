@@ -173,6 +173,16 @@ class TestClosures:
             assert is_submrel(r, up(r)) and is_submrel(r, down(r))
 
 
+@pytest.mark.parametrize("ns", [0, 2])
+@pytest.mark.parametrize("fn, operands", [(closure, 1), (inner_bool, 2), (mrel_bool, 2)],
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_unknown_modes_are_rejected(fn, operands, ns):
+    # also where no row would reach the dispatch on the mode
+    r = M(ns, 2, [])
+    with pytest.raises(ValueError, match="unknown"):
+        fn("bogus", *[r] * operands)
+
+
 class TestPreorders:
     def test_reflexive(self):
         for r in some_mrels(2, 2, 8, seed=10):
