@@ -27,7 +27,7 @@ def fusion(r: MRel) -> MRel:
         for m in row:
             acc |= m
         rows.append((acc,))
-    return MRel(r.src, r.dst, tuple(rows))
+    return MRel._trusted(r.src, r.dst, tuple(rows))
 
 
 def fission(r: MRel) -> MRel:
@@ -38,7 +38,7 @@ def fission(r: MRel) -> MRel:
         for m in row:
             acc |= m
         rows.append(tuple(1 << b for b in range(r.dst.size) if acc >> b & 1))
-    return MRel(r.src, r.dst, tuple(rows))
+    return MRel._trusted(r.src, r.dst, tuple(rows))
 
 
 def cofusion(r: MRel) -> MRel:
@@ -52,7 +52,7 @@ def cofusion(r: MRel) -> MRel:
         for m in row:
             acc &= m
         rows.append((acc,))
-    return MRel(r.src, r.dst, tuple(rows))
+    return MRel._trusted(r.src, r.dst, tuple(rows))
 
 
 def cofission(r: MRel) -> MRel:
@@ -64,7 +64,7 @@ def cofission(r: MRel) -> MRel:
         for m in row:
             missed |= top ^ m
         rows.append(tuple(sorted(top ^ (1 << b) for b in range(r.dst.size) if missed >> b & 1)))
-    return MRel(r.src, r.dst, tuple(rows))
+    return MRel._trusted(r.src, r.dst, tuple(rows))
 
 
 _MODES = {

@@ -760,12 +760,19 @@ class Typed:
         self.sort, self.run = sort, run
 
 
-def typecheck(t: Term, types: Mapping) -> Typed:
+def typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None = None) -> Typed:
     """Infer the sort and carriers of every node of ``t``.
 
     ``types`` maps carrier names to carrier types (a role name, a size or
     ``Pw``) and value names to their ``Sig``.  Raises ShapeMismatch naming
-    the offending sub-term, or UnboundVariable."""
+    the offending sub-term, or UnboundVariable.
+
+    ``invariant`` names the values that mostly stay the same objects from
+    one evaluation to the next.  Each constant, and each node that reads
+    only those names, then keeps its last result and returns it again
+    while its operands are the same objects as last time.  Values are
+    immutable and operations pure, so this changes no result.  By default
+    nothing is kept."""
     consts: list[_Node] = []
     root = _walk(t, types, consts, t)
     for node in consts:
@@ -779,41 +786,90 @@ def typecheck(t: Term, types: Mapping) -> Typed:
                 raise _located(f"{name} has no carriers that fit here", node.ctx)
         if not all(map(_ground, node.letters.values())):
             raise _located(f"cannot infer the carriers of {name}; give them explicitly", node.ctx)
-    return Typed(_find(root.sort), _compile(root))
+    return Typed(_find(root.sort), _compile(root, invariant)[0])
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def _convert(f: Callable, sort: str, view: str) -> Callable:
+_UNSET = object()  # an operand that no evaluation returns
+
+
+def _kept(impl: Callable, fns: list[Callable]) -> Callable[[dict], Value]:
+    """``impl`` of the values of ``fns``, computed again only when one of
+    those values is not the object it was at the last call."""
+    if not fns:
+        kept = []  # built when first evaluated, where a cap error is reported
+
+        def run(b):
+            if not kept:
+                kept.append(impl())
+            return kept[0]
+        return run
+    if len(fns) == 1:
+        (f,) = fns
+        last = [_UNSET, None]
+
+        def run(b):
+            x = f(b)
+            if x is not last[0]:
+                last[:] = x, impl(x)
+            return last[1]
+        return run
+    f, g = fns
+    last = [_UNSET, _UNSET, None]
+
+    def run(b):
+        x, y = f(b), g(b)
+        if x is not last[0] or y is not last[1]:
+            last[:] = x, y, impl(x, y)
+        return last[2]
+    return run
+
+
+def _convert(f: Callable, sort: str, view: str, keep: bool) -> Callable:
+    """``f`` with its value converted to the operand view; the operand of
+    a kept node is kept too, so that it stays one object."""
     if view in "rs" and sort == "mrel":
+        if keep:
+            return _kept(lambda v: _mrel.mrel_to_rel(v), [f])
         return lambda b: _mrel.mrel_to_rel(f(b))
     if view == "m" and sort == "rel":
+        if keep:
+            return _kept(lambda v: _mrel.rel_to_mrel(v), [f])
         return lambda b: _mrel.rel_to_mrel(f(b))
     return f
 
 
-def _compile(node: _Node) -> Callable[[dict], Value]:
+def _compile(node: _Node, invariant: frozenset[str] | None) -> tuple[Callable, frozenset]:
+    """The evaluator of ``node``, and the value names it reads."""
     t, spec = node.term, node.spec
     if isinstance(t, Var):
-        return lambda b, name=t.name: b[name]
+        return (lambda b, name=t.name: b[name]), frozenset([t.name])
     sort = _find(node.sort)
     impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
     if isinstance(t, Const):
         carriers = [node.letters[x] for x in spec.letters]
-        return lambda b: impl(*map(_carrier_value, carriers))
+        if invariant is not None:
+            return _kept(lambda: impl(*map(_carrier_value, carriers)), []), frozenset()
+        return (lambda b: impl(*map(_carrier_value, carriers))), frozenset()
     sorts = [_find(k.sort) for k in node.kids]
     views = spec.views
     if isinstance(impl, tuple):
         as_mrel = all(s == "mrel" for s in sorts)
         impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(sorts)
-    fns = [_convert(_compile(k), s, v) for k, s, v in zip(node.kids, sorts, views)]
+    kids = [_compile(k, invariant) for k in node.kids]
+    reads = frozenset().union(*(names for _, names in kids))
+    keep = invariant is not None and reads <= invariant
+    fns = [_convert(f, s, v, keep) for (f, _), s, v in zip(kids, sorts, views)]
+    if keep:
+        return _kept(impl, fns), reads
     if len(fns) == 1:
         (f,) = fns
-        return lambda b: impl(f(b))
+        return (lambda b: impl(f(b))), reads
     f, g = fns
-    return lambda b: impl(f(b), g(b))
+    return (lambda b: impl(f(b), g(b))), reads
 
 
 def eval_term(t: Term | Typed, env: Env):

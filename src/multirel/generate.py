@@ -29,7 +29,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import POW_CAP, EnumerationTooLarge, PowersetTooLarge
-from .mrel import MRel, classify_mrel
+from .mrel import MRel, _require_mask_ok, classify_mrel
 from .rel import Carrier, Rel, classify_rel
 
 _MASK64 = (1 << 64) - 1
@@ -156,8 +156,10 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
     ns, nd = spec.shape
     src, dst = Carrier(ns), Carrier(nd)
     n = len(candidates)
-    # a subset draw joins its chosen candidates into a row
-    join, make = (sum, Rel) if kind == "rel" else (tuple, MRel)
+    # a subset draw joins its chosen candidates into a row; candidates are
+    # in range and ascending, so rows need no validation, and the mask
+    # width is checked once, where the first value would be built
+    join, make = (sum, Rel._trusted) if kind == "rel" else (tuple, MRel._trusted)
     if spec.mode == "exhaustive":
         size = _size(pick, n, ns)
         if size > 1 << EXHAUSTIVE_BITS:
@@ -165,6 +167,8 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
                 f"exhaustive {kind} stream needs {size} instances (cap 2^{EXHAUSTIVE_BITS})",
                 size,
             )
+        if kind == "mrel":
+            _require_mask_ok(dst)
         if pick:
             choices = product(candidates, repeat=ns)
         else:
@@ -184,6 +188,8 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
         return
 
     threshold = density_threshold(spec.density)
+    if kind == "mrel" and spec.count > 0:
+        _require_mask_ok(dst)
     produced = 0
     candidate = 0
     budget = max(1000, spec.count * 1000)

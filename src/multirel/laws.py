@@ -63,13 +63,20 @@ class Law:
 
 
 class _Terms:
-    """A law's claim and guard, parsed once and typed once per carrier sizes."""
+    """A law's claim and guard, parsed once and typed once per carrier sizes.
+
+    ``check`` varies the last slot fastest, so the values of the others
+    stay the same objects across runs of evaluations, and sub-terms that
+    read only those are kept (see ``typecheck``).  A law with no slots
+    keeps nothing: it is evaluated once."""
 
     def __init__(self, law: Law):
         self.law = law
         self.claim = law.parsed_claim()
         self.guard = parse(law.guard) if law.guard else None
         self.typed: dict[tuple[int, ...], tuple | None] = {}
+        names = [s.name for s in law.slots]
+        self.invariant = frozenset(names[:-1]) if names else None
 
     def at(self, carriers: Mapping[str, Carrier]) -> tuple[Typed, Typed | None]:
         """Raises ShapeMismatch where the sizes make the claim ill-shaped."""
@@ -78,16 +85,16 @@ class _Terms:
             self.typed[key] = None  # stays None if typing raises
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
-            guard = self.guard and self.boolean("guard", types)
-            self.typed[key] = (self.boolean("claim", types), guard)
+            guard = self.guard and self.boolean("guard", types, self.invariant)
+            self.typed[key] = (self.boolean("claim", types, self.invariant), guard)
         if self.typed[key] is None:
             raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
         return self.typed[key]
 
-    def boolean(self, what: str, types: Mapping) -> Typed:
+    def boolean(self, what: str, types: Mapping, invariant: frozenset | None = None) -> Typed:
         """The "claim" or the "guard", typed; raises ShapeMismatch unless
         it is a boolean."""
-        typed = typecheck(getattr(self, what), types)
+        typed = typecheck(getattr(self, what), types, invariant)
         if typed.sort != "bool":
             text = f"the {what} {getattr(self.law, what)}"
             raise ShapeMismatch(f"{self.law.id}: {text} is a {typed.sort}, not a boolean")

@@ -18,6 +18,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import MASK_CAP, POW_CAP, MaskTooWide, PowersetTooLarge, ShapeMismatch
 from .rel import Carrier, Rel, bits, full_mask, pow_carrier
 
+_new = object.__new__
+
 
 @dataclass(frozen=True, eq=False)
 class MRel:
@@ -28,10 +30,7 @@ class MRel:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.dst.size > MASK_CAP:
-            raise MaskTooWide(
-                f"destination carrier of size {self.dst.size} exceeds mask cap {MASK_CAP}"
-            )
+        _require_mask_ok(self.dst)
         if len(self.rows) != self.src.size:
             raise ValueError("row count must equal source carrier size")
         top = full_mask(self.dst.size)
@@ -62,6 +61,20 @@ class MRel:
     @classmethod
     def make(cls, src: Carrier, dst: Carrier, rows: Sequence[Iterable[int]]) -> "MRel":
         return cls(src, dst, tuple(tuple(sorted(set(row))) for row in rows))
+
+    @classmethod
+    def _trusted(cls, src: Carrier, dst: Carrier, rows: tuple[tuple[int, ...], ...]) -> "MRel":
+        """A kernel result whose rows are already canonical, built without
+        validation; every public constructor validates."""
+        self = _new(cls)
+        d = self.__dict__
+        d["src"], d["dst"], d["rows"] = src, dst, rows
+        return self
+
+    @classmethod
+    def _from_sets(cls, src: Carrier, dst: Carrier, rows: Iterable[Iterable[int]]) -> "MRel":
+        """``_trusted`` for rows of distinct in-range masks in any order."""
+        return cls._trusted(src, dst, tuple(tuple(sorted(row)) for row in rows))
 
     @classmethod
     def from_pairs(
@@ -127,6 +140,13 @@ def _require_same_shape(r: MRel, s: MRel, op: str):
         )
 
 
+def _require_mask_ok(dst: Carrier):
+    if dst.size > MASK_CAP:
+        raise MaskTooWide(
+            f"destination carrier of size {dst.size} exceeds mask cap {MASK_CAP}"
+        )
+
+
 def _require_pow_ok(dst: Carrier, op: str):
     if dst.size > POW_CAP:
         raise PowersetTooLarge(
@@ -143,28 +163,28 @@ def mrel_const(kind: str, x: Carrier, y: Carrier) -> MRel:
     if y.size > MASK_CAP:
         raise MaskTooWide(f"carrier of size {y.size} exceeds mask cap {MASK_CAP}")
     if kind == "inner_unit":
-        return MRel(x, y, ((0,),) * x.size)
+        return MRel._trusted(x, y, ((0,),) * x.size)
     if kind == "inner_counit":
-        return MRel(x, y, ((full_mask(y.size),),) * x.size)
+        return MRel._trusted(x, y, ((full_mask(y.size),),) * x.size)
     if kind == "atoms":
         row = tuple(1 << b for b in range(y.size))
-        return MRel(x, y, (row,) * x.size)
+        return MRel._trusted(x, y, (row,) * x.size)
     if kind == "coatoms":
         top = full_mask(y.size)
         row = tuple(sorted(top ^ (1 << b) for b in range(y.size)))
-        return MRel(x, y, (row,) * x.size)
+        return MRel._trusted(x, y, (row,) * x.size)
     if kind == "empty":
-        return MRel(x, y, ((),) * x.size)
+        return MRel._trusted(x, y, ((),) * x.size)
     if kind == "universal":
         _require_pow_ok(y, "universal multirelation")
         row = tuple(range(1 << y.size))
-        return MRel(x, y, (row,) * x.size)
+        return MRel._trusted(x, y, (row,) * x.size)
     if kind == "eta":
         if x.size != y.size:
             raise ShapeMismatch(
                 f"eta needs equal carriers, got {x.size} and {y.size}"
             )
-        return MRel(x, y, tuple((1 << a,) for a in range(x.size)))
+        return MRel._trusted(x, y, tuple((1 << a,) for a in range(x.size)))
     raise ValueError(f"unknown multirelation constant {kind!r}")
 
 
@@ -173,8 +193,11 @@ def inner_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     if op not in ("icomp", "icup", "icap"):
         raise ValueError(f"unknown inner operation {op!r}")
     if op == "icomp":
+        # complementing reverses the order of an ascending row
         top = full_mask(r.dst.size)
-        return MRel.make(r.src, r.dst, [[m ^ top for m in row] for row in r.rows])
+        return MRel._trusted(
+            r.src, r.dst, tuple(tuple(m ^ top for m in reversed(row)) for row in r.rows)
+        )
     if s is None:
         raise ValueError(f"{op} needs a second operand")
     _require_same_shape(r, s, op)
@@ -183,7 +206,7 @@ def inner_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
         rows = [{m | n for m in row_r for n in row_s} for row_r, row_s in both]
     else:
         rows = [{m & n for m in row_r for n in row_s} for row_r, row_s in both]
-    return MRel.make(r.src, r.dst, rows)
+    return MRel._from_sets(r.src, r.dst, rows)
 
 
 def icup(r: MRel, s: MRel) -> MRel:
@@ -220,14 +243,14 @@ def mrel_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     if op == "complement":
         _require_pow_ok(r.dst, "outer complement")
         everything = range(1 << r.dst.size)
-        return MRel.make(
-            r.src, r.dst, [[m for m in everything if m not in set(row)] for row in r.rows]
-        )
+        return MRel._trusted(r.src, r.dst, tuple(
+            tuple(m for m in everything if m not in present) for present in map(set, r.rows)
+        ))
     if s is None:
         raise ValueError(f"{op} needs a second operand")
     _require_same_shape(r, s, op)
     combine = _OUTER[op]
-    return MRel.make(r.src, r.dst, [combine(set(a), b) for a, b in zip(r.rows, s.rows)])
+    return MRel._from_sets(r.src, r.dst, [combine(set(a), b) for a, b in zip(r.rows, s.rows)])
 
 
 def is_submrel(r: MRel, s: MRel) -> bool:
@@ -266,7 +289,7 @@ def closure(mode: str, r: MRel) -> MRel:
                         break
                     s = (s - 1) & m
         rows.append(out)
-    return MRel.make(r.src, r.dst, rows)
+    return MRel._from_sets(r.src, r.dst, rows)
 
 
 def up(r: MRel) -> MRel:
@@ -352,7 +375,10 @@ def split_terminal(r: MRel) -> tuple[MRel, MRel]:
     terminal part (empty sets)."""
     nu_rows = [tuple(m for m in row if m != 0) for row in r.rows]
     tau_rows = [tuple(m for m in row if m == 0) for row in r.rows]
-    return MRel(r.src, r.dst, tuple(nu_rows)), MRel(r.src, r.dst, tuple(tau_rows))
+    return (
+        MRel._trusted(r.src, r.dst, tuple(nu_rows)),
+        MRel._trusted(r.src, r.dst, tuple(tau_rows)),
+    )
 
 
 def nu(r: MRel) -> MRel:
@@ -378,7 +404,7 @@ def mrel_to_rel(r: MRel) -> Rel:
         for m in row:
             acc |= 1 << m
         rows.append(acc)
-    return Rel(r.src, pow_carrier(r.dst), tuple(rows))
+    return Rel._trusted(r.src, pow_carrier(r.dst), tuple(rows))
 
 
 def rel_to_mrel(r: Rel) -> MRel:
@@ -388,4 +414,4 @@ def rel_to_mrel(r: Rel) -> MRel:
         raise ShapeMismatch(
             "relation destination is not a materialized powerset carrier"
         )
-    return MRel.make(r.src, r.dst.base, [list(bits(row)) for row in r.rows])
+    return MRel._trusted(r.src, r.dst.base, tuple(tuple(bits(row)) for row in r.rows))

@@ -22,6 +22,15 @@ def _dom_indices(r: MRel) -> list[int]:
     return [a for a, row in enumerate(r.rows) if row]
 
 
+def _dom_mask(r: MRel) -> int:
+    """The source elements with a non-empty row, as a mask."""
+    acc = 0
+    for a, row in enumerate(r.rows):
+        if row:
+            acc |= 1 << a
+    return acc
+
+
 def d_subrelations(r: MRel) -> Iterator[MRel]:
     """All univalent parts of ``r`` with the same domain, in lexicographic
     selection order.  Their union is ``r``."""
@@ -37,7 +46,7 @@ def d_subrelations(r: MRel) -> Iterator[MRel]:
         rows: list[tuple[int, ...]] = [()] * r.src.size
         for a, m in zip(dom, choice):
             rows[a] = (m,)
-        yield MRel(r.src, r.dst, tuple(rows))
+        yield MRel._trusted(r.src, r.dst, tuple(rows))
 
 
 def kleisli_lift(r: MRel) -> Rel:
@@ -52,7 +61,7 @@ def kleisli_lift(r: MRel) -> Rel:
         for a in bits(a_mask):
             image |= flat.rows[a]
         rows.append(1 << image)
-    return Rel(px, py, tuple(rows))
+    return Rel._trusted(px, py, tuple(rows))
 
 
 def peleg_lift(r: MRel) -> Rel:
@@ -60,30 +69,29 @@ def peleg_lift(r: MRel) -> Rel:
     set per element of A; requires every element of A to have a choice."""
     px = pow_carrier(r.src)
     py = pow_carrier(r.dst)
-    dom_mask = 0
-    for a, row in enumerate(r.rows):
-        if row:
-            dom_mask |= 1 << a
+    dom_mask = _dom_mask(r)
     rows = []
     for a_mask in range(px.size):
         acc = 0
         if not a_mask & ~dom_mask:
-            for c in _choice_unions(r, a_mask, f"subset {a_mask}"):
+            for c in _choice_unions(r, a_mask):
                 acc |= 1 << c
         rows.append(acc)
-    return Rel(px, py, tuple(rows))
+    return Rel._trusted(px, py, tuple(rows))
 
 
-def _choice_unions(s: MRel, b_mask: int, what: str) -> set[int]:
+def _choice_unions(s: MRel, b_mask: int, a: int | None = None) -> set[int]:
     """All unions of one chosen mask per element of ``b_mask``; {0} when
     the mask is empty.  The fold keeps distinct unions only, so the cap
     bounds each step's work (kept unions times choices), not the product
-    of all choices."""
+    of all choices.  A cap error names the pair ``(a, b_mask)``, or the
+    subset ``b_mask`` when ``a`` is None."""
     acc = {0}
     for b in bits(b_mask):
         row = s.rows[b]
         work = len(acc) * len(row)
         if work > ENUM_CAP:
+            what = f"subset {b_mask}" if a is None else f"pair ({a},{b_mask})"
             raise EnumerationTooLarge(
                 f"{what}: {work} choice unions in one step exceed cap {ENUM_CAP}", work
             )
@@ -102,15 +110,16 @@ def peleg_compose(r: MRel, s: MRel) -> MRel:
         raise ShapeMismatch(
             f"peleg compose: inner carriers {r.dst.size} and {s.src.size} differ"
         )
+    dom = _dom_mask(s)
     out_rows: list[set[int]] = []
     for a, row in enumerate(r.rows):
         acc: set[int] = set()
         for b_mask in row:
-            if any(not s.rows[b] for b in bits(b_mask)):
+            if b_mask & ~dom:
                 continue
-            acc |= _choice_unions(s, b_mask, f"pair ({a},{b_mask})")
+            acc |= _choice_unions(s, b_mask, a)
         out_rows.append(acc)
-    return MRel.make(r.src, s.dst, out_rows)
+    return MRel._from_sets(r.src, s.dst, out_rows)
 
 
 def peleg_compose_oracle(r: MRel, s: MRel) -> MRel:
@@ -158,7 +167,7 @@ def kleisli_compose(r: MRel, s: MRel) -> MRel:
                 c |= fused[b]
             acc.add(c)
         out_rows.append(acc)
-    return MRel.make(r.src, s.dst, out_rows)
+    return MRel._from_sets(r.src, s.dst, out_rows)
 
 
 def odot(r: MRel, s: MRel) -> MRel:

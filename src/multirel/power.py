@@ -24,7 +24,7 @@ def member_rel(y: Carrier) -> Rel:
             if a >> b & 1:
                 acc |= 1 << a
         rows.append(acc)
-    return Rel(y, py, tuple(rows))
+    return Rel._trusted(y, py, tuple(rows))
 
 
 def has_element_rel(y: Carrier) -> Rel:
@@ -38,12 +38,12 @@ def power_transpose(r: Rel) -> MRel:
         raise MaskTooWide(
             f"image sets over carrier of size {r.dst.size} exceed mask cap {MASK_CAP}"
         )
-    return MRel(r.src, r.dst, tuple((row,) for row in r.rows))
+    return MRel._trusted(r.src, r.dst, tuple((row,) for row in r.rows))
 
 
 def alpha(m: MRel) -> Rel:
     """Flatten a multirelation to the relation 'b lies in some related set'."""
-    return Rel(m.src, m.dst, tuple(_union(row) for row in m.rows))
+    return Rel._trusted(m.src, m.dst, tuple(_union(row) for row in m.rows))
 
 
 def _union(masks) -> int:
@@ -63,14 +63,14 @@ def image_functor(r: Rel) -> Rel:
         for a in bits(a_mask):
             image |= r.rows[a]
         rows.append(1 << image)
-    return Rel(px, py, tuple(rows))
+    return Rel._trusted(px, py, tuple(rows))
 
 
 def eta(x: Carrier) -> MRel:
     """Unit of the powerset monad: each element to its singleton."""
     if x.size > MASK_CAP:
         raise MaskTooWide(f"carrier of size {x.size} exceeds mask cap {MASK_CAP}")
-    return MRel(x, x, tuple((1 << a,) for a in range(x.size)))
+    return MRel._trusted(x, x, tuple((1 << a,) for a in range(x.size)))
 
 
 def mu(x: Carrier) -> Rel:
@@ -83,7 +83,7 @@ def mu(x: Carrier) -> Rel:
         for subset in bits(fam):
             flat |= subset
         rows.append(1 << flat)
-    return Rel(ppx, px, tuple(rows))
+    return Rel._trusted(ppx, px, tuple(rows))
 
 
 def omega(y: Carrier) -> Rel:
@@ -99,14 +99,14 @@ def omega(y: Carrier) -> Rel:
             acc |= 1 << (a | s)
             s = (s - 1) & free
         rows.append(acc)
-    return Rel(py, py, tuple(rows))
+    return Rel._trusted(py, py, tuple(rows))
 
 
 def ccomp(y: Carrier) -> Rel:
     """The complementation bijection on P(y)."""
     py = pow_carrier(y)
     top = full_mask(y.size)
-    return Rel(py, py, tuple(1 << (a ^ top) for a in range(py.size)))
+    return Rel._trusted(py, py, tuple(1 << (a ^ top) for a in range(py.size)))
 
 
 def monad_const(kind: str, x: Carrier) -> Rel | MRel:

@@ -22,6 +22,9 @@ from .errors import (
 )
 
 
+_new = object.__new__
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -89,6 +92,15 @@ class Rel:
         for r in self.rows:
             if r < 0 or r & ~top:
                 raise ValueError("row mask exceeds destination carrier")
+
+    @classmethod
+    def _trusted(cls, src: Carrier, dst: Carrier, rows: tuple[int, ...]) -> "Rel":
+        """A kernel result whose rows are known to fit, built without
+        validation; every public constructor validates."""
+        self = _new(cls)
+        d = self.__dict__
+        d["src"], d["dst"], d["rows"] = src, dst, rows
+        return self
 
     # Names and powerset tags are presentation/metadata; equality is
     # carrier sizes plus content.
@@ -164,11 +176,11 @@ def rel_const(kind: str, src: Carrier, dst: Carrier) -> Rel:
             raise IdentityShapeMismatch(
                 f"identity needs equal carriers, got {src.size} and {dst.size}"
             )
-        return Rel(src, dst, tuple(1 << a for a in range(src.size)))
+        return Rel._trusted(src, dst, tuple(1 << a for a in range(src.size)))
     if kind == "empty":
-        return Rel(src, dst, (0,) * src.size)
+        return Rel._trusted(src, dst, (0,) * src.size)
     if kind == "universal":
-        return Rel(src, dst, (full_mask(dst.size),) * src.size)
+        return Rel._trusted(src, dst, (full_mask(dst.size),) * src.size)
     raise ValueError(f"unknown relation constant {kind!r}")
 
 
@@ -176,7 +188,7 @@ def rel_bool(op: str, r: Rel, s: Rel | None = None) -> Rel:
     """Pointwise boolean combination of relations of equal shape."""
     if op == "complement":
         top = full_mask(r.dst.size)
-        return Rel(r.src, r.dst, tuple(row ^ top for row in r.rows))
+        return Rel._trusted(r.src, r.dst, tuple(row ^ top for row in r.rows))
     if s is None:
         raise ValueError(f"{op} needs a second operand")
     _require_same_shape(r, s, op)
@@ -188,7 +200,7 @@ def rel_bool(op: str, r: Rel, s: Rel | None = None) -> Rel:
         rows = tuple(x & ~y for x, y in zip(r.rows, s.rows))
     else:
         raise ValueError(f"unknown boolean operation {op!r}")
-    return Rel(r.src, r.dst, rows)
+    return Rel._trusted(r.src, r.dst, rows)
 
 
 def rel_compose(r: Rel, s: Rel) -> Rel:
@@ -203,7 +215,7 @@ def rel_compose(r: Rel, s: Rel) -> Rel:
         for b in bits(row):
             acc |= s.rows[b]
         out.append(acc)
-    return Rel(r.src, s.dst, tuple(out))
+    return Rel._trusted(r.src, s.dst, tuple(out))
 
 
 def rel_converse(r: Rel) -> Rel:
@@ -211,7 +223,7 @@ def rel_converse(r: Rel) -> Rel:
     for a, row in enumerate(r.rows):
         for b in bits(row):
             cols[b] |= 1 << a
-    return Rel(r.dst, r.src, tuple(cols))
+    return Rel._trusted(r.dst, r.src, tuple(cols))
 
 
 def is_subrel(r: Rel, s: Rel) -> bool:
@@ -235,7 +247,7 @@ def residual(side: str, t: Rel, s: Rel) -> Rel:
         rows = tuple(
             _subset_row(s.rows, trow) for trow in t.rows
         )
-        return Rel(t.src, s.src, rows)
+        return Rel._trusted(t.src, s.src, rows)
     if side == "right":
         if t.src.size != s.src.size:
             raise ShapeMismatch(
@@ -244,7 +256,7 @@ def residual(side: str, t: Rel, s: Rel) -> Rel:
         tc = rel_converse(t)
         sc = rel_converse(s)
         rows = tuple(_superset_row(sc.rows, tcol) for tcol in tc.rows)
-        return Rel(t.dst, s.dst, rows)
+        return Rel._trusted(t.dst, s.dst, rows)
     raise ValueError(f"unknown residual side {side!r}")
 
 
@@ -283,12 +295,12 @@ def symmetric_quotient(t: Rel, s: Rel) -> Rel:
             if col_t == col_s:
                 acc |= 1 << y
         rows.append(acc)
-    return Rel(t.dst, s.dst, tuple(rows))
+    return Rel._trusted(t.dst, s.dst, tuple(rows))
 
 
 def domain(r: Rel) -> Rel:
     """The domain test: (a,a) for every a related to something."""
-    return Rel(r.src, r.src, tuple(1 << a if row else 0 for a, row in enumerate(r.rows)))
+    return Rel._trusted(r.src, r.src, tuple(1 << a if row else 0 for a, row in enumerate(r.rows)))
 
 
 def classify_rel(r: Rel) -> RelFlags:

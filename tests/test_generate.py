@@ -9,6 +9,8 @@ import pytest
 from multirel import (
     EnumerationTooLarge,
     GenSpec,
+    MRel,
+    Rel,
     SplitMix64,
     classify_mrel,
     count_matching,
@@ -185,9 +187,13 @@ PINNED = {
 }
 
 
-def _digest(kind, where, mode, shape):
+def _pinned(kind, where, mode, shape):
     spec = GenSpec(shape, mode, count=20, seed=11, where=frozenset([where] if where else []))
-    text = json.dumps([v.to_json() for v in islice(instances(kind, spec), 300)], sort_keys=True)
+    return list(islice(instances(kind, spec), 300))
+
+
+def _digest(*key):
+    text = json.dumps([v.to_json() for v in _pinned(*key)], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -195,6 +201,14 @@ class TestPinnedStreams:
     @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
     def test_stream_digest(self, key):
         assert _digest(*key) == PINNED[key]
+
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
+    def test_instances_revalidate(self, key):
+        # streams build values without validation; the validating
+        # constructor must accept each of them unchanged
+        make = MRel if key[0] == "mrel" else Rel
+        for v in _pinned(*key):
+            assert make(v.src, v.dst, v.rows) == v
 
     @pytest.mark.parametrize(
         "kind,where,shape,n",

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 
-from multirel.dsl import Env, env_from_json, eval_term, parse
-from multirel.laws import Law, Slot, check, law_seed, shrink
+from multirel import GenSpec, instances, power
+from multirel.dsl import Env, Sig, env_from_json, eval_term, parse, typecheck
+from multirel.laws import Law, Slot, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
 from conftest import C, M, R
@@ -243,3 +245,57 @@ class TestShrink:
             "carriers": {k: c.size for k, c in carriers.items()},
             "slots": {k: v.to_json() for k, v in values.items()},
         } == _SHRUNK[name]
+
+
+class TestKeptSubterms:
+    """``check`` types a law with its slots but the last as invariant, so
+    sub-terms that read only those are computed again only when their
+    operands change (``dsl.typecheck``)."""
+
+    def test_kept_results_equal_fresh_ones(self):
+        values = list(instances("mrel", GenSpec((2, 2))))
+        types = {"X": 2, "Y": 2, "Z": 2, "R": Sig("mrel", 2, 2), "S": Sig("mrel", 2, 2)}
+        # a claim over the whole product; a value whose kept operand is
+        # converted to a relation; a kept node of two slots
+        few = values[::16]
+        for text, keep, pools in (
+            ("di(R * S) <= (di(R) * di(S))", {"R"}, (values, values)),
+            ("(R ; mem(Y)^) ; a(S)", {"R"}, (few, values)),
+            ("icap(R, S) * T", {"R", "S"}, (few, few, few)),
+        ):
+            kept = typecheck(parse(text), {**types, "T": types["R"]}, frozenset(keep))
+            fresh = typecheck(parse(text), {**types, "T": types["R"]})
+            for tup in product(*pools):
+                env = Env(dict(zip("RST", tup)))
+                assert kept.run(env.bindings) == eval_term(fresh, env)
+
+    def test_constants_are_built_once_per_law(self, monkeypatch):
+        calls = []
+        mu = power.mu
+        monkeypatch.setattr(power, "mu", lambda x: calls.append(x) or mu(x))
+        claim = "mu(X) == Pf(mem(X)^)"
+        env = Env({"X": C(2)})
+        # public evaluation keeps nothing
+        for _ in range(2):
+            assert eval_term(parse(claim), env)
+        typed = typecheck(parse(claim), {"X": 2})
+        for _ in range(2):
+            assert eval_term(typed, env)
+        assert len(calls) == 4
+        # nor does a law with no slots
+        law = Law("dev-mu", "theorem", "mu is union-flattening", claim, roles=("X",))
+        typed, _ = _Terms(law).at({"X": C(2)})
+        for _ in range(2):
+            assert eval_term(typed, Env())
+        assert len(calls) == 6
+        # a law with slots builds it once, however many tuples it checks
+        r, s = Slot("R", "mrel", "X", "Y"), Slot("S", "mrel", "Y", "Y")
+        for law, sizes in (
+            (Law("dev-kl", "theorem", "kl through mu", "kl(R) == (Pf(R) ; mu(Y))", (r,)), (2, 2)),
+            (Law("dev-at", "theorem", "@ through mu", "(R @ S) == ((R ; Pf(S)) ; mu(Y))",
+                 (r, s)), (1, 2)),
+        ):
+            calls.clear()
+            rep = check(law, sizes=sizes)
+            assert rep.verdict == "pass" and rep.checked > 1
+            assert len(calls) == 1
