@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .dsl import Cmp, env_from_json, evaluate, parse, slot_roles, slot_sorts
+from .dsl import _INFIX, Cmp, env_from_json, evaluate, parse, slot_roles, slot_sorts
 from .errors import (
     CapExceeded,
     MultirelError,
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("find-cex", help="search for a counterexample to lhs REL rhs")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--rel", required=True, choices=["==", "<=", "<u=", "<d=", "<ud="])
+    p.add_argument("--rel", required=True, choices=_INFIX[0].tokens)  # comparisons
     p.add_argument("--sizes", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=int, default=None)

@@ -1,15 +1,18 @@
 """Term language for relational and multirelational expressions.
 
 Operator tokens are ASCII; the concordance table in the README maps each
-token to its usual symbol.  Precedence, tightest first:
+token to its usual symbol.  The infix operators, loosest first, as the
+table ``_INFIX`` gives them to the lexer, parser and printer:
 
-    postfix ^ (converse)
-    prefix  - (complement)
-    ;  @  *   (relational / Kleisli / Peleg composition, left associative)
-    &
-    |
-    \\  /     (residuals, non-associative: parenthesize chains)
-    ==  <=  <u=  <d=  <ud=   (comparisons, non-associative)
+    comparison     ==  <=  <u=  <d=  <ud=   chains need parentheses
+    residual       \\  /                    chains need parentheses
+    union          |                        left associative
+    intersection   &                        left associative
+    composition    ;  @  *                  left associative
+
+``;``, ``@`` and ``*`` are relational, Kleisli and Peleg composition.
+Prefix ``-`` (complement) binds tighter than every infix operator, and
+postfix ``^`` (converse) tighter still.
 
 Named operations use call syntax, e.g. ``do(R)`` or ``syq(T, S)``.
 Constants may take explicit carrier arguments (``Id(X)``, ``mem(Y)``,
@@ -95,18 +98,12 @@ class Cmp:
 
 Term = Var | Const | Call | Un | Bin | Cmp
 
-_CMP_OPS = ("==", "<=", "<u=", "<d=", "<ud=")
-
 
 # ---------------------------------------------------------------------------
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
+_Tok = namedtuple("_Tok", "kind text pos")
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -132,32 +129,23 @@ def _lex(text: str) -> list[_Tok]:
             toks.append(_Tok("ident", text[i:j], i))
             i = j
             continue
-        if c == "=" and text[i : i + 2] == "==":
-            toks.append(_Tok("op", "==", i))
-            i += 2
-            continue
-        if c == "<":
-            for form in ("<ud=", "<u=", "<d=", "<="):
-                if text[i : i + len(form)] == form:
-                    toks.append(_Tok("op", form, i))
-                    i += len(form)
-                    break
-            else:
-                raise TermSyntaxError(
-                    f"stray '<' at position {i}", i, ("<=", "<u=", "<d=", "<ud=")
-                )
-            continue
-        if c in ";@*&|\\/^-(),":
-            toks.append(_Tok("op", c, i))
-            i += 1
-            continue
-        raise TermSyntaxError(f"unexpected character {c!r} at position {i}", i)
+        forms = _SYMBOLS.get(c, ())
+        for form in forms:
+            if text.startswith(form, i):
+                toks.append(_Tok("op", form, i))
+                i += len(form)
+                break
+        else:
+            if len(forms) > 1:  # it begins several tokens, such as '<': name them
+                expected = tuple(form for form in _LEVEL if form[0] == c)
+                raise TermSyntaxError(f"stray {c!r} at position {i}", i, expected)
+            raise TermSyntaxError(f"unexpected character {c!r} at position {i}", i)
     toks.append(_Tok("end", "", n))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (recursive descent, with precedence climbing over ``_INFIX``)
 
 
 class _Parser:
@@ -185,7 +173,7 @@ class _Parser:
         return self.take()
 
     def parse(self) -> Term:
-        t = self.comparison()
+        t = self.infix()
         end = self.peek()
         if end.kind != "end":
             raise TermSyntaxError(
@@ -193,62 +181,24 @@ class _Parser:
             )
         return t
 
-    def comparison(self) -> Term:
-        left = self.residual()
-        t = self.peek()
-        if t.text in _CMP_OPS:
-            self.take()
-            right = self.residual()
-            nxt = self.peek()
-            if nxt.text in _CMP_OPS:
-                raise TermSyntaxError(
-                    f"comparison chains need parentheses (position {nxt.pos})", nxt.pos
-                )
-            return Cmp(t.text, left, right)
-        return left
-
-    def residual(self) -> Term:
-        left = self.union()
-        t = self.peek()
-        if t.text in ("\\", "/"):
-            self.take()
-            right = self.union()
-            nxt = self.peek()
-            if nxt.text in ("\\", "/"):
-                raise TermSyntaxError(
-                    f"residual chains need parentheses (position {nxt.pos})", nxt.pos
-                )
-            return Bin(t.text, left, right)
-        return left
-
-    def union(self) -> Term:
-        left = self.inter()
-        while self.peek().text == "|":
-            self.take()
-            left = Bin("|", left, self.inter())
-        return left
-
-    def inter(self) -> Term:
-        left = self.compose()
-        while self.peek().text == "&":
-            self.take()
-            left = Bin("&", left, self.compose())
-        return left
-
-    def compose(self) -> Term:
+    def infix(self, loosest: int = 0) -> Term:
+        """A term whose infix operators sit at level ``loosest`` of
+        ``_INFIX`` or tighter."""
         left = self.prefix()
-        while self.peek().text in (";", "@", "*"):
-            op = self.take().text
-            left = Bin(op, left, self.prefix())
+        while (level := _LEVEL.get(self.peek().text, -1)) >= loosest:
+            name, _, assoc, node = _INFIX[level]
+            left = node(self.take().text, left, self.infix(level + 1))
+            nxt = self.peek()
+            if assoc != "left" and _LEVEL.get(nxt.text) == level:
+                raise TermSyntaxError(
+                    f"{name} chains need parentheses (position {nxt.pos})", nxt.pos
+                )
         return left
 
     def prefix(self) -> Term:
         if self.peek().text == "-":
             self.take()
             return Un("-", self.prefix())
-        return self.postfix()
-
-    def postfix(self) -> Term:
         t = self.atom()
         while self.peek().text == "^":
             self.take()
@@ -259,7 +209,7 @@ class _Parser:
         t = self.peek()
         if t.text == "(":
             self.take()
-            inner = self.comparison()
+            inner = self.infix()
             self.expect(")")
             return inner
         if t.kind != "ident":
@@ -271,12 +221,7 @@ class _Parser:
         self.take()
         name = t.text
         if name in _OPS:
-            self.expect("(")
-            args = [self.comparison()]
-            while self.peek().text == ",":
-                self.take()
-                args.append(self.comparison())
-            self.expect(")")
+            args = self.arguments(self.infix)
             want = len(_OPS[name].views)
             if len(args) != want:
                 raise TermSyntaxError(
@@ -284,28 +229,33 @@ class _Parser:
                     f"(position {t.pos})",
                     t.pos,
                 )
-            return Call(name, tuple(args))
+            return Call(name, args)
         if name in _CONSTS:
-            if self.peek().text == "(":
-                self.take()
-                args = [self.carrier_expr()]
-                while self.peek().text == ",":
-                    self.take()
-                    args.append(self.carrier_expr())
-                self.expect(")")
-                want = len(_CONSTS[name].letters)
-                if len(args) != want:
-                    raise TermSyntaxError(
-                        f"{name} takes {want} carrier argument(s) (position {t.pos})",
-                        t.pos,
-                    )
-                return Const(name, tuple(args))
-            return Const(name)
+            if self.peek().text != "(":
+                return Const(name)
+            args = self.arguments(self.carrier_expr)
+            want = len(_CONSTS[name].letters)
+            if len(args) != want:
+                raise TermSyntaxError(
+                    f"{name} takes {want} carrier argument(s) (position {t.pos})",
+                    t.pos,
+                )
+            return Const(name, args)
         if self.peek().text == "(":
             raise TermSyntaxError(
                 f"unknown operation {name!r} at position {t.pos}", t.pos
             )
         return Var(name)
+
+    def arguments(self, item: Callable) -> tuple:
+        """A parenthesized, comma-separated list of ``item``."""
+        self.expect("(")
+        args = [item()]
+        while self.peek().text == ",":
+            self.take()
+            args.append(item())
+        self.expect(")")
+        return tuple(args)
 
     def carrier_expr(self) -> CRef | CPow:
         t = self.peek()
@@ -329,11 +279,6 @@ def parse(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVEL_CMP, _LEVEL_RES, _LEVEL_UNION, _LEVEL_INTER, _LEVEL_COMP, _LEVEL_PRE, _LEVEL_POST, _LEVEL_ATOM = range(8)
-
-_BIN_LEVEL = {";": _LEVEL_COMP, "@": _LEVEL_COMP, "*": _LEVEL_COMP,
-              "&": _LEVEL_INTER, "|": _LEVEL_UNION, "\\": _LEVEL_RES, "/": _LEVEL_RES}
-
 
 def _carrier_text(c: CRef | CPow) -> str:
     if isinstance(c, CPow):
@@ -342,45 +287,32 @@ def _carrier_text(c: CRef | CPow) -> str:
 
 
 def _show(t: Term) -> tuple[str, int]:
+    """The text of ``t`` and its binding level (see ``_LEVEL``)."""
+    if isinstance(t, (Bin, Cmp)):
+        level = _LEVEL[t.op]
+        lt, ll = _show(t.left)
+        rt, rl = _show(t.right)
+        # a left-associative level admits equal-level left children only
+        if ll < level or (ll == level and _INFIX[level].assoc != "left"):
+            lt = f"({lt})"
+        if rl <= level:
+            rt = f"({rt})"
+        return f"{lt} {t.op} {rt}", level
+    if isinstance(t, Un):
+        level = _POSTFIX if t.op == "^" else _PREFIX
+        body, inner = _show(t.arg)
+        if inner < level:
+            body = f"({body})"
+        return (f"{body}^" if t.op == "^" else f"-{body}"), level
     if isinstance(t, Var):
-        return t.name, _LEVEL_ATOM
+        return t.name, _ATOM
     if isinstance(t, Const):
         if t.args:
-            return f"{t.name}({', '.join(_carrier_text(a) for a in t.args)})", _LEVEL_ATOM
-        return t.name, _LEVEL_ATOM
+            return f"{t.name}({', '.join(_carrier_text(a) for a in t.args)})", _ATOM
+        return t.name, _ATOM
     if isinstance(t, Call):
         inner = ", ".join(_show(a)[0] for a in t.args)
-        return f"{t.op}({inner})", _LEVEL_ATOM
-    if isinstance(t, Un):
-        if t.op == "^":
-            body, lvl = _show(t.arg)
-            if lvl < _LEVEL_POST:
-                body = f"({body})"
-            return f"{body}^", _LEVEL_POST
-        body, lvl = _show(t.arg)
-        if lvl < _LEVEL_PRE:
-            body = f"({body})"
-        return f"-{body}", _LEVEL_PRE
-    if isinstance(t, Bin):
-        lvl = _BIN_LEVEL[t.op]
-        lt, ll = _show(t.left)
-        rt, rl = _show(t.right)
-        # the residual level is non-associative: parenthesize both children
-        # at equal level; left-associative levels admit equal-level left
-        # children only
-        if ll < lvl or (ll == lvl and lvl == _LEVEL_RES):
-            lt = f"({lt})"
-        if rl <= lvl:
-            rt = f"({rt})"
-        return f"{lt} {t.op} {rt}", lvl
-    if isinstance(t, Cmp):
-        lt, ll = _show(t.left)
-        rt, rl = _show(t.right)
-        if ll <= _LEVEL_CMP:
-            lt = f"({lt})"
-        if rl <= _LEVEL_CMP:
-            rt = f"({rt})"
-        return f"{lt} {t.op} {rt}", _LEVEL_CMP
+        return f"{t.op}({inner})", _ATOM
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -576,6 +508,29 @@ def _dsup(m: MRel) -> MRel:
     for part in _peleg.d_subrelations(m):
         acc = _mrel.mrel_bool("union", acc, part)
     return acc
+
+
+# The infix operators, loosest first.  Each level has a name, its tokens,
+# whether a chain of them associates to the left or needs parentheses
+# ("none"), and the node it builds.  The lexer, parser and printer all read
+# this table; ``_OPS`` gives each token its meaning.
+_Level = namedtuple("_Level", "name tokens assoc node")
+_INFIX = (
+    _Level("comparison", ("==", "<=", "<u=", "<d=", "<ud="), "none", Cmp),
+    _Level("residual", ("\\", "/"), "none", Bin),
+    _Level("union", ("|",), "left", Bin),
+    _Level("intersection", ("&",), "left", Bin),
+    _Level("composition", (";", "@", "*"), "left", Bin),
+)
+
+# Binding levels: each infix token's index in ``_INFIX``, then prefix ``-``,
+# postfix ``^`` and atoms, each tighter than the last.
+_LEVEL = {token: i for i, level in enumerate(_INFIX) for token in level.tokens}
+_PREFIX, _POSTFIX, _ATOM = range(len(_INFIX), len(_INFIX) + 3)
+
+# The lexer's symbol tokens by first character, longest first.
+_FORMS = sorted([*_LEVEL, "-", "^", "(", ")", ","], key=len, reverse=True)
+_SYMBOLS = {f[0]: tuple(g for g in _FORMS if g[0] == f[0]) for f in _FORMS}
 
 
 _OPS: dict[str, _Spec] = {

@@ -328,44 +328,49 @@ def _still_fails(law: Law, terms: _Terms, carriers: dict[str, Carrier], values: 
         return False
 
 
-def _fits(value: Rel | MRel, src: Carrier, dst: Carrier) -> bool:
-    """Whether every pair of ``value`` lies within ``src`` and ``dst``: a
-    relation's pair ends in an element, a multirelation's in a mask."""
-    bound = dst.size if isinstance(value, Rel) else 1 << dst.size
-    return all(a < src.size and b < bound for a, b in value.pairs())
-
-
 def _smaller(law: Law, carriers: dict[str, Carrier], values: dict) -> Iterator[tuple[dict, dict]]:
     """Every one-step reduction ``(carriers, values)`` of an instance, in
     the order the shrinker tries them: drop one pair; clear one bit of a
     multirelation's mask, low bit first, unless the smaller mask is already
-    in its row; drop the top element of a carrier role that no pair uses."""
+    in its row; drop the top element of a carrier role that no pair uses.
+    Each candidate edits the rows of a valid value, so none is validated."""
     for slot in law.slots:
         v = values[slot.name]
-        pairs = sorted(v.pairs())
-        for pair in pairs:
-            kept = [p for p in pairs if p != pair]
-            yield carriers, {**values, slot.name: type(v).from_pairs(v.src, v.dst, kept)}
+        for a, x in v.pairs():  # x is an element of a relation's row, or a mask
+            row = v.rows[a]
+            row = row & ~(1 << x) if isinstance(v, Rel) else tuple(m for m in row if m != x)
+            yield carriers, {**values, slot.name: _with_row(v, a, row)}
     for slot in law.slots:
         v = values[slot.name]
         if not isinstance(v, MRel):
             continue
-        pairs = sorted(v.pairs())
-        for a, m in pairs:
+        for a, m in v.pairs():
+            row = v.rows[a]
             for b in bits(m):
                 smaller = m & ~(1 << b)
-                if smaller not in v.rows[a]:
-                    edited = [(a, smaller) if p == (a, m) else p for p in pairs]
-                    yield carriers, {**values, slot.name: MRel.from_pairs(v.src, v.dst, edited)}
+                if smaller not in row:
+                    edited = tuple(sorted(smaller if x == m else x for x in row))
+                    yield carriers, {**values, slot.name: _with_row(v, a, edited)}
     for role in law.roles:
-        if carriers[role].size > 1:
-            fewer = {**carriers, role: Carrier(carriers[role].size - 1)}
-            ends = {s.name: (fewer[s.src], fewer[s.dst]) for s in law.slots}
-            if all(_fits(values[name], *ends[name]) for name in ends):
-                yield fewer, {
-                    name: type(values[name]).from_pairs(*ends[name], values[name].pairs())
-                    for name in ends
-                }
+        size = carriers[role].size - 1
+        if size < 1:
+            continue
+        fewer = {**carriers, role: Carrier(size)}
+        cand = {}
+        for slot in law.slots:
+            v, src, dst = values[slot.name], fewer[slot.src], fewer[slot.dst]
+            rows = v.rows[: src.size]
+            # a relation's rows, or each row's largest mask, must fit in dst
+            ends = rows if isinstance(v, Rel) else [row[-1] for row in rows if row]
+            if any(v.rows[src.size :]) or any(x >> dst.size for x in ends):
+                break
+            cand[slot.name] = v._trusted(src, dst, rows)
+        else:
+            yield fewer, cand
+
+
+def _with_row(v: Rel | MRel, a: int, row) -> Rel | MRel:
+    return v._trusted(v.src, v.dst, v.rows[:a] + (row,) + v.rows[a + 1 :])
 
 
 def shrink(

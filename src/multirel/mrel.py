@@ -305,7 +305,7 @@ def convex(r: MRel) -> MRel:
 
 
 def preorder(mode: str, r: MRel, s: MRel) -> bool:
-    """Smyth, Hoare and Egli-Milner preorders and their equivalences.
+    """The Smyth, Hoare and Egli-Milner preorders.
 
     Checked pointwise without materializing closures: r is Smyth-below s
     iff every pair of s dominates some pair of r, and Hoare-below iff
@@ -324,12 +324,6 @@ def preorder(mode: str, r: MRel, s: MRel) -> bool:
         )
     if mode == "egli_milner":
         return preorder("smyth", r, s) and preorder("hoare", r, s)
-    if mode == "eq_up":
-        return preorder("smyth", r, s) and preorder("smyth", s, r)
-    if mode == "eq_down":
-        return preorder("hoare", r, s) and preorder("hoare", s, r)
-    if mode == "eq_updown":
-        return preorder("egli_milner", r, s) and preorder("egli_milner", s, r)
     raise ValueError(f"unknown preorder mode {mode!r}")
 
 

@@ -62,11 +62,6 @@ class Carrier:
         if self.base is not None and self.size != 1 << self.base.size:
             raise ValueError("powerset carrier size must be 2^base.size")
 
-    def name_of(self, i: int) -> str:
-        if self.names is not None:
-            return self.names[i]
-        return str(i)
-
 
 def pow_carrier(base: Carrier) -> Carrier:
     """The materialized powerset of ``base``, in numeric mask order."""

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
 from multirel import ShapeMismatch, TermSyntaxError, UnboundVariable
 from multirel.dsl import (
+    _CONSTS,
+    _INFIX,
+    _LEVEL,
+    _OPS,
     Bin,
     Call,
     Cmp,
@@ -19,7 +27,9 @@ from multirel.dsl import (
     print_term,
     slot_roles,
     slot_sorts,
+    _lex,
 )
+from multirel.registry import registry
 from conftest import C, M, R
 
 
@@ -75,6 +85,92 @@ class TestParsing:
     def test_unknown_character(self):
         with pytest.raises(TermSyntaxError):
             parse("R ? S")
+
+
+class TestGrammarPinned:
+    """Trees, printed forms and syntax errors as recorded before the
+    grammar was read from one operator table.  The digest covers every
+    registry claim and guard, so adding a law means recording it again."""
+
+    def test_registry_terms_parse_and_print_as_recorded(self):
+        digest = hashlib.sha256()
+        count = 0
+        for law in registry():
+            for text in filter(None, (law.claim, law.guard)):
+                tree = parse(text)
+                digest.update(repr((repr(tree), print_term(tree))).encode())
+                count += 1
+        assert (count, digest.hexdigest()) == (
+            239,
+            "41f484a4ee69531a46fa920cfcb9547bda7f36fae5c4b606eb098643d6257625",
+        )
+
+    @pytest.mark.parametrize(
+        "text, message, position, expected",
+        [
+            (r"R \ S \ T", "residual chains need parentheses (position 6)", 6, ()),
+            ("R == S == T", "comparison chains need parentheses (position 7)", 7, ()),
+            ("R <x S", "stray '<' at position 2", 2, ("<=", "<u=", "<d=", "<ud=")),
+            ("R = S", "unexpected character '=' at position 2", 2, ()),
+            ("R ? S", "unexpected character '?' at position 2", 2, ()),
+            ("do(R", "expected ')' at position 4, found ''", 4, (")",)),
+            ("fluff(R)", "unknown operation 'fluff' at position 0", 0, ()),
+            ("do(R, S)", "do takes 1 argument(s), got 2 (position 0)", 0, ()),
+            ("At(X)", "At takes 2 carrier argument(s) (position 0)", 0, ()),
+            (")", "expected a term at position 0, found ')'", 0, ("identifier", "(")),
+            ("R S", "trailing input at position 2: 'S'", 2, ()),
+        ],
+    )
+    def test_errors_as_recorded(self, text, message, position, expected):
+        with pytest.raises(TermSyntaxError) as e:
+            parse(text)
+        assert (str(e.value), e.value.position, e.value.expected) == (
+            message,
+            position,
+            expected,
+        )
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under ``header``, as cell texts
+    with escaped pipes restored."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]
+        rows.append([c.strip().replace("\\|", "|") for c in cells])
+    return rows
+
+
+class TestReadmeMatchesTables:
+    def test_token_table_names_every_operation_and_constant(self):
+        named = {
+            tok.text
+            for row in _readme_table("| token | meaning |")
+            for span in re.findall(r"`([^`]*)`", row[0])
+            for tok in _lex(span)
+        }
+        assert set(_OPS) | set(_CONSTS) <= named
+
+    def test_precedence_table_is_the_infix_table(self):
+        documented = [
+            (name, tokens.strip("`").split(), chain)
+            for name, tokens, chain in _readme_table("| level | tokens | a chain of them |")
+        ]
+        assert documented == [
+            (
+                level.name,
+                list(level.tokens),
+                "associates to the left" if level.assoc == "left" else "needs parentheses",
+            )
+            for level in _INFIX
+        ]
+
+    def test_every_infix_token_has_a_meaning(self):
+        assert set(_LEVEL) <= set(_OPS)
 
 
 class TestPrinting:
