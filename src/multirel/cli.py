@@ -14,7 +14,6 @@ import sys
 from .dsl import _INFIX, Cmp, env_from_json, evaluate, parse, slot_roles, slot_sorts
 from .errors import (
     CapExceeded,
-    MultirelError,
     ShapeMismatch,
     TermSyntaxError,
     UnboundVariable,
@@ -43,11 +42,33 @@ def _parse_sizes(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _number(kind, ok, wants: str):
+    """An argparse type: a number of ``kind`` for which ``ok`` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {wants}, not {text!r}")
+    return parse
+
+
+_DENSITY = _number(float, lambda d: 0 <= d <= 1, "a number from 0 to 1")
+_COUNT = _number(int, lambda n: n >= 1, "a positive integer")
+
+
+# What loading a value or an environment file raises on malformed input;
+# a value past a size cap is left to main, which exits 3.
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError)
+
+
 def _cmd_eval(args) -> int:
     try:
         with open(args.env) as fh:
             env = env_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as e:
+    except _LOAD_ERRORS as e:
         print(f"error: cannot load environment: {e}", file=sys.stderr)
         return 2
     value = evaluate(args.expr, env)
@@ -173,7 +194,7 @@ def _cmd_convert(args) -> int:
         return 2
     try:
         out = _canonicalize(data)
-    except (KeyError, ValueError, TypeError, IndexError, MultirelError) as e:
+    except _LOAD_ERRORS as e:
         print(f"error: malformed value file: {e}", file=sys.stderr)
         return 2
     with open(args.outfile, "w") as fh:
@@ -223,8 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     g.add_argument("--all", action="store_true")
     p.add_argument("--sizes", default=None, help="carrier sizes, e.g. 2,2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=int, default=None, help="random tuples per law")
-    p.add_argument("--density", type=float, default=None)
+    p.add_argument("--random", type=_COUNT, default=None, help="random tuples per law")
+    p.add_argument("--density", type=_DENSITY, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON")
     p.add_argument("--verbose", action="store_true")
@@ -235,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--rel", required=True, choices=_INFIX[0].tokens)  # comparisons
     p.add_argument("--sizes", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=int, default=None)
-    p.add_argument("--density", type=float, default=None)
+    p.add_argument("--random", type=_COUNT, default=None)
+    p.add_argument("--density", type=_DENSITY, default=None)
     p.add_argument("--vars", default=None, help="override sorts, e.g. R=rel,S=mrel")
 
     p = sub.add_parser("convert", help="canonicalize a value or environment file")

@@ -30,9 +30,11 @@ given without arguments, and errors name the offending sub-term.
 from __future__ import annotations
 
 import operator
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, count
+from math import prod
 from typing import Callable, Mapping
 
 from .determinise import determinise as _determinise
@@ -42,7 +44,7 @@ from . import power as _power
 from . import rel as _rel
 from .errors import ShapeMismatch, TermSyntaxError, UnboundVariable
 from .mrel import MRel
-from .rel import Carrier, Rel
+from .rel import Carrier, Rel, require_object
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +358,22 @@ def env_from_json(data: Mapping) -> Env:
         seen.add(name)
         env.bindings[name] = value
 
-    for name, c in (data.get("carriers") or {}).items():
+    def section(key: str) -> dict:
+        part = data.get(key) or {}
+        require_object(part, f"{key!r}")
+        return part
+
+    require_object(data, "an environment")
+    for name, c in section("carriers").items():
         if isinstance(c, int):
             add(name, Carrier(c))
         else:
+            require_object(c, f"carrier {name!r}")
             names = tuple(c["names"]) if c.get("names") else None
             add(name, Carrier(int(c["size"]), names))
-    for name, r in (data.get("rels") or {}).items():
+    for name, r in section("rels").items():
         add(name, Rel.from_json(r))
-    for name, m in (data.get("mrels") or {}).items():
+    for name, m in section("mrels").items():
         add(name, MRel.from_json(m))
     return env
 
@@ -728,6 +737,15 @@ def typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None = None) 
     while its operands are the same objects as last time.  Values are
     immutable and operations pure, so this changes no result.  By default
     nothing is kept."""
+    return _typecheck(t, types, invariant, None)
+
+
+def _typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None,
+               tables: dict | None) -> Typed:
+    """``typecheck``, where the nodes over small shapes that ``_compile``
+    chooses look their values up in operator tables kept in ``tables``
+    (see ``_table``).  The caller owns ``tables`` and decides how long
+    they live; with None, nothing is looked up."""
     consts: list[_Node] = []
     root = _walk(t, types, consts, t)
     for node in consts:
@@ -741,7 +759,134 @@ def typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None = None) 
                 raise _located(f"{name} has no carriers that fit here", node.ctx)
         if not all(map(_ground, node.letters.values())):
             raise _located(f"cannot infer the carriers of {name}; give them explicitly", node.ctx)
-    return Typed(_find(root.sort), _compile(root, invariant)[0])
+    if tables is not None and _smallest(types) ** 2 > _SMALL_CELLS:
+        tables = None  # no shape over carriers this large is small: skip the tests
+    return Typed(_find(root.sort), _compile(root, invariant, tables).run)
+
+
+# ---------------------------------------------------------------------------
+# Value ids for the small shapes
+#
+# A shape is small when it has at most 256 values: a relation src <-> dst
+# with src * dst <= 8, or a multirelation src <-> P(dst) whose relation view
+# src <-> pw(dst) is one (src * 2^dst <= 8).  Shapes are told apart by their
+# sort and carrier types, so a powerset carrier is not a plain one of its
+# size.  Each small shape numbers its values in the order they are first
+# given, once for the whole process; the tables from operand ids to value
+# ids belong to whoever compiles with them (``_typecheck``).
+
+_SMALL_CELLS = 8
+
+
+class _Shape:
+    """The values of one small shape and their ids."""
+
+    __slots__ = ("size", "values", "ids")
+
+    def __init__(self, size: int):
+        self.size, self.values, self.ids = size, [], {}
+
+    def id(self, v) -> int:
+        i = self.ids.get(v.rows)
+        if i is None:
+            i = self.ids[v.rows] = len(self.values)
+            self.values.append(v)
+        return i
+
+
+class _Bools(_Shape):
+    """Booleans as a shape: False is 0 and True is 1."""
+
+    def __init__(self):
+        self.size, self.values, self.ids = 2, (False, True), None
+
+    def id(self, v: bool) -> int:
+        return int(v)
+
+
+_BOOLS = _Bools()
+_SHAPES: dict[tuple, _Shape] = {}
+
+
+def _atom(x):
+    """A carrier type as a key: a size, a 1-tuple of its base's key for a
+    powerset, or the type itself where it is not known."""
+    x = _find(x)
+    return (_atom(x.arg),) if isinstance(x, Pw) else x
+
+
+def _size(atom) -> int:
+    """The size of a carrier key; more than the cells of any small shape
+    where it is not known or is larger."""
+    if isinstance(atom, tuple):
+        return 1 << min(_size(atom[0]), _SMALL_CELLS + 1)
+    return atom if isinstance(atom, int) else _SMALL_CELLS + 1
+
+
+def _smallest(types: Mapping) -> int:
+    """The size of the smallest carrier in ``types``, named or a value's."""
+    ends = (e for ty in types.values() for e in ((ty.src, ty.dst) if isinstance(ty, Sig) else (ty,)))
+    return min((_size(_atom(e)) for e in ends), default=0)
+
+
+def _small(sort, src, dst) -> _Shape | None:
+    """The shape of the values of a node of ``sort`` with relation-view
+    carriers ``src`` and ``dst``, if it is small; else None."""
+    if sort == "bool":
+        return _BOOLS
+    key = (sort, _atom(src), _atom(dst))
+    cells = _size(key[1]) * _size(key[2])
+    if cells > _SMALL_CELLS:
+        return None
+    if key not in _SHAPES:
+        _SHAPES[key] = _Shape(1 << cells)
+    return _SHAPES[key]
+
+
+_UNKNOWN_ID = 0xFFFF  # a table entry not yet filled
+_UNKNOWN_BOOL = 2
+
+
+def _table(impl: Callable, operands: list[tuple[Callable, _Shape]], out: _Shape,
+           tables: dict) -> Callable[[dict], int]:
+    """The evaluator of the id of ``impl``'s value, given the evaluators
+    of its operands' ids and their shapes.  It looks the id up in the table
+    of ``tables`` for ``impl`` and these shapes, one flat entry per tuple of
+    operand ids, and calls ``impl`` where the entry is not filled yet.
+    Nodes with the same operation and operand shapes share a table."""
+    key = (impl, *(shape for _, shape in operands))
+    table = tables.get(key)
+    if table is None:
+        cells = prod(shape.size for _, shape in operands)
+        if out is _BOOLS:
+            table = bytearray([_UNKNOWN_BOOL]) * cells
+        else:
+            table = array("H", [_UNKNOWN_ID]) * cells
+        tables[key] = table
+    unknown = _UNKNOWN_BOOL if out is _BOOLS else _UNKNOWN_ID
+    intern = out.id
+    if len(operands) == 1:
+        ((f, shape),) = operands
+        xs = shape.values
+
+        def ids(b):
+            x = f(b)
+            r = table[x]
+            if r == unknown:
+                r = table[x] = intern(impl(xs[x]))
+            return r
+        return ids
+    (f, left), (g, right) = operands
+    xs, ys, n = left.values, right.values, right.size
+
+    def ids(b):
+        x, y = f(b), g(b)
+        i = x * n + y
+        r = table[i]
+        if r == unknown:
+            r = table[i] = intern(impl(xs[x], ys[y]))
+        return r
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -783,48 +928,111 @@ def _kept(impl: Callable, fns: list[Callable]) -> Callable[[dict], Value]:
     return run
 
 
-def _convert(f: Callable, sort: str, view: str, keep: bool) -> Callable:
-    """``f`` with its value converted to the operand view; the operand of
-    a kept node is kept too, so that it stays one object."""
+def _to_rel(m: MRel) -> Rel:
+    return _mrel.mrel_to_rel(m)
+
+
+def _to_mrel(r: Rel) -> MRel:
+    return _mrel.rel_to_mrel(r)
+
+
+def _conversion(sort: str, view: str) -> Callable | None:
+    """What takes a value of ``sort`` to an operand of ``view``, if anything."""
     if view in "rs" and sort == "mrel":
-        if keep:
-            return _kept(lambda v: _mrel.mrel_to_rel(v), [f])
-        return lambda b: _mrel.mrel_to_rel(f(b))
+        return _to_rel
     if view == "m" and sort == "rel":
-        if keep:
-            return _kept(lambda v: _mrel.rel_to_mrel(v), [f])
-        return lambda b: _mrel.rel_to_mrel(f(b))
-    return f
+        return _to_mrel
+    return None
 
 
-def _compile(node: _Node, invariant: frozenset[str] | None) -> tuple[Callable, frozenset]:
-    """The evaluator of ``node``, and the value names it reads."""
+def _convert(f: Callable, conv: Callable | None, keep: bool) -> Callable:
+    """``f`` with its value converted by ``conv``; the operand of a kept
+    node is kept too, so that it stays one object."""
+    if conv is None:
+        return f
+    if keep:
+        return _kept(conv, [f])
+    return lambda b: conv(f(b))
+
+
+# A compiled node: its evaluator, the value names it reads, the shape of its
+# values where that is small and tables are used, and the evaluator of its
+# value's id where it has one of its own (a table node, or a name).
+_Code = namedtuple("_Code", "run reads shape ids")
+
+
+def _ids_of(f: Callable, shape: _Shape) -> Callable[[dict], int]:
+    """The evaluator of the id of ``f``'s value."""
+    intern = shape.id
+    return lambda b: intern(f(b))
+
+
+def _name_ids(name: str, shape: _Shape) -> Callable[[dict], int]:
+    """``_ids_of`` a name, with one lookup where its value has an id."""
+    get, intern = shape.ids.get, shape.id
+
+    def ids(b):
+        v = b[name]
+        i = get(v.rows)
+        return intern(v) if i is None else i
+    return ids
+
+
+def _operand(code: _Code, node: _Node, conv: Callable | None,
+             tables: dict) -> tuple[Callable, _Shape]:
+    """A table node's operand: the evaluator of its id, and its shape."""
+    ids = code.ids or _ids_of(code.run, code.shape)
+    if conv is None:
+        return ids, code.shape
+    shape = _small("rel" if conv is _to_rel else "mrel", node.src, node.dst)
+    return _table(conv, [(ids, code.shape)], shape, tables), shape
+
+
+def _compile(node: _Node, invariant: frozenset[str] | None, tables: dict | None) -> _Code:
+    """Each node is compiled one way, chosen here from its types alone:
+
+    - a table node where ``tables`` is given, its operands and value are of
+      small shapes, and its operands read as many names as there are of
+      them: with fewer, most of its table would stay empty (a binary node
+      over one name meets at most 256 of its 65,536 operand pairs, and one
+      over none meets one pair);
+    - a kept node where it reads only ``invariant`` names;
+    - else a plain one."""
     t, spec = node.term, node.spec
-    if isinstance(t, Var):
-        return (lambda b, name=t.name: b[name]), frozenset([t.name])
     sort = _find(node.sort)
+    shape = None if tables is None else _small(sort, node.src, node.dst)
+    if isinstance(t, Var):
+        return _Code(lambda b, name=t.name: b[name], frozenset([t.name]), shape,
+                     shape and _name_ids(t.name, shape))
     impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
     if isinstance(t, Const):
         carriers = [node.letters[x] for x in spec.letters]
         if invariant is not None:
-            return _kept(lambda: impl(*map(_carrier_value, carriers)), []), frozenset()
-        return (lambda b: impl(*map(_carrier_value, carriers))), frozenset()
+            return _Code(_kept(lambda: impl(*map(_carrier_value, carriers)), []),
+                         frozenset(), shape, None)
+        return _Code(lambda b: impl(*map(_carrier_value, carriers)), frozenset(), shape, None)
     sorts = [_find(k.sort) for k in node.kids]
     views = spec.views
     if isinstance(impl, tuple):
         as_mrel = all(s == "mrel" for s in sorts)
         impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(sorts)
-    kids = [_compile(k, invariant) for k in node.kids]
-    reads = frozenset().union(*(names for _, names in kids))
+    kids = [_compile(k, invariant, tables) for k in node.kids]
+    reads = frozenset().union(*(k.reads for k in kids))
+    convs = [_conversion(s, v) for s, v in zip(sorts, views)]
+    if shape is not None and len(reads) >= len(kids) and all(k.shape is not None for k in kids):
+        ops = [_operand(k, n, c, tables) for k, n, c in zip(kids, node.kids, convs)]
+        ids = _table(impl, ops, shape, tables)
+        values = shape.values
+        return _Code(lambda b: values[ids(b)], reads, shape, ids)
     keep = invariant is not None and reads <= invariant
-    fns = [_convert(f, s, v, keep) for (f, _), s, v in zip(kids, sorts, views)]
+    fns = [_convert(k.run, c, keep) for k, c in zip(kids, convs)]
     if keep:
-        return _kept(impl, fns), reads
+        return _Code(_kept(impl, fns), reads, shape, None)
     if len(fns) == 1:
         (f,) = fns
-        return (lambda b: impl(f(b))), reads
+        return _Code(lambda b: impl(f(b)), reads, shape, None)
     f, g = fns
-    return (lambda b: impl(f(b), g(b))), reads
+    return _Code(lambda b: impl(f(b), g(b)), reads, shape, None)
 
 
 def eval_term(t: Term | Typed, env: Env):

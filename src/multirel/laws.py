@@ -16,7 +16,7 @@ from itertools import product
 from math import prod
 from typing import Iterator, Mapping, Sequence
 
-from .dsl import Env, Sig, Term, Typed, env_from_json, env_types, eval_term, parse, typecheck
+from .dsl import Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, parse
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
 from .generate import GenSpec, instances, mix64, rejects, satisfies, space_size
 from .mrel import MRel
@@ -67,8 +67,12 @@ class _Terms:
 
     ``check`` varies the last slot fastest, so the values of the others
     stay the same objects across runs of evaluations, and sub-terms that
-    read only those are kept (see ``typecheck``).  A law with no slots
-    keeps nothing: it is evaluated once."""
+    read only those are kept (see ``typecheck``).  Sub-terms over values of
+    small shapes look their values up in operator tables over value ids
+    instead (see ``dsl._table``); the tables are this object's, shared by
+    claim, guard and every carrier size, so they last one check, shrinking
+    included.  A law with no slots keeps nothing and has no tables: it is
+    evaluated once."""
 
     def __init__(self, law: Law):
         self.law = law
@@ -77,6 +81,7 @@ class _Terms:
         self.typed: dict[tuple[int, ...], tuple | None] = {}
         names = [s.name for s in law.slots]
         self.invariant = frozenset(names[:-1]) if names else None
+        self.tables: dict | None = {} if names else None
 
     def at(self, carriers: Mapping[str, Carrier]) -> tuple[Typed, Typed | None]:
         """Raises ShapeMismatch where the sizes make the claim ill-shaped."""
@@ -85,16 +90,17 @@ class _Terms:
             self.typed[key] = None  # stays None if typing raises
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
-            guard = self.guard and self.boolean("guard", types, self.invariant)
-            self.typed[key] = (self.boolean("claim", types, self.invariant), guard)
+            guard = self.guard and self.boolean("guard", types, self.invariant, self.tables)
+            self.typed[key] = (self.boolean("claim", types, self.invariant, self.tables), guard)
         if self.typed[key] is None:
             raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
         return self.typed[key]
 
-    def boolean(self, what: str, types: Mapping, invariant: frozenset | None = None) -> Typed:
+    def boolean(self, what: str, types: Mapping, invariant: frozenset | None = None,
+                tables: dict | None = None) -> Typed:
         """The "claim" or the "guard", typed; raises ShapeMismatch unless
         it is a boolean."""
-        typed = typecheck(getattr(self, what), types, invariant)
+        typed = _typecheck(getattr(self, what), types, invariant, tables)
         if typed.sort != "bool":
             text = f"the {what} {getattr(self.law, what)}"
             raise ShapeMismatch(f"{self.law.id}: {text} is a {typed.sort}, not a boolean")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MASK_CAP, POW_CAP, MaskTooWide, PowersetTooLarge, ShapeMismatch
-from .rel import Carrier, Rel, bits, full_mask, pow_carrier
+from .rel import Carrier, Rel, bits, full_mask, pow_carrier, require_index, require_object
 
 _new = object.__new__
 
@@ -82,6 +82,7 @@ class MRel:
     ) -> "MRel":
         rows: list[set[int]] = [set() for _ in range(src.size)]
         for a, m in pairs:
+            require_index(a, src, "source")
             rows[a].add(m)
         return cls.make(src, dst, rows)
 
@@ -105,6 +106,7 @@ class MRel:
 
     @classmethod
     def from_json(cls, data: dict) -> "MRel":
+        require_object(data, "a multirelation")
         src = Carrier(int(data["src"]))
         dst = Carrier(int(data["dst"]))
         rows = []

@@ -63,6 +63,19 @@ class Carrier:
             raise ValueError("powerset carrier size must be 2^base.size")
 
 
+def require_object(data, what: str) -> None:
+    """Raises ValueError unless ``data`` is a JSON object (a dict)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+
+
+def require_index(i: int, carrier: Carrier, role: str) -> None:
+    """Raises ValueError unless ``i`` is an element of ``carrier``; a
+    negative index would otherwise pick a row from the end."""
+    if not 0 <= i < carrier.size:
+        raise ValueError(f"{role} index {i} is outside 0..{carrier.size - 1}")
+
+
 def pow_carrier(base: Carrier) -> Carrier:
     """The materialized powerset of ``base``, in numeric mask order."""
     if base.size > POW_CAP:
@@ -134,17 +147,14 @@ class Rel:
 
     @classmethod
     def from_json(cls, data: dict) -> "Rel":
-        src = Carrier(int(data["src"]))
-        dst = Carrier(int(data["dst"]))
-        rows = [0] * src.size
-        for a, b in data["pairs"]:
-            rows[a] |= 1 << b
-        return cls(src, dst, tuple(rows))
+        require_object(data, "a relation")
+        return cls.from_pairs(Carrier(int(data["src"])), Carrier(int(data["dst"])), data["pairs"])
 
     @classmethod
     def from_pairs(cls, src: Carrier, dst: Carrier, pairs: Iterable[tuple[int, int]]) -> "Rel":
         rows = [0] * src.size
         for a, b in pairs:
+            require_index(a, src, "source")
             rows[a] |= 1 << b
         return cls(src, dst, tuple(rows))
 

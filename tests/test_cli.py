@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,12 +52,37 @@ class TestEval:
         big.write_text(json.dumps({"carriers": {"X": 40}}))
         assert main(["eval", "--env", str(big), "--expr", "mem(X)"]) == 3
 
+    def test_values_past_a_cap_exit_3_when_loaded(self, tmp_path):
+        wide = {"src": 1, "dst": 63, "rows": [[]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"carriers": {"X": 1}, "mrels": {"R": wide}}))
+        assert main(["eval", "--env", str(path), "--expr", "R"]) == 3
+        path.write_text(json.dumps(wide))
+        assert main(["convert", "--in", str(path), "--out", str(tmp_path / "o.json")]) == 3
+
     def test_cap_errors_are_one_class(self):
         # the class that main maps to exit 3 and that check reports as skipped
         from multirel import CapExceeded, EnumerationTooLarge, MaskTooWide, PowersetTooLarge
 
         for cap_error in (PowersetTooLarge, MaskTooWide, EnumerationTooLarge):
             assert issubclass(cap_error, CapExceeded)
+
+
+    @pytest.mark.parametrize("env", [
+        [1, 2],
+        {"carriers": {"X": 2}, "rels": {"T": {"src": 2, "dst": 2, "pairs": [[5, 0]]}}},
+        {"carriers": {"X": 2}, "rels": {"T": {"src": 2, "dst": 2, "pairs": [[-1, 0]]}}},
+        {"carriers": {"X": 2}, "rels": {"T": [1, 2]}},
+        {"carriers": {"X": 2}, "mrels": {"T": [1, 2]}},
+        {"carriers": [2]},
+        {"carriers": {"X": "2"}},
+    ], ids=["list", "index-5", "index-minus-1", "rel-list", "mrel-list", "carriers-list",
+            "carrier-text"])
+    def test_malformed_environment_is_a_usage_error(self, tmp_path, capsys, env):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(env))
+        assert main(["eval", "--env", str(path), "--expr", "T"]) == 2
+        assert "cannot load environment" in capsys.readouterr().err
 
 
 class TestLaws:
@@ -104,6 +131,39 @@ class TestCheck:
             main(["check", "--all", "--sizes", "x,2"])
         assert e.value.code == 2
         assert "--sizes expects two positive integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--law", "L2.2-icap-assoc", "--sizes", "3,3"],
+        ["find-cex", "--lhs", "R", "--rhs", "R", "--rel", "==", "--sizes", "2,2"],
+    ], ids=["check", "find-cex"])
+    @pytest.mark.parametrize("option,value,wants", [
+        ("--density", "2", "a number from 0 to 1"),
+        ("--density", "-0.1", "a number from 0 to 1"),
+        ("--density", "nan", "a number from 0 to 1"),
+        ("--density", "x", "a number from 0 to 1"),
+        ("--random", "-5", "a positive integer"),
+        ("--random", "0", "a positive integer"),
+    ])
+    def test_numbers_out_of_range_get_a_message(self, capsys, command, option, value, wants):
+        with pytest.raises(SystemExit) as e:
+            main(command + [option, value])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expects {wants}" in err and "Traceback" not in err
+
+    def test_numbers_at_their_bounds_are_taken(self, capsys):
+        for density in ("0", "1"):
+            assert main(["check", "--law", "L2.2-icap-assoc", "--sizes", "3,3",
+                         "--density", density, "--random", "1", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["checked"] == 1
+
+    def test_full_check_at_3x3_is_pinned(self, capsys):
+        # 3,3 is the path that takes no operator tables: its report bytes
+        # are pinned, as criterion 8 pins those of 2,2
+        assert main(["check", "--all", "--sizes", "3,3", "--seed", "7", "--json"]) == 0
+        out = capsys.readouterr().out
+        pinned = (Path(__file__).parent / "data" / "check_all_3x3_seed7.sha256").read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned.strip()
 
     def test_json_timing_flag(self, capsys):
         assert main(
@@ -246,3 +306,16 @@ class TestConvert:
         bad = tmp_path / "bad.json"
         bad.write_text('{"src": 1, "dst": 1, "pairs": [[5, 5]]}')
         assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"src": 2, "dst": 2, "pairs": [[-1, 0]]},
+        {"src": 2, "dst": 2, "pairs": [[2, 0]]},
+        {"rels": {"T": "x"}},
+        "text",
+    ])
+    def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+        assert "malformed value file" in capsys.readouterr().err

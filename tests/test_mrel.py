@@ -319,3 +319,13 @@ class TestJson:
         )
         r = MRel.from_pairs(Carrier(ns), Carrier(nd), pairs)
         assert MRel.from_json(json.loads(json.dumps(r.to_json()))) == r
+
+    @pytest.mark.parametrize("a", [-1, 2])
+    def test_source_index_out_of_range_is_rejected(self, a):
+        with pytest.raises(ValueError, match="source index"):
+            MRel.from_pairs(C(2), C(2), [(0, 1), (a, 0)])
+
+    @pytest.mark.parametrize("doc", [[1, 2], "mrel", None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            MRel.from_json(doc)

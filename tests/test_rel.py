@@ -340,3 +340,25 @@ class TestJson:
         )
         r = Rel.from_pairs(Carrier(ns), Carrier(nd), pairs)
         assert Rel.from_json(r.to_json()) == r
+
+    @pytest.mark.parametrize("a", [-1, -2, 2, 7])
+    def test_source_index_out_of_range_is_rejected(self, a):
+        with pytest.raises(ValueError, match="source index"):
+            Rel.from_json({"src": 2, "dst": 2, "pairs": [[a, 0]]})
+        with pytest.raises(ValueError, match="source index"):
+            Rel.from_pairs(C(2), C(2), [(0, 1), (a, 0)])
+
+    @pytest.mark.parametrize("doc", [[1, 2], "rel", 3, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            Rel.from_json(doc)
+
+    def test_environment_must_be_an_object(self):
+        from multirel.dsl import env_from_json
+
+        for env in ([1, 2], {"rels": [1]}, {"carriers": {"X": [2]}}):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                env_from_json(env)
+        pair = {"src": 2, "dst": 2, "pairs": [[-1, 0]]}
+        with pytest.raises(ValueError, match="source index -1"):
+            env_from_json({"rels": {"T": pair}})
