@@ -44,7 +44,7 @@ from . import power as _power
 from . import rel as _rel
 from .errors import ShapeMismatch, TermSyntaxError, UnboundVariable
 from .mrel import MRel
-from .rel import Carrier, Rel, require_object
+from .rel import Carrier, Rel, require_object, require_size
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +366,11 @@ def env_from_json(data: Mapping) -> Env:
     require_object(data, "an environment")
     for name, c in section("carriers").items():
         if isinstance(c, int):
-            add(name, Carrier(c))
+            add(name, Carrier(require_size(c, f"carrier {name!r}")))
         else:
             require_object(c, f"carrier {name!r}")
             names = tuple(c["names"]) if c.get("names") else None
-            add(name, Carrier(int(c["size"]), names))
+            add(name, Carrier(require_size(c["size"], f"the size of carrier {name!r}"), names))
     for name, r in section("rels").items():
         add(name, Rel.from_json(r))
     for name, m in section("mrels").items():
@@ -724,28 +724,23 @@ class Typed:
         self.sort, self.run = sort, run
 
 
-def typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None = None) -> Typed:
+def typecheck(t: Term, types: Mapping) -> Typed:
     """Infer the sort and carriers of every node of ``t``.
 
     ``types`` maps carrier names to carrier types (a role name, a size or
     ``Pw``) and value names to their ``Sig``.  Raises ShapeMismatch naming
-    the offending sub-term, or UnboundVariable.
+    the offending sub-term, or UnboundVariable.  The evaluator keeps
+    nothing from one evaluation to the next."""
+    return _typecheck(t, types, None)
 
-    ``invariant`` names the values that mostly stay the same objects from
-    one evaluation to the next.  Each constant, and each node that reads
-    only those names, then keeps its last result and returns it again
-    while its operands are the same objects as last time.  Values are
-    immutable and operations pure, so this changes no result.  By default
+
+def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
+    """``typecheck``, where the evaluator of a checked term keeps what it
+    can when ``tables`` is given (see ``_compile``): nodes over small shapes
+    look their values up in operator tables kept in ``tables`` (see
+    ``_table``), and sub-terms that read no name are computed once.  The
+    caller owns ``tables`` and decides how long they live; with None,
     nothing is kept."""
-    return _typecheck(t, types, invariant, None)
-
-
-def _typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None,
-               tables: dict | None) -> Typed:
-    """``typecheck``, where the nodes over small shapes that ``_compile``
-    chooses look their values up in operator tables kept in ``tables``
-    (see ``_table``).  The caller owns ``tables`` and decides how long
-    they live; with None, nothing is looked up."""
     consts: list[_Node] = []
     root = _walk(t, types, consts, t)
     for node in consts:
@@ -759,9 +754,9 @@ def _typecheck(t: Term, types: Mapping, invariant: frozenset[str] | None,
                 raise _located(f"{name} has no carriers that fit here", node.ctx)
         if not all(map(_ground, node.letters.values())):
             raise _located(f"cannot infer the carriers of {name}; give them explicitly", node.ctx)
-    if tables is not None and _smallest(types) ** 2 > _SMALL_CELLS:
-        tables = None  # no shape over carriers this large is small: skip the tests
-    return Typed(_find(root.sort), _compile(root, invariant, tables).run)
+    # no shape over carriers this large is small: skip the shape tests
+    small = tables is not None and _smallest(types) ** 2 <= _SMALL_CELLS
+    return Typed(_find(root.sort), _compile(root, tables, small).run)
 
 
 # ---------------------------------------------------------------------------
@@ -893,66 +888,33 @@ def _table(impl: Callable, operands: list[tuple[Callable, _Shape]], out: _Shape,
 # Evaluation
 
 
-_UNSET = object()  # an operand that no evaluation returns
-
-
-def _kept(impl: Callable, fns: list[Callable]) -> Callable[[dict], Value]:
-    """``impl`` of the values of ``fns``, computed again only when one of
-    those values is not the object it was at the last call."""
-    if not fns:
-        kept = []  # built when first evaluated, where a cap error is reported
-
-        def run(b):
-            if not kept:
-                kept.append(impl())
-            return kept[0]
-        return run
-    if len(fns) == 1:
-        (f,) = fns
-        last = [_UNSET, None]
-
-        def run(b):
-            x = f(b)
-            if x is not last[0]:
-                last[:] = x, impl(x)
-            return last[1]
-        return run
-    f, g = fns
-    last = [_UNSET, _UNSET, None]
+def _once(f: Callable[[dict], Value]) -> Callable[[dict], Value]:
+    """``f``, called at the first evaluation only, so that a cap error it
+    raises is reported there; later evaluations return the same value."""
+    kept = []
 
     def run(b):
-        x, y = f(b), g(b)
-        if x is not last[0] or y is not last[1]:
-            last[:] = x, y, impl(x, y)
-        return last[2]
+        if not kept:
+            kept.append(f(b))
+        return kept[0]
     return run
 
 
-def _to_rel(m: MRel) -> Rel:
-    return _mrel.mrel_to_rel(m)
+# Conversions between the two views of an arrow src <-> P(dst), as unary
+# operations that keep the relation-view carriers.
+_TO_REL = _spec("m a b -> rel a pb", lambda m: _mrel.mrel_to_rel(m))
+_TO_MREL = _spec("r a pb -> mrel a b", lambda r: _mrel.rel_to_mrel(r))
 
 
-def _to_mrel(r: Rel) -> MRel:
-    return _mrel.rel_to_mrel(r)
-
-
-def _conversion(sort: str, view: str) -> Callable | None:
-    """What takes a value of ``sort`` to an operand of ``view``, if anything."""
+def _operand(kid: _Node, view: str) -> _Node:
+    """``kid`` as an operand of ``view``: itself, or a conversion node over
+    it where it is of the other sort.  A conversion has no term."""
+    sort = _find(kid.sort)
     if view in "rs" and sort == "mrel":
-        return _to_rel
+        return _Node(None, _TO_REL, (kid,), "rel", kid.src, kid.dst)
     if view == "m" and sort == "rel":
-        return _to_mrel
-    return None
-
-
-def _convert(f: Callable, conv: Callable | None, keep: bool) -> Callable:
-    """``f`` with its value converted by ``conv``; the operand of a kept
-    node is kept too, so that it stays one object."""
-    if conv is None:
-        return f
-    if keep:
-        return _kept(conv, [f])
-    return lambda b: conv(f(b))
+        return _Node(None, _TO_MREL, (kid,), "mrel", kid.src, kid.dst)
+    return kid
 
 
 # A compiled node: its evaluator, the value names it reads, the shape of its
@@ -978,61 +940,47 @@ def _name_ids(name: str, shape: _Shape) -> Callable[[dict], int]:
     return ids
 
 
-def _operand(code: _Code, node: _Node, conv: Callable | None,
-             tables: dict) -> tuple[Callable, _Shape]:
-    """A table node's operand: the evaluator of its id, and its shape."""
-    ids = code.ids or _ids_of(code.run, code.shape)
-    if conv is None:
-        return ids, code.shape
-    shape = _small("rel" if conv is _to_rel else "mrel", node.src, node.dst)
-    return _table(conv, [(ids, code.shape)], shape, tables), shape
+def _compile(node: _Node, tables: dict | None, small: bool) -> _Code:
+    """Each node is compiled one way, chosen here from its types alone.
+    Where ``tables`` is given, a node is
 
+    - computed once if it reads no name: a constant, a constant sub-term,
+      or a conversion of one;
+    - a table node if ``small`` holds, its operands and value are of small
+      shapes, and its operands read as many names as there are of them:
+      with fewer, most of its table would stay empty (a binary node over
+      one name meets at most 256 of its 65,536 operand pairs);
+    - else plain, computed at every evaluation.
 
-def _compile(node: _Node, invariant: frozenset[str] | None, tables: dict | None) -> _Code:
-    """Each node is compiled one way, chosen here from its types alone:
-
-    - a table node where ``tables`` is given, its operands and value are of
-      small shapes, and its operands read as many names as there are of
-      them: with fewer, most of its table would stay empty (a binary node
-      over one name meets at most 256 of its 65,536 operand pairs, and one
-      over none meets one pair);
-    - a kept node where it reads only ``invariant`` names;
-    - else a plain one."""
+    Without ``tables``, every node is plain."""
     t, spec = node.term, node.spec
     sort = _find(node.sort)
-    shape = None if tables is None else _small(sort, node.src, node.dst)
+    shape = _small(sort, node.src, node.dst) if small else None
     if isinstance(t, Var):
         return _Code(lambda b, name=t.name: b[name], frozenset([t.name]), shape,
                      shape and _name_ids(t.name, shape))
     impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
-    if isinstance(t, Const):
-        carriers = [node.letters[x] for x in spec.letters]
-        if invariant is not None:
-            return _Code(_kept(lambda: impl(*map(_carrier_value, carriers)), []),
-                         frozenset(), shape, None)
-        return _Code(lambda b: impl(*map(_carrier_value, carriers)), frozenset(), shape, None)
-    sorts = [_find(k.sort) for k in node.kids]
     views = spec.views
     if isinstance(impl, tuple):
-        as_mrel = all(s == "mrel" for s in sorts)
-        impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(sorts)
-    kids = [_compile(k, invariant, tables) for k in node.kids]
+        as_mrel = all(_find(k.sort) == "mrel" for k in node.kids)
+        impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(node.kids)
+    kids = [_compile(_operand(k, v), tables, small) for k, v in zip(node.kids, views)]
     reads = frozenset().union(*(k.reads for k in kids))
-    convs = [_conversion(s, v) for s, v in zip(sorts, views)]
-    if shape is not None and len(reads) >= len(kids) and all(k.shape is not None for k in kids):
-        ops = [_operand(k, n, c, tables) for k, n, c in zip(kids, node.kids, convs)]
-        ids = _table(impl, ops, shape, tables)
+    if isinstance(t, Const):
+        carriers = [node.letters[x] for x in spec.letters]
+        run = lambda b: impl(*map(_carrier_value, carriers))
+    elif shape is not None and len(reads) >= len(kids) and all(k.shape is not None for k in kids):
+        ids = _table(impl, [(k.ids or _ids_of(k.run, k.shape), k.shape) for k in kids],
+                     shape, tables)
         values = shape.values
         return _Code(lambda b: values[ids(b)], reads, shape, ids)
-    keep = invariant is not None and reads <= invariant
-    fns = [_convert(k.run, c, keep) for k, c in zip(kids, convs)]
-    if keep:
-        return _Code(_kept(impl, fns), reads, shape, None)
-    if len(fns) == 1:
-        (f,) = fns
-        return _Code(lambda b: impl(f(b)), reads, shape, None)
-    f, g = fns
-    return _Code(lambda b: impl(f(b), g(b)), reads, shape, None)
+    elif len(kids) == 1:
+        f = kids[0].run
+        run = lambda b: impl(f(b))
+    else:
+        f, g = (k.run for k in kids)
+        run = lambda b: impl(f(b), g(b))
+    return _Code(_once(run) if tables is not None and not reads else run, reads, shape, None)
 
 
 def eval_term(t: Term | Typed, env: Env):

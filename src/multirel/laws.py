@@ -65,11 +65,9 @@ class Law:
 class _Terms:
     """A law's claim and guard, parsed once and typed once per carrier sizes.
 
-    ``check`` varies the last slot fastest, so the values of the others
-    stay the same objects across runs of evaluations, and sub-terms that
-    read only those are kept (see ``typecheck``).  Sub-terms over values of
-    small shapes look their values up in operator tables over value ids
-    instead (see ``dsl._table``); the tables are this object's, shared by
+    Sub-terms over values of small shapes look their values up in operator
+    tables over value ids, and sub-terms that read no slot are computed
+    once (see ``dsl._compile``).  The tables are this object's, shared by
     claim, guard and every carrier size, so they last one check, shrinking
     included.  A law with no slots keeps nothing and has no tables: it is
     evaluated once."""
@@ -79,9 +77,7 @@ class _Terms:
         self.claim = law.parsed_claim()
         self.guard = parse(law.guard) if law.guard else None
         self.typed: dict[tuple[int, ...], tuple | None] = {}
-        names = [s.name for s in law.slots]
-        self.invariant = frozenset(names[:-1]) if names else None
-        self.tables: dict | None = {} if names else None
+        self.tables: dict | None = {} if law.slots else None
 
     def at(self, carriers: Mapping[str, Carrier]) -> tuple[Typed, Typed | None]:
         """Raises ShapeMismatch where the sizes make the claim ill-shaped."""
@@ -90,17 +86,16 @@ class _Terms:
             self.typed[key] = None  # stays None if typing raises
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
-            guard = self.guard and self.boolean("guard", types, self.invariant, self.tables)
-            self.typed[key] = (self.boolean("claim", types, self.invariant, self.tables), guard)
+            guard = self.guard and self.boolean("guard", types, self.tables)
+            self.typed[key] = (self.boolean("claim", types, self.tables), guard)
         if self.typed[key] is None:
             raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
         return self.typed[key]
 
-    def boolean(self, what: str, types: Mapping, invariant: frozenset | None = None,
-                tables: dict | None = None) -> Typed:
+    def boolean(self, what: str, types: Mapping, tables: dict | None = None) -> Typed:
         """The "claim" or the "guard", typed; raises ShapeMismatch unless
         it is a boolean."""
-        typed = _typecheck(getattr(self, what), types, invariant, tables)
+        typed = _typecheck(getattr(self, what), types, tables)
         if typed.sort != "bool":
             text = f"the {what} {getattr(self.law, what)}"
             raise ShapeMismatch(f"{self.law.id}: {text} is a {typed.sort}, not a boolean")

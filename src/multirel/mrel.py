@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MASK_CAP, POW_CAP, MaskTooWide, PowersetTooLarge, ShapeMismatch
-from .rel import Carrier, Rel, bits, full_mask, pow_carrier, require_index, require_object
+from .rel import (
+    Carrier, Rel, bits, full_mask, pow_carrier, require_index, require_object, require_size,
+)
 
 _new = object.__new__
 
@@ -107,14 +109,15 @@ class MRel:
     @classmethod
     def from_json(cls, data: dict) -> "MRel":
         require_object(data, "a multirelation")
-        src = Carrier(int(data["src"]))
-        dst = Carrier(int(data["dst"]))
+        src, dst = (Carrier(require_size(data[k], f"a multirelation's {k!r}"))
+                    for k in ("src", "dst"))
         rows = []
-        for row in data["rows"]:
+        for a, row in enumerate(data["rows"]):
             masks = set()
             for elems in row:
                 m = 0
                 for b in elems:
+                    require_index(b, dst, f"row {a}: element")
                     m |= 1 << b
                 masks.add(m)
             rows.append(masks)

@@ -69,11 +69,25 @@ def require_object(data, what: str) -> None:
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def require_index(i: int, carrier: Carrier, role: str) -> None:
     """Raises ValueError unless ``i`` is an element of ``carrier``; a
-    negative index would otherwise pick a row from the end."""
+    negative index would otherwise pick a row from the end, or shift by a
+    negative count."""
+    if not _is_int(i):
+        raise ValueError(f"{role} index {i!r} is not an integer")
     if not 0 <= i < carrier.size:
         raise ValueError(f"{role} index {i} is outside 0..{carrier.size - 1}")
+
+
+def require_size(n, what: str) -> int:
+    """``n``, or ValueError unless it is a non-negative integer."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"{what} must be a non-negative integer, not {n!r}")
+    return n
 
 
 def pow_carrier(base: Carrier) -> Carrier:
@@ -148,13 +162,15 @@ class Rel:
     @classmethod
     def from_json(cls, data: dict) -> "Rel":
         require_object(data, "a relation")
-        return cls.from_pairs(Carrier(int(data["src"])), Carrier(int(data["dst"])), data["pairs"])
+        src, dst = (Carrier(require_size(data[k], f"a relation's {k!r}")) for k in ("src", "dst"))
+        return cls.from_pairs(src, dst, data["pairs"])
 
     @classmethod
     def from_pairs(cls, src: Carrier, dst: Carrier, pairs: Iterable[tuple[int, int]]) -> "Rel":
         rows = [0] * src.size
         for a, b in pairs:
             require_index(a, src, "source")
+            require_index(b, dst, f"pair {[a, b]}: target")
             rows[a] |= 1 << b
         return cls(src, dst, tuple(rows))
 

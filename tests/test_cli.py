@@ -319,3 +319,11 @@ class TestConvert:
         bad.write_text(json.dumps(doc))
         assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
         assert "malformed value file" in capsys.readouterr().err
+
+    def test_fractional_size_is_not_truncated(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"src": 2.7, "dst": 2, "pairs": [[1, 1]]}))
+        out = tmp_path / "o.json"
+        assert main(["convert", "--in", str(bad), "--out", str(out)]) == 2
+        assert "'src' must be a non-negative integer, not 2.7" in capsys.readouterr().err
+        assert not out.exists()

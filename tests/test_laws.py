@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from multirel import GenSpec, instances, power
+from multirel import GenSpec, instances, mrel, power, rel
 from multirel.dsl import Env, Sig, _typecheck, env_from_json, eval_term, parse, typecheck
 from multirel.laws import Law, Slot, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
@@ -248,48 +248,48 @@ class TestShrink:
 
 
 class TestKeptSubterms:
-    """``check`` types a law with its slots but the last as invariant, so
-    sub-terms that read only those are computed again only when their
-    operands change (``dsl.typecheck``)."""
+    """``check`` compiles a law's terms with the check's tables, so nodes
+    over small shapes look their values up and sub-terms that read no slot
+    are computed once (``dsl._compile``).  Neither changes a result."""
+
+    # a claim over the whole product; a constant sub-term with an operation
+    # under a node of one slot; a node of two slots under one of three
+    CASES = ("di(R * S) <= (di(R) * di(S))", "(R ; mem(Y)^) ; a(S)", "icap(R, S) * T")
 
     def test_kept_results_equal_fresh_ones(self):
         values = list(instances("mrel", GenSpec((2, 2))))
-        types = {"X": 2, "Y": 2, "Z": 2, "R": Sig("mrel", 2, 2), "S": Sig("mrel", 2, 2)}
-        # a claim over the whole product; a value whose kept operand is
-        # converted to a relation; a kept node of two slots
         few = values[::16]
-        for text, keep, pools in (
-            ("di(R * S) <= (di(R) * di(S))", {"R"}, (values, values)),
-            ("(R ; mem(Y)^) ; a(S)", {"R"}, (few, values)),
-            ("icap(R, S) * T", {"R", "S"}, (few, few, few)),
-        ):
-            kept = typecheck(parse(text), {**types, "T": types["R"]}, frozenset(keep))
-            fresh = typecheck(parse(text), {**types, "T": types["R"]})
+        types = {"X": 2, "Y": 2, "Z": 2, **{n: Sig("mrel", 2, 2) for n in "RST"}}
+        for text, pools in zip(self.CASES, ((values, values), (few, values), (few, few, few))):
+            tables: dict = {}
+            kept = _typecheck(parse(text), types, tables)
+            fresh = typecheck(parse(text), types)
             for tup in product(*pools):
-                env = Env(dict(zip("RST", tup)))
-                assert kept.run(env.bindings) == eval_term(fresh, env)
+                b = dict(zip("RST", tup))
+                assert kept.run(b) == fresh.run(b)
+            assert tables
 
     def test_kept_results_equal_fresh_ones_at_2x3(self):
         # no multirelation from 2 or 3 elements into the powerset of 3 is of
-        # a small shape, so these nodes are kept where a check's tables are
-        # given too, as at every size past 2,2
+        # a small shape, so no node looks its value up, as at every size
+        # past 2,2; constant sub-terms are still computed once
         def some(shape, seed):
             return list(instances("mrel", GenSpec(shape, "random", count=12, seed=seed)))
 
         wide, square = some((2, 3), 1), some((3, 3), 2)
         types = {"X": 2, "Y": 3, "Z": 3}
-        for text, keep, slots in (
-            ("di(R * S) <= (di(R) * di(S))", {"R"}, {"R": wide, "S": square}),
-            ("(R ; mem(Y)^) ; a(S)", {"R"}, {"R": wide, "S": square}),
-            ("icap(R, S) * T", {"R", "S"}, {"R": wide, "S": wide, "T": square}),
-        ):
+        for text, slots in zip(self.CASES, (
+            {"R": wide, "S": square},
+            {"R": wide, "S": square},
+            {"R": wide, "S": wide, "T": square},
+        )):
             sigs = {n: Sig("mrel", len(v[0].rows), v[0].dst.size) for n, v in slots.items()}
             tables: dict = {}
-            kept = _typecheck(parse(text), {**types, **sigs}, frozenset(keep), tables)
+            kept = _typecheck(parse(text), {**types, **sigs}, tables)
             fresh = typecheck(parse(text), {**types, **sigs})
             for tup in product(*slots.values()):
-                env = Env(dict(zip(slots, tup)))
-                assert kept.run(env.bindings) == eval_term(fresh, env)
+                b = dict(zip(slots, tup))
+                assert kept.run(b) == fresh.run(b)
             assert tables == {}
 
     def test_constants_are_built_once_per_law(self, monkeypatch):
@@ -322,3 +322,21 @@ class TestKeptSubterms:
             rep = check(law, sizes=sizes)
             assert rep.verdict == "pass" and rep.checked > 1
             assert len(calls) == 1
+
+    def test_converted_constants_are_converted_once(self, monkeypatch):
+        # eta(Y) is a multirelation where ';' asks for a relation
+        calls = []
+        to_rel = mrel.mrel_to_rel
+        monkeypatch.setattr(mrel, "mrel_to_rel", lambda m: calls.append(m) or to_rel(m))
+        rep = check(law_by_id("L2.2-pow-from-klift"), sizes=(2, 2))
+        assert rep.verdict == "pass" and rep.checked == 16
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 3)])
+    def test_operations_on_constants_run_once(self, monkeypatch, sizes):
+        calls = []
+        converse = rel.rel_converse
+        monkeypatch.setattr(rel, "rel_converse", lambda r: calls.append(r) or converse(r))
+        rep = check(law_by_id("A-alpha"), sizes=sizes)  # a(R) == (R ; mem(Y)^)
+        assert rep.verdict == "pass" and rep.checked > 1
+        assert len(calls) == 1

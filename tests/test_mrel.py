@@ -325,6 +325,23 @@ class TestJson:
         with pytest.raises(ValueError, match="source index"):
             MRel.from_pairs(C(2), C(2), [(0, 1), (a, 0)])
 
+    @pytest.mark.parametrize("b,message", [
+        (-1, "row 1: element index -1 is outside 0..1"),
+        (2, "row 1: element index 2 is outside 0..1"),
+        (0.0, "row 1: element index 0.0 is not an integer"),
+        (False, "row 1: element index False is not an integer"),
+    ])
+    def test_subset_elements_are_named(self, b, message):
+        with pytest.raises(ValueError, match=message):
+            MRel.from_json({"src": 2, "dst": 2, "rows": [[[0]], [[1], [b]]]})
+
+    @pytest.mark.parametrize("key", ["src", "dst"])
+    @pytest.mark.parametrize("size", [2.7, -1, "2", True, None])
+    def test_sizes_are_not_truncated(self, key, size):
+        doc = {"src": 2, "dst": 2, "rows": [[], [[0]]], key: size}
+        with pytest.raises(ValueError, match=f"'{key}' must be a non-negative integer"):
+            MRel.from_json(doc)
+
     @pytest.mark.parametrize("doc", [[1, 2], "mrel", None])
     def test_document_must_be_an_object(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):

@@ -348,6 +348,37 @@ class TestJson:
         with pytest.raises(ValueError, match="source index"):
             Rel.from_pairs(C(2), C(2), [(0, 1), (a, 0)])
 
+    @pytest.mark.parametrize("b,message", [
+        (-1, r"pair \[0, -1\]: target index -1 is outside 0..1"),
+        (5, r"pair \[0, 5\]: target index 5 is outside 0..1"),
+        (1.0, "target index 1.0 is not an integer"),
+        (True, "target index True is not an integer"),
+    ])
+    def test_target_index_is_named(self, b, message):
+        with pytest.raises(ValueError, match=message):
+            Rel.from_json({"src": 2, "dst": 2, "pairs": [[0, b]]})
+        with pytest.raises(ValueError, match=message):
+            Rel.from_pairs(C(2), C(2), [(1, 1), (0, b)])
+
+    @pytest.mark.parametrize("a", [False, 0.0, "0"])
+    def test_source_index_must_be_an_integer(self, a):
+        with pytest.raises(ValueError, match="source index .* is not an integer"):
+            Rel.from_json({"src": 2, "dst": 2, "pairs": [[a, 0]]})
+
+    @pytest.mark.parametrize("key", ["src", "dst"])
+    @pytest.mark.parametrize("size", [2.7, -1, "2", True, None])
+    def test_sizes_are_not_truncated(self, key, size):
+        doc = {"src": 2, "dst": 2, "pairs": [[1, 1]], key: size}
+        with pytest.raises(ValueError, match=f"'{key}' must be a non-negative integer"):
+            Rel.from_json(doc)
+
+    @pytest.mark.parametrize("carrier", [True, -1, {"size": 2.7}, {"size": "2"}, {"size": False}])
+    def test_carrier_sizes_are_not_truncated(self, carrier):
+        from multirel.dsl import env_from_json
+
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            env_from_json({"carriers": {"X": carrier}})
+
     @pytest.mark.parametrize("doc", [[1, 2], "rel", 3, None])
     def test_document_must_be_an_object(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):

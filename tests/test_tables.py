@@ -108,7 +108,7 @@ def test_table_path_equals_the_kernel(name):
     for seed, (_, impl, sorts, ends) in enumerate(cases):
         names = "RS"[: len(sorts)]
         types = {n: Sig(so, *e) for n, so, e in zip(names, sorts, ends)}
-        typed = _typecheck(parse(_text(name, len(sorts))), types, frozenset(), tables)
+        typed = _typecheck(parse(_text(name, len(sorts))), types, tables)
         pools = [_values(so, e) for so, e in zip(sorts, ends)]
         for operands in _operand_tuples(pools, seed):
             out = typed.run(dict(zip(names, operands)))
@@ -132,7 +132,7 @@ def _into_powerset(r: Rel) -> Rel:
 ])
 def test_converted_operands_equal_the_kernel(text, types, direct):
     tables: dict = {}
-    typed = _typecheck(parse(text), types, frozenset(), tables)
+    typed = _typecheck(parse(text), types, tables)
     pools = []
     for sig in types.values():
         dst = 1 if isinstance(sig.dst, Pw) else sig.dst
@@ -193,7 +193,7 @@ def test_kernel_calls_fall_but_do_not_vanish(monkeypatch):
     law = law_by_id("L3.4-fission-subdistributive")
     # the claim evaluated without tables: two Peleg compositions per tuple
     typed = _typecheck(law.parsed_claim(), {"X": 2, "Y": 2, "Z": 2, "R": Sig("mrel", 2, 2),
-                                            "S": Sig("mrel", 2, 2)}, None, None)
+                                            "S": Sig("mrel", 2, 2)}, None)
     values = _values("mrel", (2, 2))
     for r, s in product(values[::16], values):
         assert typed.run({"R": r, "S": s})

@@ -104,7 +104,7 @@ class TestBoundaries:
             MRel.make(C(1), C(2), [[4]])
         with pytest.raises(ValueError, match="row count"):
             MRel.make(C(2), C(2), [[1]])
-        with pytest.raises(ValueError, match="exceeds destination"):
+        with pytest.raises(ValueError, match="element index 2 is outside"):
             MRel.from_json({"src": 1, "dst": 2, "rows": [[[2]]]})
         with pytest.raises(ValueError, match="row count"):
             MRel.from_json({"src": 2, "dst": 2, "rows": [[[0]]]})
@@ -116,9 +116,9 @@ class TestBoundaries:
             Rel(C(1), C(2), (4,))
         with pytest.raises(ValueError, match="row count"):
             Rel(C(2), C(2), (1,))
-        with pytest.raises(ValueError, match="exceeds destination"):
+        with pytest.raises(ValueError, match="target index 2 is outside"):
             Rel.from_pairs(C(1), C(2), [(0, 2)])
-        with pytest.raises(ValueError, match="exceeds destination"):
+        with pytest.raises(ValueError, match="target index 2 is outside"):
             Rel.from_json({"src": 1, "dst": 2, "pairs": [[0, 2]]})
 
     def test_streams_keep_the_mask_cap(self):
