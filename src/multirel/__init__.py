@@ -71,7 +71,6 @@ from .power import (
     has_element_rel,
     image_functor,
     member_rel,
-    monad_const,
     mu,
     omega,
     power_transpose,
@@ -90,7 +89,6 @@ from .determinise import (
     closed_repr,
     cofission,
     cofusion,
-    determinise,
     fission,
     fixpoint_class,
     fusion,

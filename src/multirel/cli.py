@@ -153,11 +153,15 @@ def _cmd_find_cex(args) -> int:
     sorts = slot_sorts(term)
     if args.vars:
         for piece in args.vars.split(","):
-            name, _, sort = piece.partition("=")
+            name, _, sort = (part.strip() for part in piece.partition("="))
             if sort not in ("rel", "mrel"):
                 print(f"error: bad --vars entry {piece!r}", file=sys.stderr)
                 return 2
-            sorts[name.strip()] = sort
+            if name not in sorts:
+                print(f"error: --vars names {name!r}, which the claim does not use",
+                      file=sys.stderr)
+                return 2
+            sorts[name] = sort
     roles, ends = slot_roles(term, sorts)
     slots = tuple(Slot(name, sorts[name], *ends[name]) for name in sorted(sorts))
     law = Law(

@@ -67,22 +67,6 @@ def cofission(r: MRel) -> MRel:
     return MRel._trusted(r.src, r.dst, tuple(rows))
 
 
-_MODES = {
-    "fusion": fusion,
-    "fission": fission,
-    "cofusion": cofusion,
-    "cofission": cofission,
-}
-
-
-def determinise(mode: str, r: MRel) -> MRel:
-    try:
-        f = _MODES[mode]
-    except KeyError:
-        raise ValueError(f"unknown determinisation mode {mode!r}") from None
-    return f(r)
-
-
 def closed_repr(mode: str, r: MRel) -> MRel:
     """Down- or up-closed representation: the closure of the fusion."""
     if mode not in ("down", "up"):

@@ -37,7 +37,7 @@ from itertools import chain, count
 from math import prod
 from typing import Callable, Mapping
 
-from .determinise import determinise as _determinise
+from . import determinise as _det
 from . import mrel as _mrel
 from . import peleg as _peleg
 from . import power as _power
@@ -369,7 +369,11 @@ def env_from_json(data: Mapping) -> Env:
             add(name, Carrier(require_size(c, f"carrier {name!r}")))
         else:
             require_object(c, f"carrier {name!r}")
-            names = tuple(c["names"]) if c.get("names") else None
+            names = c.get("names")
+            if names is not None:
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise ValueError(f"the names of carrier {name!r} must be a list of strings")
+                names = tuple(names)
             add(name, Carrier(require_size(c["size"], f"the size of carrier {name!r}"), names))
     for name, r in section("rels").items():
         add(name, Rel.from_json(r))
@@ -559,10 +563,10 @@ _OPS: dict[str, _Spec] = {
     "Pf": _spec("r a b -> rel pa pb", lambda r: _power.image_functor(r)),
     "kl": _spec("m a b -> rel pa pb", lambda m: _peleg.kleisli_lift(m)),
     "pl": _spec("m a b -> rel pa pb", lambda m: _peleg.peleg_lift(m)),
-    "do": _on_mrel(lambda m: _determinise("fusion", m)),
-    "di": _on_mrel(lambda m: _determinise("fission", m)),
-    "cfo": _on_mrel(lambda m: _determinise("cofusion", m)),
-    "cfi": _on_mrel(lambda m: _determinise("cofission", m)),
+    "do": _on_mrel(lambda m: _det.fusion(m)),
+    "di": _on_mrel(lambda m: _det.fission(m)),
+    "cfo": _on_mrel(lambda m: _det.cofusion(m)),
+    "cfi": _on_mrel(lambda m: _det.cofission(m)),
     "dsup": _on_mrel(_dsup),
     "icup": _spec("m a b, m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icup", r, s)),
     "icap": _spec("m a b, m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icap", r, s)),

@@ -119,22 +119,9 @@ class LawReport:
     elapsed_ms: int
 
     def to_json(self, timing: bool = False) -> dict:
-        out = {
-            "law": self.law,
-            "kind": self.kind,
-            "mode": self.mode,
-            "sizes": {k: self.sizes[k] for k in sorted(self.sizes)},
-            "checked": self.checked,
-            "skipped_by_condition": self.skipped_by_condition,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "expected": self.expected,
-            "as_declared": self.as_declared,
-            "counterexamples": self.counterexamples,
-            "seed": self.seed,
-        }
-        if timing:
-            out["elapsed_ms"] = self.elapsed_ms
+        out = dict(vars(self), sizes=dict(sorted(self.sizes.items())))
+        if not timing:
+            del out["elapsed_ms"]
         return out
 
 

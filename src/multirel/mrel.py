@@ -162,11 +162,10 @@ def _require_pow_ok(dst: Carrier, op: str):
 def mrel_const(kind: str, x: Carrier, y: Carrier) -> MRel:
     """Named constant multirelations over x <-> P(y).
 
-    ``eta`` requires equal carrier sizes; ``universal`` materializes the
-    full powerset per row and is therefore guarded by POW_CAP.
+    ``universal`` materializes the full powerset per row and is therefore
+    guarded by POW_CAP.
     """
-    if y.size > MASK_CAP:
-        raise MaskTooWide(f"carrier of size {y.size} exceeds mask cap {MASK_CAP}")
+    _require_mask_ok(y)
     if kind == "inner_unit":
         return MRel._trusted(x, y, ((0,),) * x.size)
     if kind == "inner_counit":
@@ -184,12 +183,6 @@ def mrel_const(kind: str, x: Carrier, y: Carrier) -> MRel:
         _require_pow_ok(y, "universal multirelation")
         row = tuple(range(1 << y.size))
         return MRel._trusted(x, y, (row,) * x.size)
-    if kind == "eta":
-        if x.size != y.size:
-            raise ShapeMismatch(
-                f"eta needs equal carriers, got {x.size} and {y.size}"
-            )
-        return MRel._trusted(x, y, tuple((1 << a,) for a in range(x.size)))
     raise ValueError(f"unknown multirelation constant {kind!r}")
 
 

@@ -18,10 +18,6 @@ from .power import alpha, image_functor
 from .rel import Rel, bits, pow_carrier, rel_bool, rel_compose
 
 
-def _dom_indices(r: MRel) -> list[int]:
-    return [a for a, row in enumerate(r.rows) if row]
-
-
 def _dom_mask(r: MRel) -> int:
     """The source elements with a non-empty row, as a mask."""
     acc = 0
@@ -34,7 +30,7 @@ def _dom_mask(r: MRel) -> int:
 def d_subrelations(r: MRel) -> Iterator[MRel]:
     """All univalent parts of ``r`` with the same domain, in lexicographic
     selection order.  Their union is ``r``."""
-    dom = _dom_indices(r)
+    dom = list(bits(_dom_mask(r)))
     size = 1
     for a in dom:
         size *= len(r.rows[a])

@@ -9,8 +9,7 @@ in the law suite rather than used as definitions.
 
 from __future__ import annotations
 
-from .errors import MASK_CAP, MaskTooWide
-from .mrel import MRel
+from .mrel import MRel, _require_mask_ok
 from .rel import Carrier, Rel, bits, full_mask, pow_carrier, rel_converse
 
 
@@ -34,10 +33,7 @@ def has_element_rel(y: Carrier) -> Rel:
 
 def power_transpose(r: Rel) -> MRel:
     """Each source element is sent to its single image set."""
-    if r.dst.size > MASK_CAP:
-        raise MaskTooWide(
-            f"image sets over carrier of size {r.dst.size} exceed mask cap {MASK_CAP}"
-        )
+    _require_mask_ok(r.dst)
     return MRel._trusted(r.src, r.dst, tuple((row,) for row in r.rows))
 
 
@@ -68,8 +64,7 @@ def image_functor(r: Rel) -> Rel:
 
 def eta(x: Carrier) -> MRel:
     """Unit of the powerset monad: each element to its singleton."""
-    if x.size > MASK_CAP:
-        raise MaskTooWide(f"carrier of size {x.size} exceeds mask cap {MASK_CAP}")
+    _require_mask_ok(x)
     return MRel._trusted(x, x, tuple((1 << a,) for a in range(x.size)))
 
 
@@ -107,15 +102,3 @@ def ccomp(y: Carrier) -> Rel:
     py = pow_carrier(y)
     top = full_mask(y.size)
     return Rel._trusted(py, py, tuple(1 << (a ^ top) for a in range(py.size)))
-
-
-def monad_const(kind: str, x: Carrier) -> Rel | MRel:
-    if kind == "eta":
-        return eta(x)
-    if kind == "mu":
-        return mu(x)
-    if kind == "omega":
-        return omega(x)
-    if kind == "ccomp":
-        return ccomp(x)
-    raise ValueError(f"unknown monad constant {kind!r}")

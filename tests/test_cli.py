@@ -282,6 +282,28 @@ class TestFindCex:
         )
         assert rc == 2
 
+    def test_vars_must_name_a_slot_of_the_claim(self, capsys):
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "R", "--rhs", "R", "--rel", "==",
+                "--sizes", "2,2", "--vars", "Q=mrel",
+            ]
+        )
+        assert rc == 2
+        assert "'Q'" in capsys.readouterr().err
+
+    def test_vars_entries_are_stripped(self, capsys):
+        rc = main(
+            [
+                "find-cex",
+                "--lhs", "R", "--rhs", "R", "--rel", "==",
+                "--sizes", "2,2", "--vars", "R = rel",
+            ]
+        )
+        assert rc == 0
+        assert "16 instances" in capsys.readouterr().out
+
 
 class TestConvert:
     def test_value_round_trip(self, tmp_path, capsys):
@@ -313,6 +335,7 @@ class TestConvert:
         {"src": 2, "dst": 2, "pairs": [[2, 0]]},
         {"rels": {"T": "x"}},
         "text",
+        {"carriers": {"X": {"size": 2, "names": "ab"}}},
     ])
     def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"

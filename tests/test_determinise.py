@@ -8,7 +8,6 @@ from multirel import (
     closed_repr,
     cofission,
     cofusion,
-    determinise,
     down,
     eta,
     fission,
@@ -86,16 +85,6 @@ class TestFusionFission:
             assert fission(fission(r)) == fission(r)
             assert fission(fusion(r)) == fission(r)
             assert fusion(fission(r)) == fusion(r)
-
-    def test_dispatcher(self):
-        r = M(2, 2, [(0, [0, 1]), (1, [])])
-        for mode, f in (
-            ("fusion", fusion),
-            ("fission", fission),
-            ("cofusion", cofusion),
-            ("cofission", cofission),
-        ):
-            assert determinise(mode, r) == f(r)
 
 
 class TestExplicitFormulas:

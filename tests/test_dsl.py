@@ -379,6 +379,16 @@ class TestEnvJson:
         assert env["R"] == R(2, 2, [(0, 1)])
         assert env["S"] == M(2, 2, [(0, [0])])
 
+    @pytest.mark.parametrize("names", ["ab", [1, 2], ["a", "a"], ["a"], {"a": 0, "b": 1}])
+    def test_carrier_names_are_checked(self, names):
+        with pytest.raises(ValueError):
+            env_from_json({"carriers": {"X": {"size": 2, "names": names}}})
+
+    def test_carrier_names_are_kept(self):
+        env = env_from_json({"carriers": {"X": {"size": 2, "names": ["p", "q"]},
+                                          "Y": {"size": 0, "names": []}}})
+        assert env["X"].names == ("p", "q") and env["Y"].names == ()
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             env_from_json(

@@ -69,9 +69,6 @@ class TestConstants:
         hi = mrel_const("inner_counit", C(2), C(3))
         assert icomp(lo) == hi
 
-    def test_eta(self):
-        assert mrel_const("eta", C(2), C(2)) == eta(C(2))
-
 
 class TestInnerBool:
     def test_icup_pointwise(self):

@@ -14,7 +14,6 @@ from multirel import (
     image_functor,
     instances,
     member_rel,
-    monad_const,
     mrel_to_rel,
     mu,
     omega,
@@ -140,12 +139,6 @@ class TestMonadConstants:
                     flat |= subset
             assert sorted(b for b in range(2) if m.has(fam, b)) == [flat]
         assert m.has(0b11, 1)
-
-    def test_monad_const_dispatch(self):
-        assert monad_const("eta", C(2)) == eta(C(2))
-        assert monad_const("omega", C(2)) == omega(C(2))
-        assert monad_const("mu", C(2)) == mu(C(2))
-        assert monad_const("ccomp", C(2)) == ccomp(C(2))
 
     def test_ccomp_is_involutive_bijection(self):
         c = ccomp(C(2))

@@ -10,7 +10,10 @@ from itertools import product
 
 import pytest
 
-from multirel import CapExceeded, Carrier, GenSpec, MaskTooWide, MRel, Rel, instances
+from multirel import (
+    CapExceeded, Carrier, GenSpec, MaskTooWide, MRel, Rel, eta, instances, mrel_const,
+    power_transpose, rel_const,
+)
 from multirel.dsl import _CONSTS, _OPS
 from conftest import C
 
@@ -128,6 +131,13 @@ class TestBoundaries:
             next(instances("mrel", spec))
         # no value asked for, none built: nothing to reject
         assert list(instances("mrel", GenSpec((1, 63), "random", count=0, where=spec.where))) == []
+
+    def test_constants_keep_the_mask_cap(self):
+        message = "^destination carrier of size 63 exceeds mask cap 62$"
+        for build in (lambda: mrel_const("empty", C(1), C(63)), lambda: eta(C(63)),
+                      lambda: power_transpose(rel_const("empty", C(1), C(63)))):
+            with pytest.raises(MaskTooWide, match=message):
+                build()
 
     def test_trusted_values_equal_validated_ones(self):
         rows = ((0, 3), (1,))
