@@ -13,36 +13,54 @@ are the bits ``1 << b``), general multirelations (all masks) and the inner
 deterministic and inner univalent filters (the singleton masks, plus the
 empty mask for inner univalent).  A pick draw takes exactly one candidate
 row.  It builds the outer deterministic and outer univalent filters (one
-mask, or for outer univalent also no mask).  Any other filter rejects
-instances after they are built.
+mask, or for outer univalent also no mask).  Any other filter rejects.
+
+Every property flag is row-wise: a value has it when each of its rows
+passes the flag's row test (``rel.REL_ROW_FLAGS``, ``mrel.MREL_ROW_FLAGS``;
+``test`` also needs carriers of one size).  So a random candidate is
+drawn one row at a time and dropped at its first failing row.  That leaves
+every stream as it was: candidate ``k`` reads only its own sub-seed, so
+how far an earlier candidate got changes no later draw.
 
 Exhaustive streams use numeric encoding order.  For a subset draw with
 ``n`` candidates, instance ``i`` takes candidate ``j`` into row ``a``
 exactly when bit ``a * n + j`` of ``i`` is set.  Pick draws follow
-``itertools.product`` order over the rows.
+``itertools.product`` order over the rows.  A filtered exhaustive stream
+drops the rows that fail first and enumerates the rest in the same order.
+``space_size`` counts the rows before any are dropped, so for a filtered
+stream it is a bound on the length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import POW_CAP, EnumerationTooLarge, PowersetTooLarge
-from .mrel import MRel, _require_mask_ok, classify_mrel
-from .rel import Carrier, Rel, classify_rel
+from .mrel import MRel, _require_mask_ok, mrel_has_flags, mrel_row_test
+from .rel import Carrier, Rel, rel_has_flags, rel_row_test
+
+# perfbench's tracer rebinds these names to count classifications made here
+from .mrel import classify_mrel  # noqa: F401
+from .rel import classify_rel  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
+# splitmix64: the state advances by GAMMA, and each output is the state
+# mixed by two xor-shift-multiply rounds and a final xor-shift
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 # Exhaustive enumeration is capped at 2^EXHAUSTIVE_BITS instances.
 EXHAUSTIVE_BITS = 24
 
 
 def mix64(x: int) -> int:
-    """The splitmix64 output function."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    """The splitmix64 output function: one step from state ``x``."""
+    x = (x + GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * MIX2) & _MASK64
     return x ^ (x >> 31)
 
 
@@ -53,11 +71,9 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        x = self.state
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return x ^ (x >> 31)
+        x = mix64(self.state)
+        self.state = (self.state + GAMMA) & _MASK64
+        return x
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
@@ -140,10 +156,10 @@ def rejects(kind: str, spec: GenSpec) -> bool:
     return bool(_model(kind, spec)[2])
 
 
-def satisfies(value: Rel | MRel, needs: Iterable[str]) -> bool:
+def satisfies(value: Rel | MRel, needs: Collection[str]) -> bool:
     """Whether ``value`` has every property flag named in ``needs``."""
-    flags = classify_rel(value) if isinstance(value, Rel) else classify_mrel(value)
-    return all(getattr(flags, name) for name in needs)
+    has = rel_has_flags if isinstance(value, Rel) else mrel_has_flags
+    return has(value, needs)
 
 
 def instances(kind: str, spec: GenSpec) -> Iterator[Rel] | Iterator[MRel]:
@@ -156,10 +172,19 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
     ns, nd = spec.shape
     src, dst = Carrier(ns), Carrier(nd)
     n = len(candidates)
-    # a subset draw joins its chosen candidates into a row; candidates are
-    # in range and ascending, so rows need no validation, and the mask
-    # width is checked once, where the first value would be built
-    join, make = (sum, Rel._trusted) if kind == "rel" else (tuple, MRel._trusted)
+    make = Rel._trusted if kind == "rel" else MRel._trusted
+    passes = (rel_row_test if kind == "rel" else mrel_row_test)(residual, ns, nd)
+    # the row a draw stands for: a pick draws an index into the candidates
+    # and a subset draw an n-bit chunk taking candidate j when bit j is set;
+    # candidates are in range and ascending, so rows need no validation
+    if pick:
+        row_of = candidates.__getitem__
+    elif kind == "rel":
+        row_of = int  # the candidates are the bits, so the chunk is the row
+    else:
+        def row_of(chunk):
+            return tuple(c for j, c in enumerate(candidates) if chunk >> j & 1)
+    # the mask width is checked once, where the first value would be built
     if spec.mode == "exhaustive":
         size = _size(pick, n, ns)
         if size > 1 << EXHAUSTIVE_BITS:
@@ -169,30 +194,27 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
             )
         if kind == "mrel":
             _require_mask_ok(dst)
+        if passes is None:
+            return
+        rows = [row_of(key) for key in range(n if pick else 1 << n)]
+        allowed = [[row for row in rows if passes(a, row)] for a in range(ns)]
         if pick:
-            choices = product(candidates, repeat=ns)
-        else:
-            # the row of each n-bit chunk of the code; a relation row is the chunk
-            rows = range(1 << n) if kind == "rel" else [
-                join(c for j, c in enumerate(candidates) if chunk >> j & 1)
-                for chunk in range(1 << n)
-            ]
-            width = (1 << n) - 1
-            choices = (
-                tuple(rows[code >> (a * n) & width] for a in range(ns)) for code in range(size)
-            )
-        for choice in choices:
-            value = make(src, dst, choice)
-            if not residual or satisfies(value, residual):
-                yield value
+            yield from (make(src, dst, choice) for choice in product(*allowed))
+        else:  # row 0 varies fastest
+            yield from (make(src, dst, choice[::-1]) for choice in product(*allowed[::-1]))
         return
 
     threshold = density_threshold(spec.density)
     if kind == "mrel" and spec.count > 0:
         _require_mask_ok(dst)
     produced = 0
-    candidate = 0
     budget = max(1000, spec.count * 1000)
+    candidate = 0 if passes else budget  # no candidate can pass
+    draws = [1 << j for j in range(n)]
+    # each row index maps a draw to its row, or to None if the row fails;
+    # a relation row's test may read its index, a multirelation row's not
+    memos = [{} for _ in range(ns)] if kind == "rel" else [{}] * ns
+    gamma, mix1, mix2, mask = GAMMA, MIX1, MIX2, _MASK64  # locals for the loop
     while produced < spec.count:
         if candidate >= budget:
             raise EnumerationTooLarge(
@@ -200,19 +222,36 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
                 f"{candidate} candidates",
                 candidate,
             )
-        rng = SplitMix64(mix64(spec.seed ^ candidate))
+        # splitmix64 from the candidate's sub-seed, inlined: SplitMix64's
+        # below(n) for a pick and one bernoulli(threshold) per candidate
+        # for a subset
+        state = mix64(spec.seed ^ candidate)
         candidate += 1
-        if pick:
-            choice = tuple(candidates[rng.below(n)] for _ in range(ns))
+        choice = []
+        for a, memo in enumerate(memos):
+            if pick:
+                state = (state + gamma) & mask
+                x = ((state ^ (state >> 30)) * mix1) & mask
+                x = ((x ^ (x >> 27)) * mix2) & mask
+                key = (x ^ (x >> 31)) % n
+            else:
+                key = 0
+                for bit in draws:
+                    state = (state + gamma) & mask
+                    x = ((state ^ (state >> 30)) * mix1) & mask
+                    x = ((x ^ (x >> 27)) * mix2) & mask
+                    if x ^ (x >> 31) < threshold:
+                        key |= bit
+            if key not in memo:
+                row = row_of(key)
+                memo[key] = row if passes(a, row) else None
+            row = memo[key]
+            if row is None:
+                break
+            choice.append(row)
         else:
-            choice = tuple(
-                join(c for c in candidates if rng.bernoulli(threshold)) for _ in range(ns)
-            )
-        value = make(src, dst, choice)
-        if residual and not satisfies(value, residual):
-            continue
-        produced += 1
-        yield value
+            produced += 1
+            yield make(src, dst, tuple(choice))
 
 
 def count_matching(kind: str, spec: GenSpec) -> int:

@@ -13,7 +13,7 @@ for ordinary relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import MASK_CAP, POW_CAP, MaskTooWide, PowersetTooLarge, ShapeMismatch
 from .rel import (
@@ -325,41 +325,70 @@ def preorder(mode: str, r: MRel, s: MRel) -> bool:
     raise ValueError(f"unknown preorder mode {mode!r}")
 
 
+def _outer_total(row: tuple[int, ...], width: int) -> bool:
+    return len(row) > 0
+
+
+def _outer_univalent(row: tuple[int, ...], width: int) -> bool:
+    return len(row) <= 1
+
+
+def _inner_total(row: tuple[int, ...], width: int) -> bool:
+    return 0 not in row
+
+
+def _inner_univalent(row: tuple[int, ...], width: int) -> bool:
+    return all(m.bit_count() <= 1 for m in row)
+
+
+# One-step checks suffice for closedness: adding or removing a single
+# element at a time reaches every super-/submask.
+def _up_closed(row: tuple[int, ...], width: int) -> bool:
+    present = set(row)
+    return all((m | 1 << b) in present for m in row for b in range(width) if not m >> b & 1)
+
+
+def _down_closed(row: tuple[int, ...], width: int) -> bool:
+    present = set(row)
+    return all((m ^ 1 << b) in present for m in row for b in range(width) if m >> b & 1)
+
+
+def _union_closed(row: tuple[int, ...], width: int) -> bool:
+    present = set(row)
+    return all((m | n) in present for i, m in enumerate(row) for n in row[i + 1:])
+
+
+# Each flag of ``classify_mrel`` as a test of one row, given the width of
+# the destination carrier: a multirelation has the flag when every row passes.
+MREL_ROW_FLAGS: dict[str, Callable[[tuple[int, ...], int], bool]] = {
+    "outer_total": _outer_total,
+    "outer_univalent": _outer_univalent,
+    "outer_deterministic": lambda row, w: _outer_total(row, w) and _outer_univalent(row, w),
+    "inner_total": _inner_total,
+    "inner_univalent": _inner_univalent,
+    "inner_deterministic": lambda row, w: _inner_total(row, w) and _inner_univalent(row, w),
+    "up_closed": _up_closed,
+    "down_closed": _down_closed,
+    "union_closed": _union_closed,
+}
+
+
+def mrel_row_test(
+    names: Collection[str], src: int, dst: int
+) -> Callable[[int, tuple[int, ...]], bool]:
+    """Whether row ``a`` passes every flag in ``names``, for multirelations
+    of ``src`` x ``dst``."""
+    tests = [MREL_ROW_FLAGS[name] for name in names]
+    return lambda a, row: all(t(row, dst) for t in tests)
+
+
+def mrel_has_flags(r: MRel, names: Collection[str]) -> bool:
+    passes = mrel_row_test(names, r.src.size, r.dst.size)
+    return all(passes(a, row) for a, row in enumerate(r.rows))
+
+
 def classify_mrel(r: MRel) -> PropertyFlags:
-    outer_total = all(len(row) > 0 for row in r.rows)
-    outer_univalent = all(len(row) <= 1 for row in r.rows)
-    inner_total = all(0 not in row for row in r.rows)
-    inner_univalent = all(m.bit_count() <= 1 for row in r.rows for m in row)
-    # One-step checks suffice for closedness: adding or removing a single
-    # element at a time reaches every super-/submask.
-    up_closed = True
-    down_closed = True
-    union_closed = True
-    width = r.dst.size
-    for row in r.rows:
-        present = set(row)
-        for m in row:
-            for b in range(width):
-                bit = 1 << b
-                if not m & bit and (m | bit) not in present:
-                    up_closed = False
-                if m & bit and (m ^ bit) not in present:
-                    down_closed = False
-        for m in row:
-            for n in row:
-                if (m | n) not in present:
-                    union_closed = False
-    return PropertyFlags(
-        outer_total=outer_total,
-        outer_univalent=outer_univalent,
-        outer_deterministic=outer_total and outer_univalent,
-        inner_total=inner_total,
-        inner_univalent=inner_univalent,
-        inner_deterministic=inner_total and inner_univalent,
-        up_closed=up_closed,
-        down_closed=down_closed,
-        union_closed=union_closed,
-    )
+    return PropertyFlags(**{name: mrel_has_flags(r, (name,)) for name in MREL_ROW_FLAGS})
 
 
 def split_terminal(r: MRel) -> tuple[MRel, MRel]:

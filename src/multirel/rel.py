@@ -12,7 +12,7 @@ presentation only: they never affect semantics, equality or serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import (
     POW_CAP,
@@ -324,10 +324,37 @@ def domain(r: Rel) -> Rel:
     return Rel._trusted(r.src, r.src, tuple(1 << a if row else 0 for a, row in enumerate(r.rows)))
 
 
+def _univalent(a: int, row: int) -> bool:
+    return row.bit_count() <= 1
+
+
+def _total(a: int, row: int) -> bool:
+    return row != 0
+
+
+# Each flag of ``classify_rel`` as a test of row ``a``: a relation has the
+# flag when every row passes, and ``test`` also needs src and dst of one size.
+REL_ROW_FLAGS: dict[str, Callable[[int, int], bool]] = {
+    "univalent": _univalent,
+    "total": _total,
+    "deterministic": lambda a, row: _univalent(a, row) and _total(a, row),
+    "test": lambda a, row: row & ~(1 << a) == 0,
+}
+
+
+def rel_row_test(names: Collection[str], src: int, dst: int) -> Callable[[int, int], bool] | None:
+    """Whether row ``a`` passes every flag in ``names``, for relations of
+    ``src`` x ``dst``; None when no relation of that shape has them all."""
+    if "test" in names and src != dst:
+        return None
+    tests = [REL_ROW_FLAGS[name] for name in names]
+    return lambda a, row: all(t(a, row) for t in tests)
+
+
+def rel_has_flags(r: Rel, names: Collection[str]) -> bool:
+    passes = rel_row_test(names, r.src.size, r.dst.size)
+    return passes is not None and all(passes(a, row) for a, row in enumerate(r.rows))
+
+
 def classify_rel(r: Rel) -> RelFlags:
-    univalent = all(row.bit_count() <= 1 for row in r.rows)
-    total = all(row != 0 for row in r.rows)
-    test = r.src.size == r.dst.size and all(
-        row & ~(1 << a) == 0 for a, row in enumerate(r.rows)
-    )
-    return RelFlags(univalent, total, univalent and total, test)
+    return RelFlags(**{name: rel_has_flags(r, (name,)) for name in REL_ROW_FLAGS})

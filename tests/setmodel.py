@@ -73,3 +73,41 @@ def fission(m: set, src_size: int) -> set:
         for b in {b for a2, big in m if a2 == a for b in big}:
             out.add((a, frozenset([b])))
     return out
+
+
+def rel_flags(r: Rel) -> dict[str, bool]:
+    """The flags of ``classify_rel``, from the pair set."""
+    pairs = rel_pairs(r)
+    images = [{b for a2, b in pairs if a2 == a} for a in range(r.src.size)]
+    univalent = all(len(image) <= 1 for image in images)
+    total = all(images)
+    return {
+        "univalent": univalent,
+        "total": total,
+        "deterministic": univalent and total,
+        "test": r.src.size == r.dst.size and all(a == b for a, b in pairs),
+    }
+
+
+def mrel_flags(m: MRel) -> dict[str, bool]:
+    """The flags of ``classify_mrel``, from the set of pairs; closedness
+    quantifies over every superset, subset or pair of sets."""
+    sets = mrel_sets(m)
+    dst = range(m.dst.size)
+    subsets = [frozenset(b for b in dst if k >> b & 1) for k in range(1 << m.dst.size)]
+    images = [[big for a2, big in sets if a2 == a] for a in range(m.src.size)]
+    outer_total = all(images)
+    outer_univalent = all(len(image) <= 1 for image in images)
+    inner_total = all(big for _, big in sets)
+    inner_univalent = all(len(big) <= 1 for _, big in sets)
+    return {
+        "outer_total": outer_total,
+        "outer_univalent": outer_univalent,
+        "outer_deterministic": outer_total and outer_univalent,
+        "inner_total": inner_total,
+        "inner_univalent": inner_univalent,
+        "inner_deterministic": inner_total and inner_univalent,
+        "up_closed": all((a, c) in sets for a, big in sets for c in subsets if big <= c),
+        "down_closed": all((a, c) in sets for a, big in sets for c in subsets if c <= big),
+        "union_closed": all((a, b | c) in sets for a, b in sets for a2, c in sets if a == a2),
+    }

@@ -13,13 +13,15 @@ from multirel import (
     Rel,
     SplitMix64,
     classify_mrel,
+    classify_rel,
     count_matching,
     instances,
     mix64,
     space_size,
 )
-from multirel.generate import rejects
-from conftest import C, M
+from multirel.generate import _model, density_threshold, rejects, satisfies
+from conftest import C, M, R
+from setmodel import mrel_flags, rel_flags
 
 
 class TestSplitMix:
@@ -105,6 +107,42 @@ class TestFilters:
             assert classify_mrel(m).inner_total
 
 
+class TestRowFlags:
+    """``satisfies`` tests only the flags it is asked for, row by row; it
+    must agree with ``classify_*`` and with the set model's definitions."""
+
+    @staticmethod
+    def _values():
+        yield from instances("mrel", GenSpec((2, 2)))
+        yield from instances("rel", GenSpec((3, 3)))
+        yield from instances("rel", GenSpec((2, 3)))
+        yield from instances("mrel", GenSpec((3, 2), "random", count=500, seed=3))
+
+    def test_satisfies_matches_classify(self):
+        seen = set()
+        for v in self._values():
+            if isinstance(v, Rel):
+                flags, oracle = vars(classify_rel(v)), rel_flags(v)
+            else:
+                flags, oracle = vars(classify_mrel(v)), mrel_flags(v)
+            assert flags == oracle, v
+            names = sorted(flags)
+            for i, f in enumerate(names):
+                assert satisfies(v, {f}) == flags[f], (v, f)
+                seen.add((type(v).__name__, f, flags[f]))
+                for g in names[i + 1:]:
+                    assert satisfies(v, {f, g}) == (flags[f] and flags[g]), (v, f, g)
+        # every flag both holds and fails somewhere, so no comparison is vacuous
+        assert len(seen) == 2 * (9 + 4)
+
+    def test_test_flag_reads_the_row_index(self):
+        assert satisfies(R(3, 3, [(1, 1), (2, 2)]), {"test"})
+        assert not satisfies(R(3, 3, [(1, 0)]), {"test"})
+        assert not satisfies(R(3, 3, [(2, 1)]), {"test"})
+        assert not satisfies(R(2, 3, []), {"test"})  # carriers of two sizes
+        assert not satisfies(R(0, 1, []), {"test"})  # even with no rows
+
+
 class TestRandom:
     def test_same_seed_same_stream(self):
         spec = GenSpec((2, 3), "random", count=25, seed=123)
@@ -124,6 +162,38 @@ class TestRandom:
         long = list(instances("rel", GenSpec((2, 2), "random", count=30, seed=77)))
         assert long[:10] == short
 
+    @pytest.mark.parametrize(
+        "kind,shape,where,density",
+        [
+            ("rel", (3, 3), "", 0.3),
+            ("mrel", (3, 2), "", 0.5),
+            ("mrel", (2, 3), "inner_univalent", 0.75),
+            ("mrel", (3, 2), "outer_univalent", 0.5),
+        ],
+    )
+    def test_inlined_draws_match_splitmix64(self, kind, shape, where, density):
+        # candidate k draws its rows from SplitMix64(mix64(seed ^ k)): one
+        # bernoulli per row candidate for a subset draw, one below(n) per
+        # row for a pick draw
+        spec = GenSpec(shape, "random", count=30, density=density, seed=4,
+                       where=frozenset([where] if where else []))
+        pick, candidates, residual = _model(kind, spec)
+        assert not residual
+        threshold = density_threshold(density)
+        expected = []
+        for k in range(30):
+            rng = SplitMix64(mix64(4 ^ k))
+            if pick:
+                rows = [candidates[rng.below(len(candidates))] for _ in range(shape[0])]
+            else:
+                rows = [[c for c in candidates if rng.bernoulli(threshold)]
+                        for _ in range(shape[0])]
+            if kind == "rel":
+                expected.append(Rel(C(shape[0]), C(shape[1]), tuple(sum(r) for r in rows)))
+            else:
+                expected.append(MRel(C(shape[0]), C(shape[1]), tuple(tuple(r) for r in rows)))
+        assert list(instances(kind, spec)) == expected
+
     def test_density_extremes(self):
         full = list(instances("rel", GenSpec((2, 2), "random", count=5, seed=1, density=1.0)))
         assert all(r.count() == 4 for r in full)
@@ -132,9 +202,12 @@ class TestRandom:
 
 
 # sha256 (first 16 hex digits) of the JSON of the first 300 instances of
-# each stream, taken before the generators shared one row model; random
-# streams draw 20 instances at seed 11.  Stream order is part of the report
-# contract: a changed digest changes which instances a law checks.
+# each stream; random streams draw 20 instances at seed 11.  A key is
+# ``(kind, where, mode, shape)``, with a fifth element for a density other
+# than 0.5; ``where`` joins several filters with ``+``.  Stream order is part
+# of the report contract: a changed digest changes which instances a law
+# checks.  The first block was taken before the generators shared one row
+# model, the second before random streams were drawn row by row.
 PINNED = {
     ("rel", "", "exhaustive", (2, 2)): "17152a7e47b49189",
     ("rel", "", "exhaustive", (2, 3)): "c66d80a5512be067",
@@ -184,11 +257,90 @@ PINNED = {
     ("mrel", "inner_total", "random", (2, 2)): "49582b56903491e9",
     ("mrel", "inner_total", "random", (2, 3)): "524d9e38dff1a480",
     ("mrel", "inner_total", "random", (3, 2)): "721caabd90802c10",
+    # taken before random streams were drawn row by row
+    ("rel", "", "random", (3, 3)): "5492c9b04d4ffd5b",
+    ("rel", "total", "random", (3, 3)): "5c2360ef91d46561",
+    ("rel", "univalent", "random", (3, 3)): "f6af4b314d14ee0b",
+    ("rel", "deterministic", "random", (3, 3)): "ff02885d1ed6ce89",
+    ("rel", "test", "random", (3, 3)): "4650f71ba1c5e5dc",
+    ("rel", "univalent", "exhaustive", (2, 2)): "df99c5242210b6b8",
+    ("rel", "univalent", "exhaustive", (3, 2)): "74a7b5720cdf4b01",
+    ("rel", "univalent", "exhaustive", (3, 3)): "8636d65ff06e0ea4",
+    ("rel", "univalent", "random", (2, 2)): "7b9de92c63516589",
+    ("rel", "univalent", "random", (3, 2)): "5ed63184a9ddc10f",
+    ("rel", "deterministic", "exhaustive", (2, 2)): "86fd9dbea6ad73d6",
+    ("rel", "deterministic", "exhaustive", (3, 2)): "416760d8bc274531",
+    ("rel", "deterministic", "exhaustive", (3, 3)): "bad4f78b602ef010",
+    ("rel", "deterministic", "random", (2, 2)): "a59f563243a159fe",
+    ("rel", "deterministic", "random", (3, 2)): "db296a6ddc71157e",
+    ("rel", "test", "exhaustive", (2, 2)): "2a24e268236c0b00",
+    ("rel", "test", "exhaustive", (3, 2)): "4f53cda18c2baa0c",
+    ("rel", "test", "exhaustive", (3, 3)): "1551716154c0147d",
+    ("rel", "test", "random", (2, 2)): "1d5e4a0731321e50",
+    ("mrel", "", "random", (3, 3)): "949f56273b71d456",
+    ("mrel", "inner_total", "random", (3, 3)): "09f0d4d849051b06",
+    ("mrel", "outer_total", "random", (3, 3)): "be74394ffe3a4aaa",
+    ("mrel", "union_closed", "random", (3, 3)): "fa1ea325b6b73456",
+    ("mrel", "outer_total", "exhaustive", (2, 2)): "eaf32a7e4b20c2d0",
+    ("mrel", "outer_total", "random", (2, 2)): "67d8d5c11031fa89",
+    ("mrel", "outer_total", "exhaustive", (2, 3)): "0ca3c2f0aa9a86b6",
+    ("mrel", "outer_total", "random", (2, 3)): "22e36e66575d75af",
+    ("mrel", "outer_total", "exhaustive", (3, 2)): "cb37cd0728b60352",
+    ("mrel", "outer_total", "random", (3, 2)): "60244f8d154faa43",
+    ("mrel", "union_closed", "exhaustive", (2, 2)): "c6315b3f76a99e3d",
+    ("mrel", "union_closed", "random", (2, 2)): "fc8a6d17291d8c2c",
+    ("mrel", "union_closed", "exhaustive", (2, 3)): "ef78366e8492a6fd",
+    ("mrel", "union_closed", "random", (2, 3)): "9f525eec15f611ef",
+    ("mrel", "union_closed", "exhaustive", (3, 2)): "b8bf2b872e02a25a",
+    ("mrel", "union_closed", "random", (3, 2)): "6e0110a4454ec8be",
+    ("mrel", "up_closed", "exhaustive", (2, 2)): "98a8e63218871f6d",
+    ("mrel", "up_closed", "random", (2, 2)): "993e3e77c9f7fd38",
+    ("mrel", "up_closed", "exhaustive", (2, 3)): "5068570f6d6b77c6",
+    ("mrel", "up_closed", "random", (2, 3)): "0a690b229879cba6",
+    ("mrel", "up_closed", "exhaustive", (3, 2)): "bba6735c0e678a92",
+    ("mrel", "up_closed", "random", (3, 2)): "7bd32ade42f7f6a7",
+    ("mrel", "down_closed", "exhaustive", (2, 2)): "4a2324d16545c8c4",
+    ("mrel", "down_closed", "random", (2, 2)): "4e4b9a19e108b625",
+    ("mrel", "down_closed", "exhaustive", (2, 3)): "d1460d3572ec918a",
+    ("mrel", "down_closed", "random", (2, 3)): "2fe7ff759f3b48aa",
+    ("mrel", "down_closed", "exhaustive", (3, 2)): "42830c184ad257f2",
+    ("mrel", "down_closed", "random", (3, 2)): "d9d5638cd140a4b5",
+    ("mrel", "inner_univalent+union_closed", "exhaustive", (2, 2)): "eb850ce1dca27399",
+    ("mrel", "inner_univalent+union_closed", "random", (3, 3)): "c4f613891511b3e2",
+    ("mrel", "outer_univalent+inner_total", "exhaustive", (2, 2)): "b8d5da87cfe29417",
+    ("mrel", "outer_univalent+inner_total", "random", (3, 3)): "6a8e4b6a343b0787",
+    ("mrel", "inner_deterministic+up_closed", "exhaustive", (2, 2)): "eb10880b386963ff",
+    ("mrel", "inner_deterministic+up_closed", "random", (3, 3)): "1c27fa1084387dad",
+    ("mrel", "outer_deterministic+down_closed", "exhaustive", (2, 2)): "3285b5fa6634afd1",
+    ("mrel", "outer_deterministic+down_closed", "random", (3, 3)): "bb0ceeaa1b9514b7",
+    ("rel", "", "random", (3, 3), 0.05): "ff53f73583404f6e",
+    ("rel", "total", "random", (3, 3), 0.05): "76a55a627e82f806",
+    ("mrel", "", "random", (3, 3), 0.05): "177e94b72c4064f0",
+    ("mrel", "inner_total", "random", (3, 3), 0.05): "fae96114e4d49e1e",
+    ("mrel", "union_closed", "random", (3, 3), 0.05): "b5acb2c3c137e5b2",
+    ("mrel", "inner_univalent+union_closed", "random", (3, 3), 0.05): "49dbfb21218c0dd4",
+    ("rel", "", "random", (3, 3), 0.3): "2f211a104f23c1c7",
+    ("rel", "total", "random", (3, 3), 0.3): "cd6478894a0e118a",
+    ("mrel", "", "random", (3, 3), 0.3): "6e1ae0c5e0849a0d",
+    ("mrel", "inner_total", "random", (3, 3), 0.3): "fed4385595b1c6a9",
+    ("mrel", "union_closed", "random", (3, 3), 0.3): "1d5b32e03e535761",
+    ("mrel", "inner_univalent+union_closed", "random", (3, 3), 0.3): "332689b6df103d06",
+    ("rel", "", "random", (3, 3), 0.75): "fcb07ac10ce793eb",
+    ("rel", "total", "random", (3, 3), 0.75): "6fff96c830a2a2de",
+    ("mrel", "", "random", (3, 3), 0.75): "580c91d93b751311",
+    ("mrel", "inner_total", "random", (3, 3), 0.75): "ce319c572662d6ef",
+    ("mrel", "union_closed", "random", (3, 3), 0.75): "a85ff295bcb6f0c6",
+    ("mrel", "inner_univalent+union_closed", "random", (3, 3), 0.75): "93d60ee43b5618eb",
+    ("mrel", "up_closed", "random", (3, 3), 0.3): "444d2c686c9a18d7",
+    ("mrel", "up_closed", "random", (3, 3), 0.75): "fa1430e7e43bc263",
+    ("mrel", "down_closed", "random", (3, 3), 0.3): "5e5cf6f5b912caae",
+    ("mrel", "down_closed", "random", (3, 3), 0.75): "5d8ede9ecbc415e8",
 }
 
 
-def _pinned(kind, where, mode, shape):
-    spec = GenSpec(shape, mode, count=20, seed=11, where=frozenset([where] if where else []))
+def _pinned(kind, where, mode, shape, density=0.5):
+    needs = frozenset(where.split("+")) if where else frozenset()
+    spec = GenSpec(shape, mode, count=20, density=density, seed=11, where=needs)
     return list(islice(instances(kind, spec), 300))
 
 
@@ -224,6 +376,28 @@ class TestPinnedStreams:
     )
     def test_filtered_stream_length(self, kind, where, shape, n):
         assert count_matching(kind, GenSpec(shape, where=frozenset([where]))) == n
+
+
+class TestRejectionBudget:
+    # a stream that finds too few instances within its candidate budget
+    # raises; the message and the candidate count are pinned
+    @pytest.mark.parametrize(
+        "kind,spec,message",
+        [
+            ("mrel", GenSpec((1, 1), "random", count=1, density=0.0,
+                             where=frozenset({"outer_total"})),
+             "rejection sampling for ['outer_total'] exhausted after 1000 candidates"),
+            ("mrel", GenSpec((3, 3), "random", count=20, seed=11,
+                             where=frozenset({"up_closed"})),
+             "rejection sampling for ['up_closed'] exhausted after 20000 candidates"),
+            ("rel", GenSpec((3, 2), "random", count=20, seed=11, where=frozenset({"test"})),
+             "rejection sampling for ['test'] exhausted after 20000 candidates"),
+        ],
+    )
+    def test_exhausted_budget(self, kind, spec, message):
+        with pytest.raises(EnumerationTooLarge) as info:
+            list(instances(kind, spec))
+        assert str(info.value) == message
 
 
 class TestSpaceSize:

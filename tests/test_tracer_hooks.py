@@ -11,8 +11,9 @@ import pytest
 
 import multirel
 import multirel.cli  # noqa: F401  (the tracer rebinds names in every loaded module)
-from multirel import laws, mrel
+from multirel import generate, laws, mrel, rel
 from multirel.dsl import _CONSTS, _OPS, Env, evaluate
+from multirel.generate import GenSpec
 from multirel.laws import Law, Slot, check
 from conftest import C, M, R
 
@@ -96,3 +97,16 @@ def test_every_term_operation_reaches_a_traced_kernel_function(tracer):
 def test_determinisation_is_traced_under_its_map(tracer):
     evaluate("di(R)", Env({"R": M(2, 2, [(0, [0, 1]), (1, [0])])}))
     assert "determinise.fission" in _recorded(tracer)
+
+
+def test_filtered_random_stream_is_traced(tracer):
+    # the tracer rebinds generate's classifier names and counts the values
+    # of streams drawn through laws.instances
+    assert generate.classify_mrel.__wrapped__ is mrel.classify_mrel
+    assert generate.classify_rel.__wrapped__ is rel.classify_rel
+    spec = GenSpec((3, 3), "random", count=5, seed=1, where=frozenset({"inner_total"}))
+    values = list(laws.instances("mrel", spec))
+    assert len(values) == 5 and all(0 not in row for v in values for row in v.rows)
+    assert _tracer_module().layer_metrics(tracer)[0]["generate.instances.items"] == 5
+    # a filter tests rows as they are drawn, never a whole value
+    assert "generate.classify_mrel" not in _recorded(tracer)
