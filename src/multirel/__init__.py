@@ -8,6 +8,8 @@ the determinisation maps, seeded instance generators, a registry of
 executable laws with counterexample shrinking, a term language and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ENUM_CAP,
     MASK_CAP,
@@ -93,11 +95,15 @@ from .determinise import (
     fixpoint_class,
     fusion,
 )
-from .generate import GenSpec, SplitMix64, count_matching, instances, mix64, space_size
+from .generate import GenSpec, SplitMix64, instances, mix64, space_size
 from .dsl import Env, evaluate, parse, print_term
 from .laws import Law, LawReport, Slot, check
 from .registry import law_by_id, registry
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name but the submodules, which ``import multirel.<name>`` reaches
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 
 __version__ = "0.1.0"

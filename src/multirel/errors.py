@@ -45,8 +45,8 @@ class MaskTooWide(CapExceeded):
 
 class EnumerationTooLarge(CapExceeded):
     """An enumeration would be too large: Peleg work over ENUM_CAP, an
-    exhaustive instance stream over 2^generate.EXHAUSTIVE_BITS instances,
-    or rejection sampling past its candidate budget.
+    exhaustive instance stream over 2^generate.EXHAUSTIVE_BITS instances or
+    candidate rows, or rejection sampling past its candidate budget.
 
     Carries enough context to identify the offending input.
     """

@@ -27,19 +27,22 @@ Exhaustive streams use numeric encoding order.  For a subset draw with
 exactly when bit ``a * n + j`` of ``i`` is set.  Pick draws follow
 ``itertools.product`` order over the rows.  A filtered exhaustive stream
 drops the rows that fail first and enumerates the rest in the same order.
-``space_size`` counts the rows before any are dropped, so for a filtered
-stream it is a bound on the length.
+So ``space_size``, the product over source elements of the number of rows
+that pass, is the exact length of every exhaustive stream.  The cap of
+2^EXHAUSTIVE_BITS bounds both the candidate rows a stream tests and its
+length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Collection, Iterator, Sequence
 
 from .errors import POW_CAP, EnumerationTooLarge, PowersetTooLarge
-from .mrel import MRel, _require_mask_ok, mrel_has_flags, mrel_row_test
-from .rel import Carrier, Rel, rel_has_flags, rel_row_test
+from .mrel import MREL_ROW_FLAGS, MRel, _require_mask_ok, mrel_has_flags, mrel_row_test
+from .rel import REL_ROW_FLAGS, Carrier, Rel, rel_has_flags, rel_row_test
 
 # perfbench's tracer rebinds these names to count classifications made here
 from .mrel import classify_mrel  # noqa: F401
@@ -52,7 +55,8 @@ GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
-# Exhaustive enumeration is capped at 2^EXHAUSTIVE_BITS instances.
+# An exhaustive stream tests at most 2^EXHAUSTIVE_BITS candidate rows and
+# yields at most 2^EXHAUSTIVE_BITS instances.
 EXHAUSTIVE_BITS = 24
 
 
@@ -93,7 +97,8 @@ class GenSpec:
     """What to generate: shape, mode and an optional property filter.
 
     ``where`` lists flag names that must hold (flags of ``classify_rel``
-    or ``classify_mrel`` depending on the kind).
+    or ``classify_mrel`` depending on the kind); any other name raises
+    ValueError.
     """
 
     shape: tuple[int, int]
@@ -118,12 +123,15 @@ def _model(kind: str, spec: GenSpec) -> tuple[bool, Sequence, frozenset[str]]:
     """A stream's row model: whether each row picks one candidate (else it
     takes any subset of them), the candidates, and the filters left to
     reject by.  Picked candidates are whole multirelation rows."""
+    if kind not in ("rel", "mrel"):
+        raise ValueError(f"unknown instance kind {kind!r}")
+    unknown = sorted(set(spec.where) - set(REL_ROW_FLAGS if kind == "rel" else MREL_ROW_FLAGS))
+    if unknown:
+        raise ValueError(f"unknown {kind} flag {unknown[0]!r}")
     nd = spec.shape[1]
     bits = [1 << b for b in range(nd)]
     if kind == "rel":
         return False, bits, frozenset(spec.where)
-    if kind != "mrel":
-        raise ValueError(f"unknown instance kind {kind!r}")
     shaping = next((f for f in _CONSTRUCTIVE if f in spec.where), None)
     residual = frozenset(spec.where) - {shaping}
     if shaping == "inner_deterministic":
@@ -138,22 +146,46 @@ def _model(kind: str, spec: GenSpec) -> tuple[bool, Sequence, frozenset[str]]:
     return True, [()] + singles if shaping == "outer_univalent" else singles, residual
 
 
-def _size(pick: bool, n: int, rows: int) -> int:
-    return n**rows if pick else 1 << (n * rows)
+# The row a draw stands for: a pick draws an index into the candidates and a
+# subset draw an n-bit chunk taking candidate j when bit j is set.  Candidates
+# are in range and ascending, so rows need no validation.
+def _row_of(kind: str, pick: bool, candidates: Sequence):
+    if pick:
+        return candidates.__getitem__
+    if kind == "rel":
+        return int  # the candidates are the bits, so the chunk is the row
+    return lambda chunk: tuple(c for j, c in enumerate(candidates) if chunk >> j & 1)
+
+
+def _capped(kind: str, n: int, what: str) -> None:
+    if n > 1 << EXHAUSTIVE_BITS:
+        message = f"exhaustive {kind} stream needs {n} {what} (cap 2^{EXHAUSTIVE_BITS})"
+        raise EnumerationTooLarge(message, n)
+
+
+def _allowed(kind, spec, pick, candidates, residual) -> list[Sequence]:
+    """Each source element's candidate rows that pass the ``residual``
+    filters, in draw order; the exhaustive stream is their product."""
+    ns, nd = spec.shape
+    keys = range(len(candidates) if pick else 1 << len(candidates))
+    _capped(kind, ns * len(keys), "row tests")
+    passes = (rel_row_test if kind == "rel" else mrel_row_test)(residual, ns, nd)
+    if passes is None:
+        return [[]]  # no value passes, so the product is empty
+    row_of = _row_of(kind, pick, candidates)
+    return [[row for row in map(row_of, keys) if passes(a, row)] for a in range(ns)]
 
 
 def space_size(kind: str, spec: GenSpec) -> int:
-    """How many instances the row model builds for ``spec``: the length of
-    its exhaustive stream when every filter is constructive, otherwise a
-    bound on that length.  Nothing is enumerated."""
-    pick, candidates, _ = _model(kind, spec)
-    return _size(pick, len(candidates), spec.shape[0])
-
-
-def rejects(kind: str, spec: GenSpec) -> bool:
-    """Whether the stream drops some instances it builds, so that it can be
-    shorter than ``space_size``."""
-    return bool(_model(kind, spec)[2])
+    """The exact length of the exhaustive stream for ``spec``: a closed form
+    when no filter rejects, else the product over source elements of the
+    number of candidate rows that pass.  Raises EnumerationTooLarge rather
+    than make more than 2^EXHAUSTIVE_BITS row tests."""
+    pick, candidates, residual = model = _model(kind, spec)
+    if residual:
+        return prod(map(len, _allowed(kind, spec, *model)))
+    n, ns = len(candidates), spec.shape[0]
+    return n**ns if pick else 1 << (n * ns)
 
 
 def satisfies(value: Rel | MRel, needs: Collection[str]) -> bool:
@@ -171,39 +203,24 @@ def instances(kind: str, spec: GenSpec) -> Iterator[Rel] | Iterator[MRel]:
 def _stream(kind, spec, pick, candidates, residual) -> Iterator:
     ns, nd = spec.shape
     src, dst = Carrier(ns), Carrier(nd)
-    n = len(candidates)
     make = Rel._trusted if kind == "rel" else MRel._trusted
-    passes = (rel_row_test if kind == "rel" else mrel_row_test)(residual, ns, nd)
-    # the row a draw stands for: a pick draws an index into the candidates
-    # and a subset draw an n-bit chunk taking candidate j when bit j is set;
-    # candidates are in range and ascending, so rows need no validation
-    if pick:
-        row_of = candidates.__getitem__
-    elif kind == "rel":
-        row_of = int  # the candidates are the bits, so the chunk is the row
-    else:
-        def row_of(chunk):
-            return tuple(c for j, c in enumerate(candidates) if chunk >> j & 1)
     # the mask width is checked once, where the first value would be built
     if spec.mode == "exhaustive":
-        size = _size(pick, n, ns)
-        if size > 1 << EXHAUSTIVE_BITS:
-            raise EnumerationTooLarge(
-                f"exhaustive {kind} stream needs {size} instances (cap 2^{EXHAUSTIVE_BITS})",
-                size,
-            )
+        # the length is capped first, so a stream over the cap with no filter
+        # builds no rows; a filtered stream tests its rows twice, within the cap
+        _capped(kind, space_size(kind, spec), "instances")
         if kind == "mrel":
             _require_mask_ok(dst)
-        if passes is None:
-            return
-        rows = [row_of(key) for key in range(n if pick else 1 << n)]
-        allowed = [[row for row in rows if passes(a, row)] for a in range(ns)]
+        allowed = _allowed(kind, spec, pick, candidates, residual)
         if pick:
             yield from (make(src, dst, choice) for choice in product(*allowed))
         else:  # row 0 varies fastest
             yield from (make(src, dst, choice[::-1]) for choice in product(*allowed[::-1]))
         return
 
+    n = len(candidates)
+    passes = (rel_row_test if kind == "rel" else mrel_row_test)(residual, ns, nd)
+    row_of = _row_of(kind, pick, candidates)
     threshold = density_threshold(spec.density)
     if kind == "mrel" and spec.count > 0:
         _require_mask_ok(dst)
@@ -253,7 +270,3 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
             produced += 1
             yield make(src, dst, tuple(choice))
 
-
-def count_matching(kind: str, spec: GenSpec) -> int:
-    """Cardinality of the stream the same spec would produce."""
-    return sum(1 for _ in instances(kind, spec))

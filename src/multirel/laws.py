@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .dsl import Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, parse
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
-from .generate import GenSpec, instances, mix64, rejects, satisfies, space_size
+from .generate import GenSpec, instances, mix64, satisfies, space_size
 from .mrel import MRel
 from .rel import Carrier, Rel, bits
 
@@ -216,20 +216,12 @@ def check(
 
     carriers = {role: Carrier(resolved[role]) for role in law.roles}
 
-    # choose exhaustive vs seeded-random by the size of the tuple space; a
-    # stream that rejects instances can be shorter than its space, so where
-    # every space fits the budget but their product does not, such streams
-    # are enumerated (once, for the check too) and their lengths decide
+    # choose exhaustive vs seeded-random by the size of the tuple space
     args = [_stream_args(s, resolved) for s in law.slots]
-    counted: dict[int, list] = {}
     try:
-        spaces = [space_size(*a) for a in args]
-        if prod(spaces) > law.budget and max(spaces) <= law.budget:
-            counted = {i: list(instances(*a)) for i, a in enumerate(args) if rejects(*a)}
-            spaces = [len(counted[i]) if i in counted else n for i, n in enumerate(spaces)]
+        space = prod(space_size(*a) for a in args)
     except CapExceeded as e:
         return finish("exhaustive", 0, 0, "skipped", str(e), [])
-    space = prod(spaces)
     mode = "exhaustive" if space <= law.budget else "random"
     n_random = count if count is not None else law.count
 
@@ -241,13 +233,8 @@ def check(
         densities = [density]
 
     def tuples() -> Iterator[tuple]:
-        if not law.slots:
-            yield ()
-            return
         if mode == "exhaustive":
-            yield from product(
-                *(counted[i] if i in counted else instances(*a) for i, a in enumerate(args))
-            )
+            yield from product(*(instances(*a) for a in args))
             return
         for phase, d in enumerate(densities):
             streams = [

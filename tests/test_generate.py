@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -14,14 +14,20 @@ from multirel import (
     SplitMix64,
     classify_mrel,
     classify_rel,
-    count_matching,
     instances,
     mix64,
     space_size,
 )
-from multirel.generate import _model, density_threshold, rejects, satisfies
+from multirel.generate import EXHAUSTIVE_BITS, _model, density_threshold, satisfies
+from multirel.mrel import MREL_ROW_FLAGS
+from multirel.rel import REL_ROW_FLAGS
 from conftest import C, M, R
 from setmodel import mrel_flags, rel_flags
+
+
+def _length(kind, spec):
+    """The length of a stream, counted by drawing it."""
+    return sum(1 for _ in instances(kind, spec))
 
 
 class TestSplitMix:
@@ -48,15 +54,15 @@ class TestExhaustive:
         ]
 
     def test_mrel_2_2_count(self):
-        assert count_matching("mrel", GenSpec((2, 2))) == 256
+        assert _length("mrel", GenSpec((2, 2))) == 256
 
     def test_rel_2_2_count(self):
-        assert count_matching("rel", GenSpec((2, 2))) == 16
+        assert _length("rel", GenSpec((2, 2))) == 16
 
     def test_counts_match_closed_forms(self):
         for ns, nd in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            assert count_matching("rel", GenSpec((ns, nd))) == 1 << (ns * nd)
-            assert count_matching("mrel", GenSpec((ns, nd))) == 1 << (ns * (1 << nd))
+            assert _length("rel", GenSpec((ns, nd))) == 1 << (ns * nd)
+            assert _length("mrel", GenSpec((ns, nd))) == 1 << (ns * (1 << nd))
 
     def test_no_duplicates(self):
         seen = set(instances("mrel", GenSpec((2, 2))))
@@ -70,17 +76,17 @@ class TestExhaustive:
 class TestFilters:
     def test_inner_univalent_count(self):
         spec = GenSpec((2, 2), where=frozenset(["inner_univalent"]))
-        assert count_matching("mrel", spec) == 64
+        assert _length("mrel", spec) == 64
 
     def test_outer_deterministic_count(self):
         spec = GenSpec((1, 2), where=frozenset(["outer_deterministic"]))
-        assert count_matching("mrel", spec) == 4
+        assert _length("mrel", spec) == 4
 
     def test_inner_deterministic_count(self):
         # rows are subsets of the singleton masks; the empty multirelation
         # is vacuously inner deterministic, so (1,2) has 4 instances
         spec = GenSpec((1, 2), where=frozenset(["inner_deterministic"]))
-        assert count_matching("mrel", spec) == 4
+        assert _length("mrel", spec) == 4
 
     def test_constructive_matches_rejection(self):
         for name in (
@@ -375,7 +381,7 @@ class TestPinnedStreams:
         ],
     )
     def test_filtered_stream_length(self, kind, where, shape, n):
-        assert count_matching(kind, GenSpec(shape, where=frozenset([where]))) == n
+        assert _length(kind, GenSpec(shape, where=frozenset([where]))) == n
 
 
 class TestRejectionBudget:
@@ -418,16 +424,52 @@ class TestSpaceSize:
     )
     def test_exact_where_filters_are_constructive(self, kind, where, shape):
         spec = GenSpec(shape, where=frozenset(where))
-        assert space_size(kind, spec) == count_matching(kind, spec)
-        assert not rejects(kind, spec)
-
-    def test_bounds_a_filtered_stream(self):
-        spec = GenSpec((2, 2), where=frozenset(["inner_total"]))
-        assert space_size("mrel", spec) == 256
-        assert count_matching("mrel", spec) == 64
-        assert rejects("mrel", spec)
+        assert space_size(kind, spec) == _length(kind, spec)
 
     def test_no_enumeration_needed(self):
         # 3,3 multirelations: far more than any stream could enumerate
         assert space_size("mrel", GenSpec((3, 4))) == 1 << (3 * 16)
         assert space_size("mrel", GenSpec((3, 3), where=frozenset(["outer_univalent"]))) == 9**3
+
+    @pytest.mark.parametrize("kind,flags", [("rel", REL_ROW_FLAGS), ("mrel", MREL_ROW_FLAGS)])
+    def test_exact_for_every_flag_and_pair(self, kind, flags):
+        # no flag, each flag and each pair of flags, at every shape up to
+        # 3,3; a stream over 2^16 values is too long to draw, so it is
+        # checked against the one-row stream: a multirelation row's test
+        # does not read its index, so each element passes the same rows
+        names = sorted(flags)
+        wheres = [()] + [(f,) for f in names] + list(combinations(names, 2))
+        large = 0
+        for shape in product((1, 2, 3), repeat=2):
+            for where in wheres:
+                spec = GenSpec(shape, where=frozenset(where))
+                size = space_size(kind, spec)
+                if size <= 1 << 16:
+                    assert size == _length(kind, spec), (kind, shape, where)
+                    continue
+                large += 1
+                one_row = GenSpec((1, shape[1]), where=spec.where)
+                assert kind == "mrel" and size == _length(kind, one_row) ** shape[0], (shape, where)
+        assert large == (0 if kind == "rel" else 7)
+
+    def test_cap_counts_the_passing_length(self):
+        # a nominal 2^25 relations, of which 32 are tests
+        spec = GenSpec((5, 5), where=frozenset({"test"}))
+        assert space_size("rel", spec) == 32
+        assert _length("rel", spec) == 32
+
+    def test_cap_bounds_the_rows_tested(self):
+        spec = GenSpec((1, 25), where=frozenset({"univalent"}))
+        message = rf"^exhaustive rel stream needs {1 << 25} row tests \(cap 2\^24\)$"
+        with pytest.raises(EnumerationTooLarge, match=message):
+            space_size("rel", spec)
+        with pytest.raises(EnumerationTooLarge, match=message):
+            next(instances("rel", spec))
+        assert EXHAUSTIVE_BITS == 24
+
+    def test_unknown_flag_is_named(self):
+        for kind, name in (("rel", "inner_total"), ("mrel", "tset")):
+            spec = GenSpec((2, 2), where=frozenset({name}))
+            for call in (space_size, instances):
+                with pytest.raises(ValueError, match=f"^unknown {kind} flag {name!r}$"):
+                    call(kind, spec)

@@ -59,6 +59,12 @@ class TestRegistry:
             for text in filter(None, (law.claim, law.guard)):
                 assert typecheck(parse(text), types).sort == "bool", (law.id, text)
 
+    def test_slot_needs_are_flags_of_their_sort(self):
+        flags = {"rel": rel.REL_ROW_FLAGS, "mrel": mrel.MREL_ROW_FLAGS}
+        for law in registry():
+            for slot in law.slots:
+                assert set(slot.needs) <= set(flags[slot.sort]), (law.id, slot)
+
     def test_no_law_is_stated_twice(self):
         from multirel.dsl import print_term
 
@@ -138,6 +144,12 @@ class TestCheck:
             "carriers": {"X": 1}, "rels": {"R": {"src": 1, "dst": 1, "pairs": []}}})
         with pytest.raises(ShapeMismatch, match="claim R is a rel"):
             check(pinned)
+
+    def test_misspelt_flag_is_named(self):
+        law = Law("dev-misspelt-need", "theorem", "a misspelt flag", "R <= R",
+                  (Slot("R", "mrel", "X", "Y", ("inner_totl",)),))
+        with pytest.raises(ValueError, match="^unknown mrel flag 'inner_totl'$"):
+            check(law, sizes=(2, 2))
 
     def test_law_seed_is_stable(self):
         assert law_seed(7, "some-law") == law_seed(7, "some-law")

@@ -4,7 +4,7 @@ so in CHANGES.md."""
 
 import multirel
 
-# ``__all__`` is every public name of the package, its submodules too.
+# ``__all__`` is every public name of the package but its submodules.
 PUBLIC = [
     "CapExceeded", "Carrier", "ENUM_CAP", "EnumerationTooLarge", "Env",
     "FixpointReport", "GenSpec", "IdentityShapeMismatch", "Law", "LawReport",
@@ -12,16 +12,15 @@ PUBLIC = [
     "PowersetTooLarge", "PropertyFlags", "Rel", "RelFlags", "ShapeMismatch", "Slot",
     "SplitMix64", "TermSyntaxError", "UnboundVariable", "UnknownLaw", "alpha",
     "bits", "ccomp", "check", "classify_mrel", "classify_rel", "closed_repr",
-    "closure", "cofission", "cofusion", "convex", "count_matching",
-    "d_subrelations", "determinise", "domain", "down", "dsl", "errors", "eta",
-    "evaluate", "fission", "fixpoint_class", "full_mask", "fusion", "generate",
+    "closure", "cofission", "cofusion", "convex", "d_subrelations", "domain", "down",
+    "eta", "evaluate", "fission", "fixpoint_class", "full_mask", "fusion",
     "has_element_rel", "icap", "icomp", "icup", "image_functor", "inner_bool",
     "inner_dual", "inner_union_family", "instances", "is_submrel", "is_subrel",
-    "kleisli_compose", "kleisli_lift", "law_by_id", "laws", "member_rel", "mix64",
-    "mrel", "mrel_bool", "mrel_const", "mrel_to_rel", "mu", "nu", "odot", "omega",
-    "parse", "peleg", "peleg_compose", "peleg_compose_oracle", "peleg_lift",
-    "pow_carrier", "power", "power_transpose", "preorder", "print_term", "registry",
-    "rel", "rel_bool", "rel_compose", "rel_const", "rel_converse", "rel_to_mrel",
+    "kleisli_compose", "kleisli_lift", "law_by_id", "member_rel", "mix64",
+    "mrel_bool", "mrel_const", "mrel_to_rel", "mu", "nu", "odot", "omega",
+    "parse", "peleg_compose", "peleg_compose_oracle", "peleg_lift",
+    "pow_carrier", "power_transpose", "preorder", "print_term", "registry",
+    "rel_bool", "rel_compose", "rel_const", "rel_converse", "rel_to_mrel",
     "residual", "space_size", "split_terminal", "symmetric_quotient", "tau", "up",
 ]
 
