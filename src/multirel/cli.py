@@ -31,17 +31,6 @@ def _value_json(v):
     return v.to_json()
 
 
-def _parse_sizes(text: str) -> tuple[int, int]:
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) != 2 or any(p < 1 for p in parts):
-        print("error: --sizes expects two positive integers, e.g. 2,2", file=sys.stderr)
-        raise SystemExit(2)
-    return parts[0], parts[1]
-
-
 def _number(kind, ok, wants: str):
     """An argparse type: a number of ``kind`` for which ``ok`` holds."""
     def parse(text: str):
@@ -57,11 +46,25 @@ def _number(kind, ok, wants: str):
 
 _DENSITY = _number(float, lambda d: 0 <= d <= 1, "a number from 0 to 1")
 _COUNT = _number(int, lambda n: n >= 1, "a positive integer")
+_SIZES = _number(lambda text: tuple(map(int, text.split(","))),
+                 lambda sizes: len(sizes) == 2 and min(sizes) >= 1,
+                 "two positive integers joined by a comma")
 
 
 # What loading a value or an environment file raises on malformed input;
 # a value past a size cap is left to main, which exits 3.
 _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError)
+
+
+def _write(path: str, text: str) -> int:
+    """Writes ``text`` to ``path``: exit 0, or 2 if it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -74,10 +77,8 @@ def _cmd_eval(args) -> int:
     value = evaluate(args.expr, env)
     text = json.dumps(_value_json(value), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -112,8 +113,7 @@ def _report_lines(rep: LawReport) -> str:
 
 
 def _cmd_check(args) -> int:
-    sizes = _parse_sizes(args.sizes) if args.sizes else None
-    kwargs = dict(sizes=sizes, seed=args.seed)
+    kwargs = dict(sizes=args.sizes, seed=args.seed)
     if args.random is not None:
         kwargs["count"] = args.random
     if args.density is not None:
@@ -132,7 +132,7 @@ def _cmd_check(args) -> int:
     if args.json:
         payload = {
             "seed": args.seed,
-            "sizes": list(sizes) if sizes else [2, 2],
+            "sizes": list(args.sizes or (2, 2)),
             "all_as_declared": ok,
             "reports": [r.to_json(timing=args.timing) for r in reports],
         }
@@ -147,7 +147,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_find_cex(args) -> int:
-    sizes = _parse_sizes(args.sizes)
     claim = f"({args.lhs}) {args.rel} ({args.rhs})"
     term = Cmp(args.rel, parse(args.lhs), parse(args.rhs))
     sorts = slot_sorts(term)
@@ -172,11 +171,11 @@ def _cmd_find_cex(args) -> int:
         slots=slots,
         roles=roles,
         expected="fail",
-        size_cap=max(sizes),
+        size_cap=max(args.sizes),
         count=args.random if args.random is not None else 2000,
         density=args.density if args.density is not None else 0.5,
     )
-    rep = check(law, sizes=sizes, seed=args.seed, collect=1)
+    rep = check(law, sizes=args.sizes, seed=args.seed, collect=1)
     if rep.verdict == "skipped":
         print(f"skipped: {rep.reason}", file=sys.stderr)
         return 3
@@ -201,9 +200,7 @@ def _cmd_convert(args) -> int:
     except _LOAD_ERRORS as e:
         print(f"error: malformed value file: {e}", file=sys.stderr)
         return 2
-    with open(args.outfile, "w") as fh:
-        fh.write(json.dumps(out, indent=2) + "\n")
-    return 0
+    return _write(args.outfile, json.dumps(out, indent=2) + "\n")
 
 
 def _canonicalize(data):
@@ -246,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--law")
     g.add_argument("--all", action="store_true")
-    p.add_argument("--sizes", default=None, help="carrier sizes, e.g. 2,2")
+    p.add_argument("--sizes", type=_SIZES, default=None, help="carrier sizes, e.g. 2,2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=_COUNT, default=None, help="random tuples per law")
     p.add_argument("--density", type=_DENSITY, default=None)
@@ -258,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--rel", required=True, choices=_INFIX[0].tokens)  # comparisons
-    p.add_argument("--sizes", required=True)
+    p.add_argument("--sizes", type=_SIZES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=_COUNT, default=None)
     p.add_argument("--density", type=_DENSITY, default=None)

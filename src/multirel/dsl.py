@@ -149,12 +149,39 @@ def _lex(text: str) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent, with precedence climbing over ``_INFIX``)
 
+# The most levels a term may nest: each operator, call, constant with
+# carrier arguments, ``pw`` and pair of parentheses around a sub-term is one
+# level.  Parsing, checking and evaluating a term recurse once per level.
+_MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _lex(text)
         self.i = 0
+        self.open = 0  # levels entered on the way down
+        # a parsed sub-term's id -> its levels; the ids stay unique, since
+        # every sub-term parsed so far is held by the term being built
+        self.depth: dict[int, int] = {}
+
+    def bounded(self, n: int, pos: int) -> int:
+        """``n`` levels, refused at ``pos`` if that is past _MAX_DEPTH."""
+        if n <= _MAX_DEPTH:
+            return n
+        raise TermSyntaxError(f"term nested deeper than {_MAX_DEPTH} levels at position {pos}", pos)
+
+    def inside(self, item: Callable, pos: int):
+        """``item()``, one level further in, refused before it recurses."""
+        self.open = self.bounded(self.open + 1, pos)
+        t = item()
+        self.open -= 1
+        return t
+
+    def up(self, t, pos: int, *kids):
+        """``t``, one level above the deepest of ``kids`` (by default, its operands)."""
+        below = (self.depth.get(id(k), 0) for k in kids or _operands(t))
+        self.depth[id(t)] = self.bounded(1 + max(below), pos)
+        return t
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -189,7 +216,8 @@ class _Parser:
         left = self.prefix()
         while (level := _LEVEL.get(self.peek().text, -1)) >= loosest:
             name, _, assoc, node = _INFIX[level]
-            left = node(self.take().text, left, self.infix(level + 1))
+            op = self.take()
+            left = self.up(node(op.text, left, self.infix(level + 1)), op.pos)
             nxt = self.peek()
             if assoc != "left" and _LEVEL.get(nxt.text) == level:
                 raise TermSyntaxError(
@@ -199,21 +227,20 @@ class _Parser:
 
     def prefix(self) -> Term:
         if self.peek().text == "-":
-            self.take()
-            return Un("-", self.prefix())
+            pos = self.take().pos
+            return self.up(Un("-", self.inside(self.prefix, pos)), pos)
         t = self.atom()
         while self.peek().text == "^":
-            self.take()
-            t = Un("^", t)
+            t = self.up(Un("^", t), self.take().pos)
         return t
 
     def atom(self) -> Term:
         t = self.peek()
         if t.text == "(":
             self.take()
-            inner = self.infix()
+            inner = self.inside(self.infix, t.pos)
             self.expect(")")
-            return inner
+            return self.up(inner, t.pos, inner)
         if t.kind != "ident":
             raise TermSyntaxError(
                 f"expected a term at position {t.pos}, found {t.text!r}",
@@ -223,7 +250,7 @@ class _Parser:
         self.take()
         name = t.text
         if name in _OPS:
-            args = self.arguments(self.infix)
+            args = self.arguments(lambda: self.inside(self.infix, t.pos))
             want = len(_OPS[name].views)
             if len(args) != want:
                 raise TermSyntaxError(
@@ -231,7 +258,7 @@ class _Parser:
                     f"(position {t.pos})",
                     t.pos,
                 )
-            return Call(name, args)
+            return self.up(Call(name, args), t.pos)
         if name in _CONSTS:
             if self.peek().text != "(":
                 return Const(name)
@@ -242,7 +269,7 @@ class _Parser:
                     f"{name} takes {want} carrier argument(s) (position {t.pos})",
                     t.pos,
                 )
-            return Const(name, args)
+            return self.up(Const(name, args), t.pos, *args)
         if self.peek().text == "(":
             raise TermSyntaxError(
                 f"unknown operation {name!r} at position {t.pos}", t.pos
@@ -268,9 +295,9 @@ class _Parser:
         self.take()
         if t.text == "pw":
             self.expect("(")
-            inner = self.carrier_expr()
+            inner = self.inside(self.carrier_expr, t.pos)
             self.expect(")")
-            return CPow(inner)
+            return self.up(CPow(inner), t.pos, inner)
         return CRef(t.text)
 
 

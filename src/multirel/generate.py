@@ -40,9 +40,9 @@ from itertools import product
 from math import prod
 from typing import Collection, Iterator, Sequence
 
-from .errors import POW_CAP, EnumerationTooLarge, PowersetTooLarge
+from .errors import EnumerationTooLarge
 from .mrel import MREL_ROW_FLAGS, MRel, _require_mask_ok, mrel_has_flags, mrel_row_test
-from .rel import REL_ROW_FLAGS, Carrier, Rel, rel_has_flags, rel_row_test
+from .rel import REL_ROW_FLAGS, Carrier, Rel, _require_pow_ok, rel_has_flags, rel_row_test
 
 # perfbench's tracer rebinds these names to count classifications made here
 from .mrel import classify_mrel  # noqa: F401
@@ -138,8 +138,7 @@ def _model(kind: str, spec: GenSpec) -> tuple[bool, Sequence, frozenset[str]]:
         return False, bits, residual
     if shaping == "inner_univalent":
         return False, [0] + bits, residual
-    if nd > POW_CAP:
-        raise PowersetTooLarge(f"multirelation rows over 2^{nd} masks exceed cap 2^{POW_CAP}")
+    _require_pow_ok(Carrier(nd))
     if shaping is None:
         return False, range(1 << nd), residual
     singles = [(m,) for m in range(1 << nd)]

@@ -15,21 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .errors import MASK_CAP, POW_CAP, MaskTooWide, PowersetTooLarge, ShapeMismatch
-from .rel import (
-    Carrier, Rel, bits, full_mask, pow_carrier, require_index, require_object, require_size,
-)
-
-_new = object.__new__
+from .errors import MASK_CAP, MaskTooWide, ShapeMismatch
+from .rel import Carrier, Rel, _Arrow, _require_pow_ok, bits, full_mask, pow_carrier
+from .rel import require_index, require_object, require_size
 
 
 @dataclass(frozen=True, eq=False)
-class MRel:
-    """A multirelation src <-> P(dst); rows hold sorted subset masks."""
+class MRel(_Arrow):
+    """A multirelation src <-> P(dst): ``rows`` holds, per source element,
+    a strictly ascending tuple of subset masks."""
 
-    src: Carrier
-    dst: Carrier
-    rows: tuple[tuple[int, ...], ...]
+    _SHAPE = "{}<->P{}"
 
     def __post_init__(self):
         _require_mask_ok(self.dst)
@@ -42,18 +38,6 @@ class MRel:
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 raise ValueError("row masks must be strictly ascending")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MRel):
-            return NotImplemented
-        return (
-            self.src.size == other.src.size
-            and self.dst.size == other.dst.size
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.src.size, self.dst.size, self.rows))
-
     def __repr__(self) -> str:
         body = ", ".join(
             f"({a},{{{','.join(str(b) for b in bits(m))}}})" for a, m in self.pairs()
@@ -63,15 +47,6 @@ class MRel:
     @classmethod
     def make(cls, src: Carrier, dst: Carrier, rows: Sequence[Iterable[int]]) -> "MRel":
         return cls(src, dst, tuple(tuple(sorted(set(row))) for row in rows))
-
-    @classmethod
-    def _trusted(cls, src: Carrier, dst: Carrier, rows: tuple[tuple[int, ...], ...]) -> "MRel":
-        """A kernel result whose rows are already canonical, built without
-        validation; every public constructor validates."""
-        self = _new(cls)
-        d = self.__dict__
-        d["src"], d["dst"], d["rows"] = src, dst, rows
-        return self
 
     @classmethod
     def _from_sets(cls, src: Carrier, dst: Carrier, rows: Iterable[Iterable[int]]) -> "MRel":
@@ -137,25 +112,10 @@ class PropertyFlags:
     union_closed: bool
 
 
-def _require_same_shape(r: MRel, s: MRel, op: str):
-    if r.src.size != s.src.size or r.dst.size != s.dst.size:
-        raise ShapeMismatch(
-            f"{op}: shapes {r.src.size}<->P{r.dst.size} and "
-            f"{s.src.size}<->P{s.dst.size} differ"
-        )
-
-
 def _require_mask_ok(dst: Carrier):
     if dst.size > MASK_CAP:
         raise MaskTooWide(
             f"destination carrier of size {dst.size} exceeds mask cap {MASK_CAP}"
-        )
-
-
-def _require_pow_ok(dst: Carrier, op: str):
-    if dst.size > POW_CAP:
-        raise PowersetTooLarge(
-            f"{op}: would materialize 2^{dst.size} subset masks (cap 2^{POW_CAP})"
         )
 
 
@@ -180,7 +140,7 @@ def mrel_const(kind: str, x: Carrier, y: Carrier) -> MRel:
     if kind == "empty":
         return MRel._trusted(x, y, ((),) * x.size)
     if kind == "universal":
-        _require_pow_ok(y, "universal multirelation")
+        _require_pow_ok(y)
         row = tuple(range(1 << y.size))
         return MRel._trusted(x, y, (row,) * x.size)
     raise ValueError(f"unknown multirelation constant {kind!r}")
@@ -196,9 +156,7 @@ def inner_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
         return MRel._trusted(
             r.src, r.dst, tuple(tuple(m ^ top for m in reversed(row)) for row in r.rows)
         )
-    if s is None:
-        raise ValueError(f"{op} needs a second operand")
-    _require_same_shape(r, s, op)
+    r._require_same_shape(s, op)
     both = zip(r.rows, s.rows)
     if op == "icup":
         rows = [{m | n for m in row_r for n in row_s} for row_r, row_s in both]
@@ -239,20 +197,18 @@ def mrel_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     if op != "complement" and op not in _OUTER:
         raise ValueError(f"unknown boolean operation {op!r}")
     if op == "complement":
-        _require_pow_ok(r.dst, "outer complement")
+        _require_pow_ok(r.dst)
         everything = range(1 << r.dst.size)
         return MRel._trusted(r.src, r.dst, tuple(
             tuple(m for m in everything if m not in present) for present in map(set, r.rows)
         ))
-    if s is None:
-        raise ValueError(f"{op} needs a second operand")
-    _require_same_shape(r, s, op)
+    r._require_same_shape(s, op)
     combine = _OUTER[op]
     return MRel._from_sets(r.src, r.dst, [combine(set(a), b) for a, b in zip(r.rows, s.rows)])
 
 
 def is_submrel(r: MRel, s: MRel) -> bool:
-    _require_same_shape(r, s, "inclusion")
+    r._require_same_shape(s, "inclusion")
     return all(set(a) <= set(b) for a, b in zip(r.rows, s.rows))
 
 
@@ -265,7 +221,7 @@ def closure(mode: str, r: MRel) -> MRel:
         return mrel_bool("inter", closure("up", r), closure("down", r))
     if mode not in ("up", "down"):
         raise ValueError(f"unknown closure mode {mode!r}")
-    _require_pow_ok(r.dst, f"{mode}-closure")
+    _require_pow_ok(r.dst)
     top = full_mask(r.dst.size)
     rows = []
     for row in r.rows:
@@ -309,7 +265,7 @@ def preorder(mode: str, r: MRel, s: MRel) -> bool:
     iff every pair of s dominates some pair of r, and Hoare-below iff
     every pair of r is dominated by some pair of s.
     """
-    _require_same_shape(r, s, "preorder")
+    r._require_same_shape(s, "preorder")
     if mode == "smyth":
         return all(
             all(any(m & ~a == 0 for m in row_r) for a in row_s)
@@ -418,14 +374,14 @@ def inner_dual(r: MRel) -> MRel:
 
 def mrel_to_rel(r: MRel) -> Rel:
     """The same arrow viewed as a relation into the materialized powerset."""
-    _require_pow_ok(r.dst, "powerset view")
+    pdst = pow_carrier(r.dst)
     rows = []
     for row in r.rows:
         acc = 0
         for m in row:
             acc |= 1 << m
         rows.append(acc)
-    return Rel._trusted(r.src, pow_carrier(r.dst), tuple(rows))
+    return Rel._trusted(r.src, pdst, tuple(rows))
 
 
 def rel_to_mrel(r: Rel) -> MRel:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from .errors import ENUM_CAP, EnumerationTooLarge, ShapeMismatch
+from .errors import ENUM_CAP, EnumerationTooLarge
 from .mrel import MRel, inner_bool, mrel_to_rel, rel_to_mrel
 from .power import alpha, image_functor
-from .rel import Rel, bits, pow_carrier, rel_bool, rel_compose
+from .rel import Rel, _require_carriers, bits, pow_carrier, rel_bool, rel_compose
 
 
 def _dom_mask(r: MRel) -> int:
@@ -102,10 +102,7 @@ def peleg_compose(r: MRel, s: MRel) -> MRel:
     element of B, provided each element of B has a non-empty ``s``-row;
     B empty contributes (a, empty).
     """
-    if r.dst.size != s.src.size:
-        raise ShapeMismatch(
-            f"peleg compose: inner carriers {r.dst.size} and {s.src.size} differ"
-        )
+    _require_carriers(r.dst.size, s.src.size, "peleg compose: inner")
     dom = _dom_mask(s)
     out_rows: list[set[int]] = []
     for a, row in enumerate(r.rows):
@@ -122,10 +119,7 @@ def peleg_compose_oracle(r: MRel, s: MRel) -> MRel:
     """Same composition, computed as r composed with the union of the
     liftings of the univalent parts of s.  Exercises a disjoint code path
     (decomposition, materialized powersets, relational composition)."""
-    if r.dst.size != s.src.size:
-        raise ShapeMismatch(
-            f"peleg compose: inner carriers {r.dst.size} and {s.src.size} differ"
-        )
+    _require_carriers(r.dst.size, s.src.size, "peleg compose: inner")
     py = pow_carrier(s.src)
     pz = pow_carrier(s.dst)
     dom_mask = 0
@@ -146,10 +140,7 @@ def peleg_compose_oracle(r: MRel, s: MRel) -> MRel:
 def kleisli_compose(r: MRel, s: MRel) -> MRel:
     """Compose with the Kleisli lifting of the second factor, computed
     row-wise without materializing the powerset of the source."""
-    if r.dst.size != s.src.size:
-        raise ShapeMismatch(
-            f"kleisli compose: inner carriers {r.dst.size} and {s.src.size} differ"
-        )
+    _require_carriers(r.dst.size, s.src.size, "kleisli compose: inner")
     fused = [0] * s.src.size
     for b, row in enumerate(s.rows):
         for m in row:

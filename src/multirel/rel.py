@@ -90,22 +90,69 @@ def require_size(n, what: str) -> int:
     return n
 
 
+def _require_pow_ok(carrier: Carrier) -> None:
+    """The one check of POW_CAP, for a powerset carrier or a row's masks."""
+    if carrier.size > POW_CAP:
+        raise PowersetTooLarge(
+            f"cannot materialize powerset of carrier of size {carrier.size} (cap {POW_CAP})"
+        )
+
+
 def pow_carrier(base: Carrier) -> Carrier:
     """The materialized powerset of ``base``, in numeric mask order."""
-    if base.size > POW_CAP:
-        raise PowersetTooLarge(
-            f"cannot materialize powerset of carrier of size {base.size} (cap {POW_CAP})"
-        )
+    _require_pow_ok(base)
     return Carrier(1 << base.size, base=base)
 
 
+def _require_carriers(m: int, n: int, what: str) -> None:
+    """ShapeMismatch unless the two carriers that ``what`` joins agree."""
+    if m != n:
+        raise ShapeMismatch(f"{what} carriers {m} and {n} differ")
+
+
 @dataclass(frozen=True, eq=False)
-class Rel:
-    """A relation src <-> dst as a packed bit matrix."""
+class _Arrow:
+    """An arrow with one row per source element: a ``Rel``, or an ``MRel``,
+    which is a relation into a powerset.  Equality is the class, carrier
+    sizes and rows; names and powerset tags are presentation/metadata.
+    Each class's ``_SHAPE`` formats its carrier sizes for messages."""
 
     src: Carrier
     dst: Carrier
-    rows: tuple[int, ...]
+    rows: tuple
+
+    @classmethod
+    def _trusted(cls, src: Carrier, dst: Carrier, rows: tuple):
+        """A kernel result, built without validation; public constructors validate."""
+        self = _new(cls)
+        d = self.__dict__
+        d["src"], d["dst"], d["rows"] = src, dst, rows
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src.size == other.src.size and self.dst.size == other.dst.size
+                and self.rows == other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.src.size, self.dst.size, self.rows))
+
+    def _require_same_shape(self, other: "_Arrow | None", op: str) -> None:
+        """Raises unless ``other`` is given and has this arrow's carrier sizes."""
+        if other is None:
+            raise ValueError(f"{op} needs a second operand")
+        if self.src.size != other.src.size or self.dst.size != other.dst.size:
+            shapes = (a._SHAPE.format(a.src.size, a.dst.size) for a in (self, other))
+            raise ShapeMismatch(f"{op}: shapes {' and '.join(shapes)} differ")
+
+
+@dataclass(frozen=True, eq=False)
+class Rel(_Arrow):
+    """A relation src <-> dst as a packed bit matrix: ``rows`` holds one
+    bitmask per source element."""
+
+    _SHAPE = "{}x{}"
 
     def __post_init__(self):
         if len(self.rows) != self.src.size:
@@ -114,29 +161,6 @@ class Rel:
         for r in self.rows:
             if r < 0 or r & ~top:
                 raise ValueError("row mask exceeds destination carrier")
-
-    @classmethod
-    def _trusted(cls, src: Carrier, dst: Carrier, rows: tuple[int, ...]) -> "Rel":
-        """A kernel result whose rows are known to fit, built without
-        validation; every public constructor validates."""
-        self = _new(cls)
-        d = self.__dict__
-        d["src"], d["dst"], d["rows"] = src, dst, rows
-        return self
-
-    # Names and powerset tags are presentation/metadata; equality is
-    # carrier sizes plus content.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rel):
-            return NotImplemented
-        return (
-            self.src.size == other.src.size
-            and self.dst.size == other.dst.size
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.src.size, self.dst.size, self.rows))
 
     def __repr__(self) -> str:
         return f"Rel({self.src.size}x{self.dst.size}, {sorted(self.pairs())})"
@@ -183,13 +207,6 @@ class RelFlags:
     test: bool
 
 
-def _require_same_shape(r: Rel, s: Rel, op: str):
-    if r.src.size != s.src.size or r.dst.size != s.dst.size:
-        raise ShapeMismatch(
-            f"{op}: shapes {r.src.size}x{r.dst.size} and {s.src.size}x{s.dst.size} differ"
-        )
-
-
 def rel_const(kind: str, src: Carrier, dst: Carrier) -> Rel:
     """The named constant: ``identity``, ``empty`` or ``universal``."""
     if kind == "identity":
@@ -210,9 +227,7 @@ def rel_bool(op: str, r: Rel, s: Rel | None = None) -> Rel:
     if op == "complement":
         top = full_mask(r.dst.size)
         return Rel._trusted(r.src, r.dst, tuple(row ^ top for row in r.rows))
-    if s is None:
-        raise ValueError(f"{op} needs a second operand")
-    _require_same_shape(r, s, op)
+    r._require_same_shape(s, op)
     if op == "union":
         rows = tuple(x | y for x, y in zip(r.rows, s.rows))
     elif op == "inter":
@@ -226,10 +241,7 @@ def rel_bool(op: str, r: Rel, s: Rel | None = None) -> Rel:
 
 def rel_compose(r: Rel, s: Rel) -> Rel:
     """Relational composition: (a,c) iff some b with r(a,b) and s(b,c)."""
-    if r.dst.size != s.src.size:
-        raise ShapeMismatch(
-            f"compose: inner carriers {r.dst.size} and {s.src.size} differ"
-        )
+    _require_carriers(r.dst.size, s.src.size, "compose: inner")
     out = []
     for row in r.rows:
         acc = 0
@@ -248,7 +260,7 @@ def rel_converse(r: Rel) -> Rel:
 
 
 def is_subrel(r: Rel, s: Rel) -> bool:
-    _require_same_shape(r, s, "inclusion")
+    r._require_same_shape(s, "inclusion")
     return all(x & ~y == 0 for x, y in zip(r.rows, s.rows))
 
 
@@ -261,19 +273,13 @@ def residual(side: str, t: Rel, s: Rel) -> Rel:
     -( -t ; s~ ) and -( t~ ; -s ).
     """
     if side == "left":
-        if t.dst.size != s.dst.size:
-            raise ShapeMismatch(
-                f"left residual: target carriers {t.dst.size} and {s.dst.size} differ"
-            )
+        _require_carriers(t.dst.size, s.dst.size, "left residual: target")
         rows = tuple(
             _subset_row(s.rows, trow) for trow in t.rows
         )
         return Rel._trusted(t.src, s.src, rows)
     if side == "right":
-        if t.src.size != s.src.size:
-            raise ShapeMismatch(
-                f"right residual: source carriers {t.src.size} and {s.src.size} differ"
-            )
+        _require_carriers(t.src.size, s.src.size, "right residual: source")
         tc = rel_converse(t)
         sc = rel_converse(s)
         rows = tuple(_superset_row(sc.rows, tcol) for tcol in tc.rows)
@@ -303,10 +309,7 @@ def symmetric_quotient(t: Rel, s: Rel) -> Rel:
     t: Z<->X and s: Z<->Y give a result X<->Y.  Computed by direct column
     comparison; agreement with (t\\s) & (t~/s~) is checked in the law suite.
     """
-    if t.src.size != s.src.size:
-        raise ShapeMismatch(
-            f"syq: source carriers {t.src.size} and {s.src.size} differ"
-        )
+    _require_carriers(t.src.size, s.src.size, "syq: source")
     tc = rel_converse(t)
     sc = rel_converse(s)
     rows = []

@@ -44,6 +44,23 @@ class TestEval:
     def test_unbound_is_usage_error(self, env_file, capsys):
         assert main(["eval", "--env", env_file, "--expr", "missing"]) == 2
 
+    def test_unwritable_output_is_a_usage_error(self, env_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["eval", "--env", env_file, "--expr", "R", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("expr, position", [
+        ("(" * 400 + "R" + ")" * 400, 100),
+        ("R" + "^" * 3000, 101),
+        (" | ".join(["R"] * 3000), 402),
+        ("-" * 500 + "R", 100),
+    ], ids=["parentheses", "postfix", "infix-chain", "prefix"])
+    def test_deeply_nested_terms_are_usage_errors(self, env_file, capsys, expr, position):
+        assert main(["eval", "--env", env_file, "--expr=" + expr]) == 2
+        assert capsys.readouterr().err == (
+            f"error: term nested deeper than 100 levels at position {position}\n"
+        )
+
     def test_syntax_error(self, env_file):
         assert main(["eval", "--env", env_file, "--expr", "do(R"]) == 2
 
@@ -126,12 +143,6 @@ class TestCheck:
         assert rep["seed"] == 3
         assert "elapsed_ms" not in rep
 
-    def test_malformed_sizes_get_a_message(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["check", "--all", "--sizes", "x,2"])
-        assert e.value.code == 2
-        assert "--sizes expects two positive integers" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", [
         ["check", "--law", "L2.2-icap-assoc", "--sizes", "3,3"],
         ["find-cex", "--lhs", "R", "--rhs", "R", "--rel", "==", "--sizes", "2,2"],
@@ -143,6 +154,10 @@ class TestCheck:
         ("--density", "x", "a number from 0 to 1"),
         ("--random", "-5", "a positive integer"),
         ("--random", "0", "a positive integer"),
+        ("--sizes", "x,2", "two positive integers joined by a comma"),
+        ("--sizes", "0,2", "two positive integers joined by a comma"),
+        ("--sizes", "2", "two positive integers joined by a comma"),
+        ("--sizes", "2,2,2", "two positive integers joined by a comma"),
     ])
     def test_numbers_out_of_range_get_a_message(self, capsys, command, option, value, wants):
         with pytest.raises(SystemExit) as e:
@@ -246,6 +261,11 @@ class TestFindCex:
         assert rc == 2
         assert "R ; mem(Y)" in capsys.readouterr().err
 
+    def test_deeply_nested_claim_is_a_usage_error(self, capsys):
+        lhs = "(" * 400 + "R" + ")" * 400
+        assert main(["find-cex", "--lhs", lhs, "--rhs", "R", "--rel", "==", "--sizes", "2,2"]) == 2
+        assert "nested deeper than 100 levels" in capsys.readouterr().err
+
     def test_vars_override_sorts(self, capsys):
         rc = main(
             [
@@ -323,6 +343,11 @@ class TestConvert:
         assert main(["convert", "--in", env_file, "--out", str(dst)]) == 0
         data = json.loads(dst.read_text())
         assert data["mrels"]["R"]["rows"] == [[[0, 1]], []]
+
+    def test_unwritable_output_is_a_usage_error(self, env_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["convert", "--in", env_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"

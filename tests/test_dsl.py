@@ -87,6 +87,25 @@ class TestParsing:
             parse("R ? S")
 
 
+class TestNesting:
+    """A term nests at most 100 levels: each operator, call, constant with
+    carrier arguments, ``pw`` and pair of parentheses is one level."""
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "R" + ")" * n,
+        lambda n: "R" + "^" * n,
+        lambda n: "-" * n + "R",
+        lambda n: " | ".join(["R"] * (n + 1)),
+        lambda n: "do(" * n + "R" + ")" * n,
+        lambda n: "eta(" + "pw(" * (n - 1) + "X" + ")" * n,
+        lambda n: "(" * (n - 4) + "-R^ ; R" + ")" * (n - 4) + " | R",
+    ], ids=["parentheses", "postfix", "prefix", "infix-chain", "calls", "carriers", "mixed"])
+    def test_a_hundred_levels_parse_and_one_more_does_not(self, nest):
+        parse(nest(100))
+        with pytest.raises(TermSyntaxError, match="^term nested deeper than 100 levels at "):
+            parse(nest(101))
+
+
 class TestGrammarPinned:
     """Trees, printed forms and syntax errors as recorded before the
     grammar was read from one operator table.  The digest covers every
@@ -101,8 +120,8 @@ class TestGrammarPinned:
                 digest.update(repr((repr(tree), print_term(tree))).encode())
                 count += 1
         assert (count, digest.hexdigest()) == (
-            239,
-            "41f484a4ee69531a46fa920cfcb9547bda7f36fae5c4b606eb098643d6257625",
+            238,
+            "b1c894a81fd17ef93cb00db2e08fbfe216d7f71e24ef695e616e542de7544370",
         )
 
     @pytest.mark.parametrize(

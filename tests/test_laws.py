@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import product
 
 import pytest
@@ -66,11 +67,21 @@ class TestRegistry:
                 assert set(slot.needs) <= set(flags[slot.sort]), (law.id, slot)
 
     def test_no_law_is_stated_twice(self):
+        # statements are compared with slots and roles renamed by position,
+        # so a law that only renames another's operands is caught too
         from multirel.dsl import print_term
 
         def statement(law):
-            guard = law.guard and print_term(parse(law.guard))
-            return (print_term(parse(law.claim)), guard, law.slots, law.roles, law.kind,
+            names = {slot.name: f"s{i}" for i, slot in enumerate(law.slots)}
+            names.update((role, f"c{j}") for j, role in enumerate(law.roles))
+
+            def canonical(text):
+                printed = print_term(parse(text))
+                return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), printed)
+
+            slots = tuple((s.sort, names[s.src], names[s.dst], s.needs) for s in law.slots)
+            guard = law.guard and canonical(law.guard)
+            return (canonical(law.claim), guard, slots, len(law.roles), law.kind,
                     law.expected)
 
         first: dict = {}

@@ -11,8 +11,8 @@ from itertools import product
 import pytest
 
 from multirel import (
-    CapExceeded, Carrier, GenSpec, MaskTooWide, MRel, Rel, eta, instances, mrel_const,
-    power_transpose, rel_const,
+    CapExceeded, Carrier, GenSpec, MaskTooWide, MRel, PowersetTooLarge, Rel, ShapeMismatch,
+    eta, instances, mrel, mrel_const, peleg, power_transpose, rel, rel_const, space_size,
 )
 from multirel.dsl import _CONSTS, _OPS
 from conftest import C
@@ -151,3 +151,52 @@ class TestBoundaries:
         for kind, shape in product(("rel", "mrel"), ((1, 1), (2, 3), (3, 2))):
             for v in instances(kind, GenSpec(shape)):
                 assert _revalidated(v) == v
+
+
+class TestArrowCore:
+    """``Rel`` and ``MRel`` share one base, ``rel._Arrow``: one equality,
+    one same-shape check, one carrier check and one powerset-cap check."""
+
+    def test_every_powerset_cap_reads_one_message(self):
+        message = r"^cannot materialize powerset of carrier of size 17 \(cap 16\)$"
+        wide = MRel(C(1), C(17), ((),))
+        for build in (lambda: rel.pow_carrier(C(17)),
+                      lambda: mrel.mrel_const("universal", C(1), C(17)),
+                      lambda: mrel.mrel_bool("complement", wide),
+                      lambda: mrel.closure("up", wide),
+                      lambda: mrel.mrel_to_rel(wide),
+                      lambda: space_size("mrel", GenSpec((1, 17))),
+                      lambda: next(instances("mrel", GenSpec((1, 17), "random", count=1)))):
+            with pytest.raises(PowersetTooLarge, match=message):
+                build()
+
+    @pytest.mark.parametrize("op, kind, message", [
+        (rel.rel_compose, "rel", "compose: inner"),
+        (lambda t, s: rel.residual("left", t, s), "rel", "left residual: target"),
+        (lambda t, s: rel.residual("right", rel.rel_converse(t), s), "rel",
+         "right residual: source"),
+        (lambda t, s: rel.symmetric_quotient(rel.rel_converse(t), s), "rel", "syq: source"),
+        (peleg.peleg_compose, "mrel", "peleg compose: inner"),
+        (peleg.peleg_compose_oracle, "mrel", "peleg compose: inner"),
+        (peleg.kleisli_compose, "mrel", "kleisli compose: inner"),
+    ])
+    def test_carrier_checks_keep_their_messages(self, op, kind, message):
+        empty = rel.rel_const if kind == "rel" else mrel.mrel_const
+        with pytest.raises(ShapeMismatch, match=f"^{message} carriers 3 and 2 differ$"):
+            op(empty("empty", C(2), C(3)), empty("empty", C(2), C(2)))
+
+    def test_binary_operations_need_two_operands_of_one_shape(self):
+        r, m = rel_const("empty", C(2), C(2)), mrel_const("empty", C(2), C(2))
+        for call in (lambda: rel.rel_bool("union", r), lambda: mrel.inner_bool("icup", m),
+                     lambda: mrel.mrel_bool("inter", m)):
+            with pytest.raises(ValueError, match="^(union|icup|inter) needs a second operand$"):
+                call()
+        with pytest.raises(ShapeMismatch, match="^union: shapes 2x2 and 2x3 differ$"):
+            rel.rel_bool("union", r, rel_const("empty", C(2), C(3)))
+        with pytest.raises(ShapeMismatch, match=r"^icap: shapes 2<->P2 and 2<->P3 differ$"):
+            mrel.inner_bool("icap", m, mrel_const("empty", C(2), C(3)))
+
+    def test_a_relation_never_equals_a_multirelation(self):
+        r, m = Rel(C(0), C(2), ()), MRel(C(0), C(2), ())
+        assert r.rows == m.rows and hash(r) == hash(m)
+        assert r != m and m != r and len({r, m}) == 2
