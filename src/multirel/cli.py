@@ -51,9 +51,10 @@ _SIZES = _number(lambda text: tuple(map(int, text.split(","))),
                  "two positive integers joined by a comma")
 
 
-# What loading a value or an environment file raises on malformed input;
+# What loading a value or an environment file raises on malformed input
+# (``json.load`` raises RecursionError on a document nested too deeply);
 # a value past a size cap is left to main, which exits 3.
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError)
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError)
 
 
 def _write(path: str, text: str) -> int:
@@ -192,7 +193,7 @@ def _cmd_convert(args) -> int:
     try:
         with open(args.infile) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         print(f"error: cannot read input: {e}", file=sys.stderr)
         return 2
     try:

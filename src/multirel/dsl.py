@@ -155,6 +155,21 @@ def _lex(text: str) -> list[_Tok]:
 _MAX_DEPTH = 100
 
 
+def _require_depth(t: Term) -> None:
+    """Refuse ``t`` if it nests deeper than _MAX_DEPTH levels, as ``parse``
+    refuses text: each operator, call, constant with carrier arguments and
+    ``pw`` is one level.  It walks an explicit stack, so that ``typecheck``
+    and ``print_term`` refuse a term built in Python before they recurse
+    over it."""
+    stack = [(t, 0)]
+    while stack:
+        t, n = stack.pop()
+        kids = t.args if isinstance(t, Const) else (t.arg,) if isinstance(t, CPow) else _operands(t)
+        if kids and n == _MAX_DEPTH:
+            raise TermSyntaxError(f"term nested deeper than {_MAX_DEPTH} levels", 0)
+        stack.extend((k, n + 1) for k in kids)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
@@ -346,6 +361,7 @@ def _show(t: Term) -> tuple[str, int]:
 
 
 def print_term(t: Term) -> str:
+    _require_depth(t)
     return _show(t)[0]
 
 
@@ -544,10 +560,13 @@ def _on_mrel(fn: Callable) -> _Spec:
 
 
 def _dsup(m: MRel) -> MRel:
-    acc = _mrel.mrel_const("empty", m.src, m.dst)
+    """The union of the univalent same-domain parts of ``m``, gathered
+    row by row into one set per source element."""
+    rows: list[set[int]] = [set() for _ in range(m.src.size)]
     for part in _peleg.d_subrelations(m):
-        acc = _mrel.mrel_bool("union", acc, part)
-    return acc
+        for acc, row in zip(rows, part.rows):
+            acc.update(row)
+    return MRel._from_sets(m.src, m.dst, rows)
 
 
 # The infix operators, loosest first.  Each level has a name, its tokens,
@@ -760,8 +779,9 @@ def typecheck(t: Term, types: Mapping) -> Typed:
 
     ``types`` maps carrier names to carrier types (a role name, a size or
     ``Pw``) and value names to their ``Sig``.  Raises ShapeMismatch naming
-    the offending sub-term, or UnboundVariable.  The evaluator keeps
-    nothing from one evaluation to the next."""
+    the offending sub-term, UnboundVariable, or TermSyntaxError for a term
+    nested deeper than _MAX_DEPTH levels.  The evaluator keeps nothing from
+    one evaluation to the next."""
     return _typecheck(t, types, None)
 
 
@@ -772,6 +792,7 @@ def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
     ``_table``), and sub-terms that read no name are computed once.  The
     caller owns ``tables`` and decides how long they live; with None,
     nothing is kept."""
+    _require_depth(t)
     consts: list[_Node] = []
     root = _walk(t, types, consts, t)
     for node in consts:

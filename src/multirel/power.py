@@ -10,7 +10,7 @@ in the law suite rather than used as definitions.
 from __future__ import annotations
 
 from .mrel import MRel, _require_mask_ok
-from .rel import Carrier, Rel, bits, full_mask, pow_carrier, rel_converse
+from .rel import Carrier, Rel, full_mask, pow_carrier, rel_converse
 
 
 def member_rel(y: Carrier) -> Rel:
@@ -49,17 +49,26 @@ def _union(masks) -> int:
     return acc
 
 
+def _image_rows(masks) -> tuple[int, ...]:
+    """For every subset A of the indices of ``masks``, in numeric order, the
+    row holding only the union of the masks A picks.  Each subset's union
+    is the union of the same subset without its top element, plus one mask.
+    The unions become rows in place, so no second list of them is held."""
+    out = [0]
+    for m in masks:
+        out += [u | m for u in out]
+    for i, u in enumerate(out):
+        out[i] = 1 << u
+    return tuple(out)
+
+
 def image_functor(r: Rel) -> Rel:
-    """P(r): maps every subset to its relational image; deterministic."""
+    """P(r): maps every subset to its relational image; deterministic.
+    Each subset's image is the image of the subset without its top element
+    joined with one row of ``r``."""
     px = pow_carrier(r.src)
     py = pow_carrier(r.dst)
-    rows = []
-    for a_mask in range(px.size):
-        image = 0
-        for a in bits(a_mask):
-            image |= r.rows[a]
-        rows.append(1 << image)
-    return Rel._trusted(px, py, tuple(rows))
+    return Rel._trusted(px, py, _image_rows(r.rows))
 
 
 def eta(x: Carrier) -> MRel:
@@ -69,16 +78,12 @@ def eta(x: Carrier) -> MRel:
 
 
 def mu(x: Carrier) -> Rel:
-    """Multiplication of the powerset monad: union-flattening P^2(x) -> P(x)."""
+    """Multiplication of the powerset monad: union-flattening P^2(x) -> P(x).
+    Each family's union is that of the family without its largest subset,
+    joined with that subset."""
     px = pow_carrier(x)
     ppx = pow_carrier(px)
-    rows = []
-    for fam in range(ppx.size):
-        flat = 0
-        for subset in bits(fam):
-            flat |= subset
-        rows.append(1 << flat)
-    return Rel._trusted(ppx, px, tuple(rows))
+    return Rel._trusted(ppx, px, _image_rows(range(px.size)))
 
 
 def omega(y: Carrier) -> Rel:

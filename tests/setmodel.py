@@ -7,7 +7,7 @@ and is written for clarity, not speed.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from multirel import MRel, Rel
 
@@ -57,6 +57,57 @@ def kleisli(r: set, s: set) -> set:
         union = frozenset(c for b in big for b2, c in flat if b2 == b)
         out.add((a, union))
     return out
+
+
+def members(mask: int) -> frozenset[int]:
+    """The elements of a subset mask, as a set."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def lifted_pairs(r: Rel) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """A relation between powersets, with each end as a set of elements."""
+    return {(members(a), members(b)) for a, b in r.pairs()}
+
+
+def subsets(n: int) -> list[frozenset[int]]:
+    """Every subset of range(n)."""
+    return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+
+
+def image(r: set, src_size: int) -> set:
+    """P(r): each subset of the source to its image under r."""
+    return {(a, frozenset(b for x, b in r if x in a)) for a in subsets(src_size)}
+
+
+def mu(n: int) -> set:
+    """Each family of subsets of range(n) to its union."""
+    families = [frozenset(f) for k in range(2**n + 1) for f in combinations(subsets(n), k)]
+    return {(f, frozenset(b for big in f for b in big)) for f in families}
+
+
+def kleisli_lift(m: set, src_size: int) -> set:
+    """Each subset A to the union of every set that m relates to an element of A."""
+    return {(a, frozenset(b for x, big in m if x in a for b in big)) for a in subsets(src_size)}
+
+
+def choices(m: set, a: frozenset[int]) -> list[dict[int, frozenset[int]]]:
+    """Every function from ``a`` that picks, for each x, a set m relates to x."""
+    opts = [[big for x2, big in m if x2 == x] for x in sorted(a)]
+    return [dict(zip(sorted(a), pick)) for pick in product(*opts)]
+
+
+def peleg_lift(m: set, src_size: int) -> set:
+    """(A, B) for every choice over A whose chosen sets have union B."""
+    return {
+        (a, frozenset(b for big in f.values() for b in big))
+        for a in subsets(src_size)
+        for f in choices(m, a)
+    }
+
+
+def dsup(m: set) -> set:
+    """The union of the graphs of the choices over the domain of m."""
+    return {(x, big) for f in choices(m, frozenset(x for x, _ in m)) for x, big in f.items()}
 
 
 def fusion(m: set, src_size: int) -> set:

@@ -64,6 +64,13 @@ class TestEval:
     def test_syntax_error(self, env_file):
         assert main(["eval", "--env", env_file, "--expr", "do(R"]) == 2
 
+    def test_deeply_nested_environment_is_a_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["eval", "--env", str(deep), "--expr", "R"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load environment: ") and "recursion" in err
+
     def test_cap_exceeded(self, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"carriers": {"X": 40}}))
@@ -348,6 +355,15 @@ class TestConvert:
         out = tmp_path / "missing" / "o.json"
         assert main(["convert", "--in", env_file, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_deeply_nested_input_is_a_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "o.json"
+        assert main(["convert", "--in", str(deep), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input: ") and "recursion" in err
+        assert not out.exists()
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -16,17 +16,20 @@ from multirel.dsl import (
     Call,
     Cmp,
     Const,
+    CPow,
     CRef,
     Env,
     Un,
     Var,
     env_from_json,
+    env_types,
     eval_term,
     evaluate,
     parse,
     print_term,
     slot_roles,
     slot_sorts,
+    typecheck,
     _lex,
 )
 from multirel.registry import registry
@@ -104,6 +107,36 @@ class TestNesting:
         parse(nest(100))
         with pytest.raises(TermSyntaxError, match="^term nested deeper than 100 levels at "):
             parse(nest(101))
+
+    @staticmethod
+    def built(n: int, wrap=lambda t: Un("^", t), t=Var("R")):
+        for _ in range(n):
+            t = wrap(t)
+        return t
+
+    @pytest.mark.parametrize("check", [
+        lambda t: typecheck(t, env_types(std_env(R=R(2, 2, [(0, 1)])))),
+        lambda t: eval_term(t, std_env(R=R(2, 2, [(0, 1)]))),
+        print_term,
+    ], ids=["typecheck", "eval_term", "print_term"])
+    def test_built_terms_are_bounded_too(self, check):
+        assert check(self.built(100)) is not None
+        for deep in (self.built(101), self.built(3000), self.built(101, lambda t: Bin("|", t, t))):
+            with pytest.raises(TermSyntaxError) as e:
+                check(deep)
+            assert (str(e.value), e.value.position) == ("term nested deeper than 100 levels", 0)
+
+    def test_built_carriers_count_as_levels(self):
+        types = env_types(std_env())
+        typecheck(Const("eta", (self.built(99, CPow, CRef("X")),)), types)
+        with pytest.raises(TermSyntaxError, match="100 levels"):
+            typecheck(Const("eta", (self.built(100, CPow, CRef("X")),)), types)
+
+    def test_every_parsed_term_is_within_the_bound(self):
+        # the parser counts parentheses as levels as well, so its bound is the tighter
+        types = env_types(std_env(R=R(2, 2, [(0, 1)])))
+        for text in ["(" * 100 + "R" + ")" * 100, "R" + "^" * 100, "-" * 100 + "R"]:
+            assert typecheck(parse(text), types).sort == "rel"
 
 
 class TestGrammarPinned:

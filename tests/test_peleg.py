@@ -25,6 +25,7 @@ from multirel import (
     mrel_to_rel,
     mu,
     omega,
+    peleg,
     peleg_compose,
     peleg_compose_oracle,
     peleg_lift,
@@ -200,6 +201,81 @@ class TestPelegCompose:
         ss = list(some_mrels(4, 3, 20, seed=22, density=0.3))
         for r, s in zip(rs, ss):
             assert peleg_compose(r, s) == peleg_compose_oracle(r, s)
+
+
+class TestCapErrors:
+    """The message and size of each choice-fold cap error, as recorded
+    from the unshared ascending fold: the first step past ENUM_CAP names
+    the same pair or subset, with the same work."""
+
+    # 256 unions of row 0, then 65,536 with row 1, then 65,536 * 17 work
+    DEEP = MRel.make(C(3), C(16), [range(256), [m << 8 for m in range(256)], range(17)])
+    WIDE = MRel.make(C(2), C(12), [range(2048), range(2048, 4096)])
+
+    @staticmethod
+    def raised(f, *args):
+        with pytest.raises(EnumerationTooLarge) as e:
+            f(*args)
+        return str(e.value), e.value.size
+
+    def test_compose_second_step(self):
+        assert self.raised(peleg_compose, M(1, 2, [(0, [0, 1])]), self.WIDE) == (
+            "pair (0,3): 4194304 choice unions in one step exceed cap 1048576", 4194304)
+
+    def test_lift_second_step(self):
+        assert self.raised(peleg_lift, self.WIDE) == (
+            "subset 3: 4194304 choice unions in one step exceed cap 1048576", 4194304)
+
+    def test_compose_third_step_after_pairs_sharing_its_prefix(self):
+        # (0,{0,1}) and (1,{0,1}) pass and share the failing pair's prefix
+        r = M(2, 3, [(0, [0, 1]), (1, [0, 1]), (1, [0, 1, 2])])
+        assert self.raised(peleg_compose, r, self.DEEP) == (
+            "pair (1,7): 1114112 choice unions in one step exceed cap 1048576", 1114112)
+
+    def test_compose_third_step_with_its_prefix_not_kept(self):
+        # over a 20-element target a call keeps {0}'s unions only, so the
+        # 65,536 unions of {0,1} are found again for each pair
+        deep = MRel.make(C(3), C(20), self.DEEP.rows)
+        r = M(2, 3, [(0, [0, 1]), (1, [0, 1]), (1, [0, 1, 2])])
+        assert self.raised(peleg_compose, r, deep) == (
+            "pair (1,7): 1114112 choice unions in one step exceed cap 1048576", 1114112)
+
+    def test_compose_fails_on_the_first_pair_past_the_cap(self):
+        # (0,{0,1,2}) fails before (1,{0,1}) is reached
+        r = M(2, 3, [(0, [0, 1, 2]), (1, [0, 1])])
+        assert self.raised(peleg_compose, r, self.DEEP) == (
+            "pair (0,7): 1114112 choice unions in one step exceed cap 1048576", 1114112)
+
+    def test_lift_third_step_after_subsets_sharing_its_prefix(self):
+        assert self.raised(peleg_lift, self.DEEP) == (
+            "subset 7: 1114112 choice unions in one step exceed cap 1048576", 1114112)
+
+
+class TestUnionTable:
+    """A call keeps a subset's unions while the entries kept, times the
+    2^dst unions one entry can hold, stay within ENUM_CAP: over an 18-element
+    target that is 4 entries besides {0}, so later steps are done again."""
+
+    S = MRel.make(C(5), C(18), [[0, 1 << b, 3 << (3 * b)] for b in range(5)])
+
+    def test_keeps_at_most_its_bound(self):
+        unions = {0: {0}}
+        for b_mask in range(32):
+            peleg._choice_unions(self.S, b_mask, unions)
+        assert len(unions) == 1 + (ENUM_CAP >> 18)
+
+    def test_steps_done_again_agree_with_the_definition(self):
+        r = MRel.make(C(1), C(5), [range(32)])
+        got = setmodel.mrel_sets(peleg_compose(r, self.S))
+        assert got == setmodel.peleg(setmodel.mrel_sets(r), setmodel.mrel_sets(self.S))
+
+    def test_lift_past_its_bound_agrees_with_the_definition(self):
+        # over a 16-element target 16 entries are kept, of the 32 subsets
+        s = MRel.make(C(5), C(16), [[0, 1 << b, 3 << (3 * b)] for b in range(5)])
+        expected = [0] * 32
+        for a, big in setmodel.peleg_lift(setmodel.mrel_sets(s), 5):
+            expected[mask(*a)] |= 1 << mask(*big)
+        assert list(peleg_lift(s).rows) == expected
 
 
 class TestUnivalentLaws:
