@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mrel import MRel, classify_mrel, closure, is_submrel, mrel_bool, preorder
+from .power import _union
 from .rel import full_mask
 
 
@@ -21,22 +22,14 @@ def fusion(r: MRel) -> MRel:
     Elements related to nothing are sent to the empty set, so the result
     is always outer deterministic.
     """
-    rows = []
-    for row in r.rows:
-        acc = 0
-        for m in row:
-            acc |= m
-        rows.append((acc,))
-    return MRel._trusted(r.src, r.dst, tuple(rows))
+    return MRel._trusted(r.src, r.dst, tuple((_union(row),) for row in r.rows))
 
 
 def fission(r: MRel) -> MRel:
     """Inner determinisation: one singleton pair per reachable element."""
     rows = []
     for row in r.rows:
-        acc = 0
-        for m in row:
-            acc |= m
+        acc = _union(row)
         rows.append(tuple(1 << b for b in range(r.dst.size) if acc >> b & 1))
     return MRel._trusted(r.src, r.dst, tuple(rows))
 

@@ -407,11 +407,15 @@ def env_from_json(data: Mapping) -> Env:
         return part
 
     require_object(data, "an environment")
+    unknown = sorted(set(data) - {"carriers", "rels", "mrels"})
+    if unknown:
+        raise ValueError(f"unknown environment key {unknown[0]!r}: "
+                         "expected 'carriers', 'rels' or 'mrels'")
     for name, c in section("carriers").items():
         if isinstance(c, int):
             add(name, Carrier(require_size(c, f"carrier {name!r}")))
         else:
-            require_object(c, f"carrier {name!r}")
+            require_object(c, f"carrier {name!r}", ("size",))
             names = c.get("names")
             if names is not None:
                 if not isinstance(names, list) or not all(isinstance(n, str) for n in names):

@@ -16,11 +16,14 @@ row.  It builds the outer deterministic and outer univalent filters (one
 mask, or for outer univalent also no mask).  Any other filter rejects.
 
 Every property flag is row-wise: a value has it when each of its rows
-passes the flag's row test (``rel.REL_ROW_FLAGS``, ``mrel.MREL_ROW_FLAGS``;
-``test`` also needs carriers of one size).  So a random candidate is
-drawn one row at a time and dropped at its first failing row.  That leaves
-every stream as it was: candidate ``k`` reads only its own sub-seed, so
-how far an earlier candidate got changes no later draw.
+passes the flag's test in its class's ``FLAGS`` table (``Rel.FLAGS`` or
+``MRel.FLAGS``), combined by ``rel.row_test``; ``test`` also needs carriers
+of one size.  So a random candidate is drawn one row at a time and dropped
+at its first failing row.  That leaves every stream as it was: candidate
+``k`` reads only its own sub-seed, so how far an earlier candidate got
+changes no later draw.  Only ``test`` reads the row index, so a stream
+remembers each draw's verdict per row when ``test`` filters it and once
+for all rows otherwise.
 
 Exhaustive streams use numeric encoding order.  For a subset draw with
 ``n`` candidates, instance ``i`` takes candidate ``j`` into row ``a``
@@ -38,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from typing import Collection, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import EnumerationTooLarge
-from .mrel import MREL_ROW_FLAGS, MRel, _require_mask_ok, mrel_has_flags, mrel_row_test
-from .rel import REL_ROW_FLAGS, Carrier, Rel, _require_pow_ok, rel_has_flags, rel_row_test
+from .mrel import MRel, _require_mask_ok
+from .rel import Carrier, Rel, _require_pow_ok, row_test
 
 # perfbench's tracer rebinds these names to count classifications made here
 from .mrel import classify_mrel  # noqa: F401
@@ -118,19 +121,22 @@ _CONSTRUCTIVE = (
     "outer_univalent",
 )
 
+# The class of each kind's values: its flag table and trusted constructor.
+_CLASSES = {"rel": Rel, "mrel": MRel}
+
 
 def _model(kind: str, spec: GenSpec) -> tuple[bool, Sequence, frozenset[str]]:
     """A stream's row model: whether each row picks one candidate (else it
     takes any subset of them), the candidates, and the filters left to
     reject by.  Picked candidates are whole multirelation rows."""
-    if kind not in ("rel", "mrel"):
+    if kind not in _CLASSES:
         raise ValueError(f"unknown instance kind {kind!r}")
-    unknown = sorted(set(spec.where) - set(REL_ROW_FLAGS if kind == "rel" else MREL_ROW_FLAGS))
+    unknown = sorted(set(spec.where) - set(_CLASSES[kind].FLAGS))
     if unknown:
         raise ValueError(f"unknown {kind} flag {unknown[0]!r}")
     nd = spec.shape[1]
     bits = [1 << b for b in range(nd)]
-    if kind == "rel":
+    if kind == "rel":  # a relation row is the subset of the bits it takes
         return False, bits, frozenset(spec.where)
     shaping = next((f for f in _CONSTRUCTIVE if f in spec.where), None)
     residual = frozenset(spec.where) - {shaping}
@@ -168,7 +174,7 @@ def _allowed(kind, spec, pick, candidates, residual) -> list[Sequence]:
     ns, nd = spec.shape
     keys = range(len(candidates) if pick else 1 << len(candidates))
     _capped(kind, ns * len(keys), "row tests")
-    passes = (rel_row_test if kind == "rel" else mrel_row_test)(residual, ns, nd)
+    passes = row_test(_CLASSES[kind].FLAGS, residual, ns, nd)
     if passes is None:
         return [[]]  # no value passes, so the product is empty
     row_of = _row_of(kind, pick, candidates)
@@ -187,12 +193,6 @@ def space_size(kind: str, spec: GenSpec) -> int:
     return n**ns if pick else 1 << (n * ns)
 
 
-def satisfies(value: Rel | MRel, needs: Collection[str]) -> bool:
-    """Whether ``value`` has every property flag named in ``needs``."""
-    has = rel_has_flags if isinstance(value, Rel) else mrel_has_flags
-    return has(value, needs)
-
-
 def instances(kind: str, spec: GenSpec) -> Iterator[Rel] | Iterator[MRel]:
     """Stream of generated instances; see the module docstring for order
     and determinism guarantees."""
@@ -202,13 +202,14 @@ def instances(kind: str, spec: GenSpec) -> Iterator[Rel] | Iterator[MRel]:
 def _stream(kind, spec, pick, candidates, residual) -> Iterator:
     ns, nd = spec.shape
     src, dst = Carrier(ns), Carrier(nd)
-    make = Rel._trusted if kind == "rel" else MRel._trusted
+    cls = _CLASSES[kind]
+    make = cls._trusted
     # the mask width is checked once, where the first value would be built
     if spec.mode == "exhaustive":
         # the length is capped first, so a stream over the cap with no filter
         # builds no rows; a filtered stream tests its rows twice, within the cap
         _capped(kind, space_size(kind, spec), "instances")
-        if kind == "mrel":
+        if cls is MRel:
             _require_mask_ok(dst)
         allowed = _allowed(kind, spec, pick, candidates, residual)
         if pick:
@@ -218,18 +219,18 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
         return
 
     n = len(candidates)
-    passes = (rel_row_test if kind == "rel" else mrel_row_test)(residual, ns, nd)
+    passes = row_test(cls.FLAGS, residual, ns, nd)
     row_of = _row_of(kind, pick, candidates)
     threshold = density_threshold(spec.density)
-    if kind == "mrel" and spec.count > 0:
+    if cls is MRel and spec.count > 0:
         _require_mask_ok(dst)
     produced = 0
     budget = max(1000, spec.count * 1000)
     candidate = 0 if passes else budget  # no candidate can pass
     draws = [1 << j for j in range(n)]
-    # each row index maps a draw to its row, or to None if the row fails;
-    # a relation row's test may read its index, a multirelation row's not
-    memos = [{} for _ in range(ns)] if kind == "rel" else [{}] * ns
+    # a memo maps a draw to its row, or to None if the row fails; only the
+    # ``test`` flag reads the row index, so without it the rows share one
+    memos = [{} for _ in range(ns)] if "test" in residual else [{}] * ns
     gamma, mix1, mix2, mask = GAMMA, MIX1, MIX2, _MASK64  # locals for the loop
     while produced < spec.count:
         if candidate >= budget:

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .dsl import Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, parse
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
-from .generate import GenSpec, instances, mix64, satisfies, space_size
+from .generate import GenSpec, instances, mix64, space_size
 from .mrel import MRel
 from .rel import Carrier, Rel, bits
 
@@ -292,7 +292,7 @@ def _pinned_json(pinned: dict) -> dict:
 
 def _still_fails(law: Law, terms: _Terms, carriers: dict[str, Carrier], values: dict) -> bool:
     try:
-        if not all(satisfies(values[s.name], s.needs) for s in law.slots if s.needs):
+        if not all(values[s.name].has_flags(s.needs) for s in law.slots if s.needs):
             return False
         claim, guard = terms.at(carriers)
         env = Env(values)

@@ -12,12 +12,61 @@ for ordinary relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from dataclasses import dataclass, make_dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MASK_CAP, MaskTooWide, ShapeMismatch
-from .rel import Carrier, Rel, _Arrow, _require_pow_ok, bits, full_mask, pow_carrier
-from .rel import require_index, require_object, require_size
+from .rel import Carrier, Rel, RowFlag, _Arrow, _require_pow_ok, bits, full_mask
+from .rel import pow_carrier, require_index, require_object, require_size
+
+
+def _outer_total(a: int, row: tuple[int, ...], width: int) -> bool:
+    return len(row) > 0
+
+
+def _outer_univalent(a: int, row: tuple[int, ...], width: int) -> bool:
+    return len(row) <= 1
+
+
+def _inner_total(a: int, row: tuple[int, ...], width: int) -> bool:
+    return 0 not in row
+
+
+def _inner_univalent(a: int, row: tuple[int, ...], width: int) -> bool:
+    return all(m.bit_count() <= 1 for m in row)
+
+
+# One-step checks suffice for closedness: adding or removing a single
+# element at a time reaches every super-/submask.
+def _up_closed(a: int, row: tuple[int, ...], width: int) -> bool:
+    present = set(row)
+    return all((m | 1 << b) in present for m in row for b in range(width) if not m >> b & 1)
+
+
+def _down_closed(a: int, row: tuple[int, ...], width: int) -> bool:
+    present = set(row)
+    return all((m ^ 1 << b) in present for m in row for b in range(width) if m >> b & 1)
+
+
+def _union_closed(a: int, row: tuple[int, ...], width: int) -> bool:
+    present = set(row)
+    return all((m | n) in present for i, m in enumerate(row) for n in row[i + 1:])
+
+
+# The flags of ``classify_mrel``.
+MREL_ROW_FLAGS: dict[str, RowFlag] = {
+    "outer_total": _outer_total,
+    "outer_univalent": _outer_univalent,
+    "outer_deterministic":
+        lambda a, row, w: _outer_total(a, row, w) and _outer_univalent(a, row, w),
+    "inner_total": _inner_total,
+    "inner_univalent": _inner_univalent,
+    "inner_deterministic":
+        lambda a, row, w: _inner_total(a, row, w) and _inner_univalent(a, row, w),
+    "up_closed": _up_closed,
+    "down_closed": _down_closed,
+    "union_closed": _union_closed,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,6 +75,7 @@ class MRel(_Arrow):
     a strictly ascending tuple of subset masks."""
 
     _SHAPE = "{}<->P{}"
+    FLAGS = MREL_ROW_FLAGS
 
     def __post_init__(self):
         _require_mask_ok(self.dst)
@@ -83,7 +133,7 @@ class MRel(_Arrow):
 
     @classmethod
     def from_json(cls, data: dict) -> "MRel":
-        require_object(data, "a multirelation")
+        require_object(data, "a multirelation", ("src", "dst", "rows"))
         src, dst = (Carrier(require_size(data[k], f"a multirelation's {k!r}"))
                     for k in ("src", "dst"))
         rows = []
@@ -99,17 +149,8 @@ class MRel(_Arrow):
         return cls.make(src, dst, rows)
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
-    outer_total: bool
-    outer_univalent: bool
-    outer_deterministic: bool
-    inner_total: bool
-    inner_univalent: bool
-    inner_deterministic: bool
-    up_closed: bool
-    down_closed: bool
-    union_closed: bool
+PropertyFlags = make_dataclass("PropertyFlags", [(name, bool) for name in MREL_ROW_FLAGS],
+                               frozen=True, namespace={"__module__": __name__})
 
 
 def _require_mask_ok(dst: Carrier):
@@ -281,70 +322,8 @@ def preorder(mode: str, r: MRel, s: MRel) -> bool:
     raise ValueError(f"unknown preorder mode {mode!r}")
 
 
-def _outer_total(row: tuple[int, ...], width: int) -> bool:
-    return len(row) > 0
-
-
-def _outer_univalent(row: tuple[int, ...], width: int) -> bool:
-    return len(row) <= 1
-
-
-def _inner_total(row: tuple[int, ...], width: int) -> bool:
-    return 0 not in row
-
-
-def _inner_univalent(row: tuple[int, ...], width: int) -> bool:
-    return all(m.bit_count() <= 1 for m in row)
-
-
-# One-step checks suffice for closedness: adding or removing a single
-# element at a time reaches every super-/submask.
-def _up_closed(row: tuple[int, ...], width: int) -> bool:
-    present = set(row)
-    return all((m | 1 << b) in present for m in row for b in range(width) if not m >> b & 1)
-
-
-def _down_closed(row: tuple[int, ...], width: int) -> bool:
-    present = set(row)
-    return all((m ^ 1 << b) in present for m in row for b in range(width) if m >> b & 1)
-
-
-def _union_closed(row: tuple[int, ...], width: int) -> bool:
-    present = set(row)
-    return all((m | n) in present for i, m in enumerate(row) for n in row[i + 1:])
-
-
-# Each flag of ``classify_mrel`` as a test of one row, given the width of
-# the destination carrier: a multirelation has the flag when every row passes.
-MREL_ROW_FLAGS: dict[str, Callable[[tuple[int, ...], int], bool]] = {
-    "outer_total": _outer_total,
-    "outer_univalent": _outer_univalent,
-    "outer_deterministic": lambda row, w: _outer_total(row, w) and _outer_univalent(row, w),
-    "inner_total": _inner_total,
-    "inner_univalent": _inner_univalent,
-    "inner_deterministic": lambda row, w: _inner_total(row, w) and _inner_univalent(row, w),
-    "up_closed": _up_closed,
-    "down_closed": _down_closed,
-    "union_closed": _union_closed,
-}
-
-
-def mrel_row_test(
-    names: Collection[str], src: int, dst: int
-) -> Callable[[int, tuple[int, ...]], bool]:
-    """Whether row ``a`` passes every flag in ``names``, for multirelations
-    of ``src`` x ``dst``."""
-    tests = [MREL_ROW_FLAGS[name] for name in names]
-    return lambda a, row: all(t(row, dst) for t in tests)
-
-
-def mrel_has_flags(r: MRel, names: Collection[str]) -> bool:
-    passes = mrel_row_test(names, r.src.size, r.dst.size)
-    return all(passes(a, row) for a, row in enumerate(r.rows))
-
-
 def classify_mrel(r: MRel) -> PropertyFlags:
-    return PropertyFlags(**{name: mrel_has_flags(r, (name,)) for name in MREL_ROW_FLAGS})
+    return PropertyFlags(**{name: r.has_flags((name,)) for name in MREL_ROW_FLAGS})
 
 
 def split_terminal(r: MRel) -> tuple[MRel, MRel]:

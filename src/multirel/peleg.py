@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .errors import ENUM_CAP, EnumerationTooLarge
 from .mrel import MRel, inner_bool, mrel_to_rel, rel_to_mrel
-from .power import _image_rows, alpha, image_functor
+from .power import _image_rows, _union, alpha, image_functor
 from .rel import Rel, _require_carriers, bits, pow_carrier, rel_bool, rel_compose
 
 
@@ -165,10 +165,7 @@ def kleisli_compose(r: MRel, s: MRel) -> MRel:
     """Compose with the Kleisli lifting of the second factor, computed
     row-wise without materializing the powerset of the source."""
     _require_carriers(r.dst.size, s.src.size, "kleisli compose: inner")
-    fused = [0] * s.src.size
-    for b, row in enumerate(s.rows):
-        for m in row:
-            fused[b] |= m
+    fused = [_union(row) for row in s.rows]
     out_rows = []
     for row in r.rows:
         acc = set()

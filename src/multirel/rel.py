@@ -11,11 +11,12 @@ presentation only: they never affect semantics, equality or serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator
+from dataclasses import dataclass, make_dataclass
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from .errors import (
     POW_CAP,
+    CapExceeded,
     IdentityShapeMismatch,
     PowersetTooLarge,
     ShapeMismatch,
@@ -63,10 +64,14 @@ class Carrier:
             raise ValueError("powerset carrier size must be 2^base.size")
 
 
-def require_object(data, what: str) -> None:
-    """Raises ValueError unless ``data`` is a JSON object (a dict)."""
+def require_object(data, what: str, keys: tuple[str, ...] = ()) -> None:
+    """Raises ValueError unless ``data`` is a JSON object (a dict) with
+    every one of ``keys``."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r} key")
 
 
 def _is_int(x) -> bool:
@@ -84,9 +89,13 @@ def require_index(i: int, carrier: Carrier, role: str) -> None:
 
 
 def require_size(n, what: str) -> int:
-    """``n``, or ValueError unless it is a non-negative integer."""
+    """``n``, or ValueError unless it is a non-negative integer.  A size past
+    2^POW_CAP, the largest carrier the program builds itself, raises
+    CapExceeded before anything of that size is allocated."""
     if not _is_int(n) or n < 0:
         raise ValueError(f"{what} must be a non-negative integer, not {n!r}")
+    if n > 1 << POW_CAP:
+        raise CapExceeded(f"{what} is {n}, past the size cap 2^{POW_CAP} = {1 << POW_CAP}")
     return n
 
 
@@ -110,12 +119,32 @@ def _require_carriers(m: int, n: int, what: str) -> None:
         raise ShapeMismatch(f"{what} carriers {m} and {n} differ")
 
 
+# A property flag is a test of one row: ``flag(a, row, width)`` says whether
+# row ``a`` of an arrow into a carrier of ``width`` elements passes, and an
+# arrow has the flag when every row passes.  ``test`` is the one flag that
+# reads the index; it also needs src and dst of one size.
+RowFlag = Callable[[int, Any, int], bool]
+
+
+def row_test(
+    flags: dict[str, RowFlag], names: Collection[str], src: int, dst: int
+) -> Callable[[int, Any], bool] | None:
+    """Whether row ``a`` passes every flag of ``flags`` named in ``names``,
+    for arrows of ``src`` x ``dst``; None when no arrow of that shape has
+    them all."""
+    if "test" in names and src != dst:
+        return None
+    tests = [flags[name] for name in names]
+    return lambda a, row: all(t(a, row, dst) for t in tests)
+
+
 @dataclass(frozen=True, eq=False)
 class _Arrow:
     """An arrow with one row per source element: a ``Rel``, or an ``MRel``,
     which is a relation into a powerset.  Equality is the class, carrier
     sizes and rows; names and powerset tags are presentation/metadata.
-    Each class's ``_SHAPE`` formats its carrier sizes for messages."""
+    Each class's ``_SHAPE`` formats its carrier sizes for messages, and its
+    ``FLAGS`` tables its property flags."""
 
     src: Carrier
     dst: Carrier
@@ -146,6 +175,28 @@ class _Arrow:
             shapes = (a._SHAPE.format(a.src.size, a.dst.size) for a in (self, other))
             raise ShapeMismatch(f"{op}: shapes {' and '.join(shapes)} differ")
 
+    def has_flags(self, names: Collection[str]) -> bool:
+        """Whether every row passes every flag named in ``names``."""
+        passes = row_test(self.FLAGS, names, self.src.size, self.dst.size)
+        return passes is not None and all(passes(a, row) for a, row in enumerate(self.rows))
+
+
+def _univalent(a: int, row: int, width: int) -> bool:
+    return row.bit_count() <= 1
+
+
+def _total(a: int, row: int, width: int) -> bool:
+    return row != 0
+
+
+# The flags of ``classify_rel``.
+REL_ROW_FLAGS: dict[str, RowFlag] = {
+    "univalent": _univalent,
+    "total": _total,
+    "deterministic": lambda a, row, w: _univalent(a, row, w) and _total(a, row, w),
+    "test": lambda a, row, w: row & ~(1 << a) == 0,
+}
+
 
 @dataclass(frozen=True, eq=False)
 class Rel(_Arrow):
@@ -153,6 +204,7 @@ class Rel(_Arrow):
     bitmask per source element."""
 
     _SHAPE = "{}x{}"
+    FLAGS = REL_ROW_FLAGS
 
     def __post_init__(self):
         if len(self.rows) != self.src.size:
@@ -185,7 +237,7 @@ class Rel(_Arrow):
 
     @classmethod
     def from_json(cls, data: dict) -> "Rel":
-        require_object(data, "a relation")
+        require_object(data, "a relation", ("src", "dst", "pairs"))
         src, dst = (Carrier(require_size(data[k], f"a relation's {k!r}")) for k in ("src", "dst"))
         return cls.from_pairs(src, dst, data["pairs"])
 
@@ -199,12 +251,10 @@ class Rel(_Arrow):
         return cls(src, dst, tuple(rows))
 
 
-@dataclass(frozen=True)
-class RelFlags:
-    univalent: bool
-    total: bool
-    deterministic: bool
-    test: bool
+# One field per flag, in table order; before Python 3.12 make_dataclass
+# names the module ``types`` unless the namespace names it.
+RelFlags = make_dataclass("RelFlags", [(name, bool) for name in REL_ROW_FLAGS], frozen=True,
+                          namespace={"__module__": __name__})
 
 
 def rel_const(kind: str, src: Carrier, dst: Carrier) -> Rel:
@@ -327,37 +377,5 @@ def domain(r: Rel) -> Rel:
     return Rel._trusted(r.src, r.src, tuple(1 << a if row else 0 for a, row in enumerate(r.rows)))
 
 
-def _univalent(a: int, row: int) -> bool:
-    return row.bit_count() <= 1
-
-
-def _total(a: int, row: int) -> bool:
-    return row != 0
-
-
-# Each flag of ``classify_rel`` as a test of row ``a``: a relation has the
-# flag when every row passes, and ``test`` also needs src and dst of one size.
-REL_ROW_FLAGS: dict[str, Callable[[int, int], bool]] = {
-    "univalent": _univalent,
-    "total": _total,
-    "deterministic": lambda a, row: _univalent(a, row) and _total(a, row),
-    "test": lambda a, row: row & ~(1 << a) == 0,
-}
-
-
-def rel_row_test(names: Collection[str], src: int, dst: int) -> Callable[[int, int], bool] | None:
-    """Whether row ``a`` passes every flag in ``names``, for relations of
-    ``src`` x ``dst``; None when no relation of that shape has them all."""
-    if "test" in names and src != dst:
-        return None
-    tests = [REL_ROW_FLAGS[name] for name in names]
-    return lambda a, row: all(t(a, row) for t in tests)
-
-
-def rel_has_flags(r: Rel, names: Collection[str]) -> bool:
-    passes = rel_row_test(names, r.src.size, r.dst.size)
-    return passes is not None and all(passes(a, row) for a, row in enumerate(r.rows))
-
-
 def classify_rel(r: Rel) -> RelFlags:
-    return RelFlags(**{name: rel_has_flags(r, (name,)) for name in REL_ROW_FLAGS})
+    return RelFlags(**{name: r.has_flags((name,)) for name in REL_ROW_FLAGS})

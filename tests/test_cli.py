@@ -84,6 +84,38 @@ class TestEval:
         path.write_text(json.dumps(wide))
         assert main(["convert", "--in", str(path), "--out", str(tmp_path / "o.json")]) == 3
 
+    @pytest.mark.parametrize("doc, expr", [
+        ({"rels": {"R": {"src": 65_537, "dst": 1, "pairs": []}}}, "R"),
+        ({"rels": {"R": {"src": 1, "dst": 65_537, "pairs": []}}}, "R"),
+        ({"mrels": {"R": {"src": 65_537, "dst": 1, "rows": []}}}, "R"),
+        ({"carriers": {"X": 65_537}}, "Id(X)"),
+        ({"carriers": {"X": {"size": 65_537}}}, "Id(X)"),
+        ({"src": 65_537, "dst": 1, "pairs": []}, None),
+        ({"src": 1, "dst": 65_537, "rows": [[]]}, None),
+    ], ids=["rel-src", "rel-dst", "mrel-src", "carrier", "carrier-object", "rel-file",
+            "mrel-file"])
+    def test_sizes_past_the_largest_carrier_exit_3_when_loaded(self, tmp_path, capsys, doc, expr):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        runs = [["convert", "--in", str(path), "--out", str(tmp_path / "o.json")]]
+        if expr:  # an environment, not a value file
+            runs.append(["eval", "--env", str(path), "--expr", expr])
+        assert [main(argv) for argv in runs] == [3] * len(runs)
+        err = capsys.readouterr().err
+        assert err.count("is 65537, past the size cap 2^16 = 65536") == len(runs)
+
+    def test_the_largest_carrier_loads(self, tmp_path, capsys):
+        rel = {"src": 65_536, "dst": 1, "pairs": [[65_535, 0]]}
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"carriers": {"X": 65_536}, "rels": {"R": rel}}))
+        assert main(["eval", "--env", str(path), "--expr", "R"]) == 0
+        assert json.loads(capsys.readouterr().out) == rel
+        assert main(["eval", "--env", str(path), "--expr", "Id(X)"]) == 0
+        path.write_text(json.dumps(rel))
+        out = tmp_path / "o.json"
+        assert main(["convert", "--in", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == rel
+
     def test_cap_errors_are_one_class(self):
         # the class that main maps to exit 3 and that check reports as skipped
         from multirel import CapExceeded, EnumerationTooLarge, MaskTooWide, PowersetTooLarge
@@ -100,8 +132,12 @@ class TestEval:
         {"carriers": {"X": 2}, "mrels": {"T": [1, 2]}},
         {"carriers": [2]},
         {"carriers": {"X": "2"}},
+        {"carriers": {"X": 2}, "rel": {"T": {"src": 2, "dst": 2, "pairs": []}}},
+        {"rels": {"T": {"src": 2, "dst": 2}}},
+        {"mrels": {"T": {"src": 2, "rows": [[], []]}}},
+        {"carriers": {"X": {"names": ["a", "b"]}}},
     ], ids=["list", "index-5", "index-minus-1", "rel-list", "mrel-list", "carriers-list",
-            "carrier-text"])
+            "carrier-text", "unknown-key", "rel-no-pairs", "mrel-no-dst", "carrier-no-size"])
     def test_malformed_environment_is_a_usage_error(self, tmp_path, capsys, env):
         path = tmp_path / "env.json"
         path.write_text(json.dumps(env))
@@ -377,6 +413,8 @@ class TestConvert:
         {"rels": {"T": "x"}},
         "text",
         {"carriers": {"X": {"size": 2, "names": "ab"}}},
+        {"src": 1, "dst": 1},
+        {"rel": {"T": {"src": 1, "dst": 1, "pairs": []}}},
     ])
     def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"

@@ -436,6 +436,19 @@ class TestEnvJson:
         with pytest.raises(ValueError):
             env_from_json({"carriers": {"X": {"size": 2, "names": names}}})
 
+    @pytest.mark.parametrize("env, says", [
+        ({"rel": {}}, "unknown environment key 'rel'"),
+        ({"carriers": {}, "src": 1, "dst": 1}, "unknown environment key 'dst'"),
+        ({"rels": {"R": {"src": 1, "dst": 1}}}, "a relation has no 'pairs' key"),
+        ({"rels": {"R": {"dst": 1, "pairs": []}}}, "a relation has no 'src' key"),
+        ({"mrels": {"R": {"src": 1, "dst": 1}}}, "a multirelation has no 'rows' key"),
+        ({"carriers": {"X": {"names": []}}}, "carrier 'X' has no 'size' key"),
+    ])
+    def test_bad_keys_are_named(self, env, says):
+        with pytest.raises(ValueError) as err:
+            env_from_json(env)
+        assert str(err.value).startswith(says)
+
     def test_carrier_names_are_kept(self):
         env = env_from_json({"carriers": {"X": {"size": 2, "names": ["p", "q"]},
                                           "Y": {"size": 0, "names": []}}})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from itertools import combinations, islice, product
@@ -10,7 +11,9 @@ from multirel import (
     EnumerationTooLarge,
     GenSpec,
     MRel,
+    PropertyFlags,
     Rel,
+    RelFlags,
     SplitMix64,
     classify_mrel,
     classify_rel,
@@ -18,9 +21,9 @@ from multirel import (
     mix64,
     space_size,
 )
-from multirel.generate import EXHAUSTIVE_BITS, _model, density_threshold, satisfies
+from multirel.generate import EXHAUSTIVE_BITS, _model, density_threshold
 from multirel.mrel import MREL_ROW_FLAGS
-from multirel.rel import REL_ROW_FLAGS
+from multirel.rel import REL_ROW_FLAGS, row_test
 from conftest import C, M, R
 from setmodel import mrel_flags, rel_flags
 
@@ -114,7 +117,7 @@ class TestFilters:
 
 
 class TestRowFlags:
-    """``satisfies`` tests only the flags it is asked for, row by row; it
+    """``has_flags`` tests only the flags it is asked for, row by row; it
     must agree with ``classify_*`` and with the set model's definitions."""
 
     @staticmethod
@@ -124,7 +127,7 @@ class TestRowFlags:
         yield from instances("rel", GenSpec((2, 3)))
         yield from instances("mrel", GenSpec((3, 2), "random", count=500, seed=3))
 
-    def test_satisfies_matches_classify(self):
+    def test_has_flags_matches_classify(self):
         seen = set()
         for v in self._values():
             if isinstance(v, Rel):
@@ -134,19 +137,45 @@ class TestRowFlags:
             assert flags == oracle, v
             names = sorted(flags)
             for i, f in enumerate(names):
-                assert satisfies(v, {f}) == flags[f], (v, f)
+                assert v.has_flags({f}) == flags[f], (v, f)
                 seen.add((type(v).__name__, f, flags[f]))
                 for g in names[i + 1:]:
-                    assert satisfies(v, {f, g}) == (flags[f] and flags[g]), (v, f, g)
+                    assert v.has_flags({f, g}) == (flags[f] and flags[g]), (v, f, g)
         # every flag both holds and fails somewhere, so no comparison is vacuous
         assert len(seen) == 2 * (9 + 4)
 
+    def test_every_table_entry_takes_index_row_and_width(self):
+        for v in self._values():
+            oracle = rel_flags(v) if isinstance(v, Rel) else mrel_flags(v)
+            square = v.src.size == v.dst.size
+            for name, flag in type(v).FLAGS.items():
+                rows_pass = all(flag(a, row, v.dst.size) for a, row in enumerate(v.rows))
+                assert (rows_pass and (square or name != "test")) == oracle[name], (v, name)
+
+    @pytest.mark.parametrize("record, flags, name, module", [
+        (RelFlags, REL_ROW_FLAGS, "RelFlags", "multirel.rel"),
+        (PropertyFlags, MREL_ROW_FLAGS, "PropertyFlags", "multirel.mrel"),
+    ])
+    def test_flag_records_are_built_from_the_tables(self, record, flags, name, module):
+        assert [f.name for f in dataclasses.fields(record)] == list(flags)
+        assert (record.__name__, record.__qualname__, record.__module__) == (name, name, module)
+        value = record(**dict.fromkeys(flags, False))
+        assert repr(value) == f"{name}({', '.join(f'{f}=False' for f in flags)})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, next(iter(flags)), True)
+
     def test_test_flag_reads_the_row_index(self):
-        assert satisfies(R(3, 3, [(1, 1), (2, 2)]), {"test"})
-        assert not satisfies(R(3, 3, [(1, 0)]), {"test"})
-        assert not satisfies(R(3, 3, [(2, 1)]), {"test"})
-        assert not satisfies(R(2, 3, []), {"test"})  # carriers of two sizes
-        assert not satisfies(R(0, 1, []), {"test"})  # even with no rows
+        assert R(3, 3, [(1, 1), (2, 2)]).has_flags({"test"})
+        assert not R(3, 3, [(1, 0)]).has_flags({"test"})
+        assert not R(3, 3, [(2, 1)]).has_flags({"test"})
+        assert not R(2, 3, []).has_flags({"test"})  # carriers of two sizes
+        assert not R(0, 1, []).has_flags({"test"})  # even with no rows
+
+    @pytest.mark.parametrize("flags", [REL_ROW_FLAGS, {"test": lambda a, row, w: True}])
+    def test_test_needs_square_carriers_whichever_table_holds_it(self, flags):
+        assert row_test(flags, {"test"}, 2, 3) is None
+        assert row_test(flags, {"test"}, 3, 3)(0, 1)
+        assert row_test(flags, (), 2, 3)(0, 1)
 
 
 class TestRandom:
