@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .dsl import _INFIX, Cmp, env_from_json, evaluate, parse, slot_roles, slot_sorts
+from .dsl import _INFIX, Cmp, env_from_json, evaluate, parse, value_names
 from .errors import (
     CapExceeded,
     ShapeMismatch,
@@ -149,28 +149,27 @@ def _cmd_check(args) -> int:
 
 def _cmd_find_cex(args) -> int:
     claim = f"({args.lhs}) {args.rel} ({args.rhs})"
-    term = Cmp(args.rel, parse(args.lhs), parse(args.rhs))
-    sorts = slot_sorts(term)
-    if args.vars:
-        for piece in args.vars.split(","):
-            name, _, sort = (part.strip() for part in piece.partition("="))
-            if sort not in ("rel", "mrel"):
-                print(f"error: bad --vars entry {piece!r}", file=sys.stderr)
-                return 2
-            if name not in sorts:
-                print(f"error: --vars names {name!r}, which the claim does not use",
-                      file=sys.stderr)
-                return 2
-            sorts[name] = sort
-    roles, ends = slot_roles(term, sorts)
-    slots = tuple(Slot(name, sorts[name], *ends[name]) for name in sorted(sorts))
+    names = value_names(Cmp(args.rel, parse(args.lhs), parse(args.rhs)))
+    sorts: dict[str, str] = {}
+    for piece in args.vars.split(",") if args.vars else ():
+        name, _, sort = (part.strip() for part in piece.partition("="))
+        if sort not in ("rel", "mrel"):
+            print(f"error: bad --vars entry {piece!r}", file=sys.stderr)
+            return 2
+        if name not in names:
+            print(f"error: --vars names {name!r}, which the claim does not use", file=sys.stderr)
+            return 2
+        if name in sorts:
+            print(f"error: --vars names {name!r} twice", file=sys.stderr)
+            return 2
+        sorts[name] = sort
+    slots = tuple(Slot(name, sorts.get(name)) for name in names)
     law = Law(
         id="adhoc",
         kind="neg",
         anchor=claim,
         claim=claim,
         slots=slots,
-        roles=roles,
         expected="fail",
         size_cap=max(args.sizes),
         count=args.random if args.random is not None else 2000,

@@ -25,6 +25,8 @@ Terms are typed before they are evaluated: ``typecheck`` gives each node
 a sort (relation, multirelation or boolean) and carriers, by unification
 over one table of operator signatures.  It infers the carriers of constants
 given without arguments, and errors name the offending sub-term.
+``infer_slots`` runs the same inference over a law's claim and guard to
+find the sort and carrier roles of each of its slots.
 """
 
 from __future__ import annotations
@@ -756,11 +758,14 @@ def _walk(t: Term, types: Mapping, consts: list, ctx: Term) -> _Node:
                 t,
             )
     sort = spec.sort
-    if spec.views[0] in "*s":  # a multirelation when all operands are; open sorts follow
-        known = {v for v in sorts if not isinstance(v, _Var)}
-        same = ("mrel" if known == {"mrel"} else "rel") if known else sorts[0]
-        for v in sorts:
-            _unify(v, same)
+    if spec.views[0] in "*s":  # a multirelation when all operands are
+        # open sorts are one sort, a multirelation beside one; beside a
+        # relation they stay open until ``_settle`` or ``infer_slots``
+        open_ = [v for v in sorts if isinstance(v, _Var)]
+        known = set(sorts) - set(open_)
+        for v in open_:
+            _unify(v, "mrel" if known == {"mrel"} else open_[0])
+        same = "rel" if "rel" in known else _find(sorts[0])
         sort = same if sort == "same" else sort
     if sort == "bool":
         return _Node(t, spec, kids, sort)
@@ -789,6 +794,19 @@ def typecheck(t: Term, types: Mapping) -> Typed:
     return _typecheck(t, types, None)
 
 
+def _settle(consts: list[_Node]) -> None:
+    """Give ``0`` and ``U`` whose sort nothing fixed the sort "rel", and
+    each of them the target its sort implies."""
+    for node in consts:
+        if node.spec.sort == "?":
+            dst = _carrier(node.spec.result[1], node.letters)
+            sort = _find(node.sort)
+            if isinstance(sort, _Var):  # nothing asked for a multirelation
+                sort.ref = sort = "rel"
+            if not _unify(node.dst, Pw(dst) if sort == "mrel" else dst):
+                raise _located(f"{node.term.name} has no carriers that fit here", node.ctx)
+
+
 def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
     """``typecheck``, where the evaluator of a checked term keeps what it
     can when ``tables`` is given (see ``_compile``): nodes over small shapes
@@ -799,17 +817,11 @@ def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
     _require_depth(t)
     consts: list[_Node] = []
     root = _walk(t, types, consts, t)
+    _settle(consts)
     for node in consts:
-        name = node.term.name
-        if node.spec.sort == "?":
-            dst = _carrier(node.spec.result[1], node.letters)
-            sort = _find(node.sort)
-            if isinstance(sort, _Var):  # nothing asked for a multirelation
-                sort.ref = sort = "rel"
-            if not _unify(node.dst, Pw(dst) if sort == "mrel" else dst):
-                raise _located(f"{name} has no carriers that fit here", node.ctx)
         if not all(map(_ground, node.letters.values())):
-            raise _located(f"cannot infer the carriers of {name}; give them explicitly", node.ctx)
+            raise _located(f"cannot infer the carriers of {node.term.name}; give them explicitly",
+                           node.ctx)
     # no shape over carriers this large is small: skip the shape tests
     small = tables is not None and _smallest(types) ** 2 <= _SMALL_CELLS
     return Typed(_find(root.sort), _compile(root, tables, small).run)
@@ -1053,44 +1065,14 @@ def evaluate(text: str, env: Env):
 
 
 # ---------------------------------------------------------------------------
-# Slots of a free-standing claim
+# Slots of a law
 
 
-def slot_sorts(t: Term) -> dict[str, str]:
-    """A sort for each value name in ``t``: "rel" where only relations are
-    asked of it, "mrel" where a multirelation is asked anywhere or nothing
-    is.  Operands whose sort follows their siblings' (under ``&``, ``|``,
-    a comparison or a residual) share what is asked of any of them and
-    the sorts of those siblings; a complement passes on what is asked of
-    it.  A residual's operands are relations unless a sibling says
-    otherwise."""
-    names: dict[str, _Var] = {}
-    asked: list[tuple[_Var, str]] = []
-
-    def walk(t: Term):
-        if isinstance(t, Var):
-            return names.setdefault(t.name, _Var())
-        if isinstance(t, Const):
-            return _Var() if _CONSTS[t.name].sort == "?" else _CONSTS[t.name].sort
-        spec = _OPS[t.op]
-        same = _Var()
-        for view, kid in zip(spec.views, map(walk, _operands(t))):
-            if view in "*s" and isinstance(kid, _Var):
-                _unify(kid, same)
-            elif view in "*s":
-                asked.append((same, kid))
-            elif isinstance(kid, _Var):
-                asked.append((kid, "mrel" if view == "m" else "rel"))
-            if view == "s":
-                asked.append((same, "s"))
-        return same if spec.sort == "same" else spec.sort
-
-    walk(t)
-    wants: dict[_Var, set[str]] = {}
-    for v, sort in asked:
-        wants.setdefault(_find(v), set()).add(sort)
-    rel = {"rel", "s"}
-    return {n: "rel" if wants.get(_find(v), {"mrel"}) <= rel else "mrel" for n, v in names.items()}
+def value_names(t: Term) -> list[str]:
+    """The value names in ``t``, in order of first use."""
+    if isinstance(t, Var):
+        return [t.name]
+    return list(dict.fromkeys(n for k in _operands(t) for n in value_names(k)))
 
 
 class _Roles(dict):
@@ -1101,25 +1083,62 @@ class _Roles(dict):
         return name
 
 
-def slot_roles(t: Term, sorts: Mapping[str, str]) -> tuple[tuple[str, ...], dict]:
-    """All carrier roles, and each slot's (src, dst) roles, for the value
-    names of ``t`` at the given sorts.  Names whose carriers must agree
-    share a role: ``a(R * S)`` gives R: X -> Y and S: Y -> Z.  Carrier names
-    in ``t`` are roles of their own; the others are named X, Y, Z, ... in
-    order of first use.  Raises ShapeMismatch if ``t`` is ill-shaped or a
-    slot would range over a powerset carrier."""
-    types = _Roles({name: Sig(sort, _Var(), _Var()) for name, sort in sorts.items()})
-    typecheck(t, types)
-    fresh = (n for n in chain("XYZWVU", (f"X{i}" for i in count(1))) if n not in types)
+def infer_slots(terms, slots, names=()) -> tuple[tuple[str, ...], list[tuple[str, str, str]]]:
+    """The roles of a law, and each slot's (sort, src, dst), from the terms
+    that use the slots: a claim and its guard, None for no guard.
+
+    ``slots`` gives each slot as (name, sort, src, dst), with None where it
+    is to be inferred; a given sort is fixed, a given src or dst is that
+    role's name.  A slot is a multirelation where an operand position it
+    fills must be one: an ``m`` operand, directly or through its siblings
+    under ``&``, ``|``, ``-``, a comparison or a residual (the rule that
+    ``typecheck`` applies to ``0`` and ``U``); or where the target of its
+    relation view is a powerset.  Otherwise it is a relation.  Slots whose
+    carriers must agree share a role.  Carriers written in the terms are
+    roles of their own; the others take, in order of first use over the
+    slots, the ``names`` given, then X, Y, Z, W, ....  The roles are listed
+    in that order, then the written ones in the order they are written.
+    Raises ShapeMismatch if the terms are ill-shaped or a slot would range
+    over a powerset carrier."""
+    types = _Roles((name, Sig(sort or _Var(), _Var(), _Var())) for name, sort, *_ in slots)
+    consts: list[_Node] = []
+    for t in filter(None, terms):
+        _require_depth(t)
+        _walk(t, types, consts, t)
+    sigs = [types[name] for name, *_ in slots]
+    # where a slot's sort is open, its Sig's dst is its relation view's target
+    for sig in sigs:
+        if isinstance(sig.sort, _Var) and isinstance(_find(sig.dst), Pw):
+            _unify(sig.sort, "mrel")
+    sorts, ends = [], []
+    for (name, _, src, dst), sig in zip(slots, sigs):
+        sort, target = _find(sig.sort), sig.dst
+        if isinstance(sig.sort, _Var):
+            if isinstance(sort, _Var):  # nothing asked for a multirelation
+                sort.ref = sort = "rel"
+            if sort == "mrel" and not _unify(sig.dst, Pw(target := _Var())):
+                raise ShapeMismatch(f"{name} is a multirelation but its target is not a powerset")
+        sorts.append(sort)
+        ends.append(((src, sig.src), (dst, target)))
+    _settle(consts)
+    # a role takes a name given to it, else the next free one
+    written = [n for n, ty in types.items() if isinstance(ty, str)]
+    taken = {*types, *(given for given, _ in chain(*ends) if given)}
+    fresh = (n for n in chain(names, "XYZWVU", (f"X{i}" for i in count(1))) if n not in taken)
     named: dict[_Var, str] = {}
-    ends: dict[str, tuple] = {}
-    for name in sorted(sorts):
-        pair = (_find(types[name].src), _find(types[name].dst))
-        for c in pair:
-            if isinstance(c, Pw):
+    for given, c in chain(*ends):
+        if given and isinstance(_find(c), _Var):
+            named.setdefault(_find(c), given)
+    out = []
+    for (name, *_), sort, pair in zip(slots, sorts, ends):
+        roles = []
+        for given, c in pair:
+            c = _find(c)
+            if isinstance(c, Pw) and not given:
                 raise ShapeMismatch(f"{name} would range over {_show_carrier(c)}, a powerset")
             if isinstance(c, _Var) and c not in named:
                 named[c] = next(fresh)
-        ends[name] = tuple(named.get(c, c) for c in pair)
-    written = sorted(n for n, ty in types.items() if isinstance(ty, str))
-    return tuple(dict.fromkeys([r for pair in ends.values() for r in pair] + written)), ends
+                taken.add(named[c])
+            roles.append(given or named.get(c, c))
+        out.append((sort, *roles))
+    return tuple(dict.fromkeys([r for _, *pair in out for r in pair] + written)), out

@@ -11,12 +11,14 @@ byte-identical JSON.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from typing import Iterator, Mapping, Sequence
 
-from .dsl import Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, parse
+from .dsl import (
+    Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
+)
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
 from .generate import GenSpec, instances, mix64, space_size
 from .mrel import MRel
@@ -25,12 +27,16 @@ from .rel import Carrier, Rel, bits
 
 @dataclass(frozen=True)
 class Slot:
-    """One generated operand: its sort, carrier roles and required flags."""
+    """One generated operand: its sort, carrier roles and required flags.
+
+    A sort, src or dst left None is inferred from the law's claim and guard
+    when the law is checked (see ``dsl.infer_slots``); one that is given is
+    kept."""
 
     name: str
-    sort: str  # "rel" | "mrel"
-    src: str  # carrier role name
-    dst: str
+    sort: str | None = None  # "rel" | "mrel"
+    src: str | None = None  # carrier role name
+    dst: str | None = None
     needs: tuple[str, ...] = ()
 
 
@@ -41,6 +47,9 @@ class Law:
     ``kind`` is "theorem" (expected to hold), "neg" (expected to fail on
     some generated instance) or "regression" (evaluated on a pinned
     environment).  ``anchor`` states the checked result symbolically.
+    ``roles`` names the carrier roles that neither the claim nor a slot
+    names, in order of first use over the slots; X, Y, Z, W, ... name the
+    rest.
     """
 
     id: str
@@ -63,7 +72,8 @@ class Law:
 
 
 class _Terms:
-    """A law's claim and guard, parsed once and typed once per carrier sizes.
+    """A law's claim and guard, parsed once and typed once per carrier sizes,
+    and the law with its slots' sorts and roles inferred from them (``law``).
 
     Sub-terms over values of small shapes look their values up in operator
     tables over value ids, and sub-terms that read no slot are computed
@@ -73,9 +83,14 @@ class _Terms:
     evaluated once."""
 
     def __init__(self, law: Law):
-        self.law = law
         self.claim = law.parsed_claim()
         self.guard = parse(law.guard) if law.guard else None
+        if law.kind != "regression":  # a pinned law has no slots and no roles
+            given = [(s.name, s.sort, s.src, s.dst) for s in law.slots]
+            roles, ends = infer_slots((self.claim, self.guard), given, law.roles)
+            slots = tuple(Slot(s.name, *end, s.needs) for s, end in zip(law.slots, ends))
+            law = replace(law, slots=slots, roles=roles)
+        self.law = law
         self.typed: dict[tuple[int, ...], tuple | None] = {}
         self.tables: dict | None = {} if law.slots else None
 
@@ -175,8 +190,9 @@ def check(
     """Evaluate one law and report; never raises for cap overruns."""
     started = time.monotonic()
     base_seed = law_seed(seed, law.id)
-    resolved = _resolve_sizes(law, sizes)
     terms = _Terms(law)
+    law = terms.law
+    resolved = _resolve_sizes(law, sizes)
     density = law.density if density is None else density
 
     def finish(mode, checked, skipped, verdict, reason, cex):
@@ -355,6 +371,7 @@ def shrink(
     still fails the law, and start again from there until none does.
     ``terms`` passes on a check's parsed and typed claim and guard."""
     terms = terms or _Terms(law)
+    law = terms.law
     carriers, values = dict(carriers), dict(values)
     while True:
         for cand in _smaller(law, carriers, values):

@@ -367,6 +367,43 @@ class TestFindCex:
         assert rc == 0
         assert "16 instances" in capsys.readouterr().out
 
+    def test_an_unconstrained_slot_is_a_relation(self, capsys):
+        rc = main(["find-cex", "--lhs", "R", "--rhs", "R", "--rel", "==", "--sizes", "2,2"])
+        assert rc == 0
+        assert "16 instances" in capsys.readouterr().out
+
+    def test_vars_override_the_inferred_sort(self, capsys):
+        rc = main(["find-cex", "--lhs", "R", "--rhs", "R", "--rel", "==", "--sizes", "2,2",
+                   "--vars", "R=mrel"])
+        assert rc == 0
+        assert "256 instances" in capsys.readouterr().out
+
+    def test_a_slot_named_twice_in_vars_is_refused(self, capsys):
+        rc = main(["find-cex", "--lhs", "R", "--rhs", "R", "--rel", "==", "--sizes", "2,2",
+                   "--vars", "R=rel,R=mrel"])
+        assert rc == 2
+        assert "'R' twice" in capsys.readouterr().err
+
+    # registry claims whose constants take their carriers only from slots,
+    # and one whose slot's relation view ends in a powerset
+    @pytest.mark.parametrize("lhs,rhs", [
+        ("down(R)", "R * down(eta)"),
+        ("1 * R", "R"),
+        ("R * 1", "R"),
+        ("R @ 1", "R"),
+        ("1 @ R", "R"),
+        ("a(tau(R))", "0"),
+        ("tau(di(R))", "0"),
+        ("R & -R", "0"),
+        ("-R", "R ; -Id(pw(Y))"),
+    ])
+    def test_constants_typed_by_slots_run(self, capsys, lhs, rhs):
+        # a term that begins with '-' is passed as --lhs=-R: argparse
+        # would read "--lhs -R" as an option
+        rc = main(["find-cex", f"--lhs={lhs}", "--rhs", rhs, "--rel", "==", "--sizes", "2,2",
+                   "--random", "50"])
+        assert rc in (0, 1), capsys.readouterr().err
+
 
 class TestConvert:
     def test_value_round_trip(self, tmp_path, capsys):

@@ -26,10 +26,10 @@ from multirel.dsl import (
     eval_term,
     evaluate,
     parse,
+    infer_slots,
     print_term,
-    slot_roles,
-    slot_sorts,
     typecheck,
+    value_names,
     _lex,
 )
 from multirel.registry import registry
@@ -387,35 +387,94 @@ class TestEval:
             evaluate("(R == R) <= R", env)
 
 
+def infer(claim, guard=None, names=(), **given):
+    """``infer_slots`` over every value name of the claim and the guard,
+    each given as ``(sort, src, dst)`` or a sort, or inferred: the roles,
+    and each name's (sort, src, dst)."""
+    terms = [parse(claim), guard and parse(guard)]
+    slots = list(dict.fromkeys(n for t in filter(None, terms) for n in value_names(t)))
+    fields = [given.get(n, (None, None, None)) for n in slots]
+    fields = [(f, None, None) if isinstance(f, str) else f for f in fields]
+    roles, ends = infer_slots(terms, [(n, *f) for n, f in zip(slots, fields)], names)
+    return roles, dict(zip(slots, ends))
+
+
 class TestSlots:
-    def test_sorts_follow_required_views(self):
-        t = parse("(-R ; S) == up(T) & V")
-        assert slot_sorts(t) == {"R": "rel", "S": "rel", "T": "mrel", "V": "mrel"}
+    def test_unconstrained_slots_are_relations(self):
+        assert infer("R == S") == (("X", "Y"), {"R": ("rel", "X", "Y"), "S": ("rel", "X", "Y")})
 
-    def test_sibling_constrained_slots_take_the_siblings_sort(self):
-        assert slot_sorts(parse("R ; S == T")) == {"R": "rel", "S": "rel", "T": "rel"}
-        assert slot_sorts(parse("(R | S) ; T == V"))["R"] == "rel"
-        assert slot_sorts(parse("R <= Id(X)")) == {"R": "rel"}
-        assert slot_sorts(parse("up(Q) & T == V")) == {"Q": "mrel", "T": "mrel", "V": "mrel"}
+    def test_an_m_operand_makes_its_siblings_multirelations(self):
+        _, ends = infer("up(Q) & T == V")
+        assert {n: e[0] for n, e in ends.items()} == {"Q": "mrel", "T": "mrel", "V": "mrel"}
+        # S's relation view ends in a powerset, that of up(T) & V
+        _, ends = infer("(-R ; S) == up(T) & V")
+        assert ends == {"R": ("rel", "X", "Y"), "S": ("mrel", "Y", "Z"),
+                        "T": ("mrel", "X", "Z"), "V": ("mrel", "X", "Z")}
+
+    def test_slots_beside_relations_are_relations(self):
+        _, ends = infer("R ; S == T")
+        assert {n: e[0] for n, e in ends.items()} == {"R": "rel", "S": "rel", "T": "rel"}
+        assert infer("(R | S) ; T == V")[1]["R"][0] == "rel"
+        assert infer("R <= Id(X)") == (("X",), {"R": ("rel", "X", "X")})
         # residual operands stay relations unless a sibling says otherwise
-        assert slot_sorts(parse("R \\ S == T")) == {"R": "rel", "S": "rel", "T": "rel"}
-        # nothing constrains R or S
-        assert slot_sorts(parse("R == S")) == {"R": "mrel", "S": "mrel"}
+        _, ends = infer("R \\ S == T")
+        assert {n: e[0] for n, e in ends.items()} == {"R": "rel", "S": "rel", "T": "rel"}
 
-    def test_roles_follow_composition(self):
-        t = parse("a(R * S) == a(R) ; a(S)")
-        roles, ends = slot_roles(t, {"R": "mrel", "S": "mrel"})
+    def test_a_relation_beside_a_slot_does_not_fix_its_sort(self):
+        # R is first compared with a relation, then intersected with atoms
+        claim = "(((R ; eta(Y)^) ; eta(Y)) == R) == (R == (R & At(X, Y)))"
+        assert infer(claim) == (("X", "Y"), {"R": ("mrel", "X", "Y")})
+
+    def test_a_powerset_target_makes_a_multirelation(self):
+        assert infer("-R == R ; -Id(pw(Y))") == (("X", "Y"), {"R": ("mrel", "X", "Y")})
+
+    def test_roles_are_named_in_order_of_first_use(self):
+        assert infer("S ; R == T") == (("X", "Y", "Z"), {
+            "S": ("rel", "X", "Y"), "R": ("rel", "Y", "Z"), "T": ("rel", "X", "Z")})
+        roles, ends = infer("a(R * S) == a(R) ; a(S)")
         assert roles == ("X", "Y", "Z")
-        assert ends == {"R": ("X", "Y"), "S": ("Y", "Z")}
+        assert ends == {"R": ("mrel", "X", "Y"), "S": ("mrel", "Y", "Z")}
+
+    def test_given_names_come_first(self):
+        roles, ends = infer("(T \\ S) == ((S^ / T^))^", names=("Z", "X", "Y"))
+        assert roles == ("Z", "X", "Y")
+        assert ends == {"T": ("rel", "Z", "X"), "S": ("rel", "Z", "Y")}
 
     def test_written_carriers_are_roles(self):
-        roles, ends = slot_roles(parse("R ; Id(Y) == S"), {"R": "rel", "S": "rel"})
-        assert ends == {"R": ("X", "Y"), "S": ("X", "Y")}
-        assert roles == ("X", "Y")
+        assert infer("R ; Id(Y) == S") == (("X", "Y"), {
+            "R": ("rel", "X", "Y"), "S": ("rel", "X", "Y")})
+        assert infer("(T * 0(Y, Z)) == 0(X, Z)")[0] == ("X", "Y", "Z")
+        assert infer("ihigh(X, Y) == icpl(ilow(X, Y))") == (("X", "Y"), {})
+
+    def test_fresh_names_skip_written_carriers_and_slot_names(self):
+        roles, ends = infer("X ; Y == Id(Z)")
+        assert roles == ("Z", "W")
+        assert ends == {"X": ("rel", "Z", "W"), "Y": ("rel", "W", "Z")}
+
+    def test_the_guard_constrains_the_slots(self):
+        assert infer("R == S", guard="R <d= S")[1] == {
+            "R": ("mrel", "X", "Y"), "S": ("mrel", "X", "Y")}
+
+    def test_given_fields_are_kept(self):
+        assert infer("R == S", R="mrel")[1] == {"R": ("mrel", "X", "Y"), "S": ("mrel", "X", "Y")}
+        # given roles are names, checked when the sizes are known
+        both = ("mrel", "X", "Y")
+        assert infer("a(R * S) == a(R) ; a(S)", R=both, S=both) == (("X", "Y"), {
+            "R": both, "S": both})
+
+    def test_constants_may_take_their_carriers_from_slots(self):
+        for claim in ("1 * R == R", "R @ 1 == R", "a(tau(R)) == 0", "down(R) == R * down(eta)"):
+            assert infer(claim)[1]["R"][0] == "mrel", claim
+        assert infer("R & -R == 0") == (("X", "Y"), {"R": ("rel", "X", "Y")})
 
     def test_powerset_slot_is_an_error(self):
         with pytest.raises(ShapeMismatch):
-            slot_roles(parse("a(R) == R"), {"R": "rel"})
+            infer("a(R) == R", R="rel")
+        with pytest.raises(ShapeMismatch, match="R would range over pw"):
+            infer("R == mem(X)", R="rel")
+
+    def test_value_names_in_order_of_first_use(self):
+        assert value_names(parse("(S ; R) == (R ; mem(Y)) & T")) == ["S", "R", "T"]
 
 
 class TestEnvJson:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,11 @@ from multirel.laws import Law, Slot, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
 from conftest import C, M, R
+
+
+def resolved_registry() -> list[Law]:
+    """Every registry law with its slots' sorts and roles inferred."""
+    return [_Terms(law).law for law in registry()]
 
 
 class TestRegistry:
@@ -51,7 +61,7 @@ class TestRegistry:
         # happening to have the same size; regressions over their pins
         from multirel.dsl import Sig, env_types, typecheck
 
-        for law in registry():
+        for law in resolved_registry():
             if law.kind == "regression":
                 types = env_types(env_from_json(law.pinned))
             else:
@@ -62,7 +72,7 @@ class TestRegistry:
 
     def test_slot_needs_are_flags_of_their_sort(self):
         flags = {"rel": rel.REL_ROW_FLAGS, "mrel": mrel.MREL_ROW_FLAGS}
-        for law in registry():
+        for law in resolved_registry():
             for slot in law.slots:
                 assert set(slot.needs) <= set(flags[slot.sort]), (law.id, slot)
 
@@ -85,10 +95,44 @@ class TestRegistry:
                     law.expected)
 
         first: dict = {}
-        for law in registry():
+        for law in resolved_registry():
             assert first.setdefault(statement(law), law.id) == law.id, (
                 f"{law.id} restates {first[statement(law)]}"
             )
+
+    def test_inferred_slots_and_roles_are_pinned(self):
+        # the digest of the hand-written slot lists and roles that the
+        # inference replaced, so any drift in the inference fails here
+        rows = [[law.id, list(law.roles),
+                 [[s.name, s.sort, s.src, s.dst, list(s.needs)] for s in law.slots]]
+                for law in resolved_registry()]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "30761f1609dde2652137b20d5d5db9ea91e343beff2001ac44597ebdff4eb33e"
+
+    def test_registry_states_no_sorts_or_roles(self):
+        for law in registry():
+            assert all((s.sort, s.src, s.dst) == (None,) * 3 for s in law.slots), law.id
+
+    def test_building_the_registry_parses_nothing(self):
+        # the inference runs when a law is checked, not at import
+        code = (
+            "import sys\n"
+            "calls = []\n"
+            "def watch(frame, event, arg):\n"
+            "    code = frame.f_code\n"
+            "    if event == 'call' and code.co_filename.endswith('dsl.py'):\n"
+            "        calls.append(code.co_name)\n"
+            "sys.setprofile(watch)\n"
+            "import multirel\n"
+            "multirel.registry()\n"
+            "sys.setprofile(None)\n"
+            "print(sorted(set(calls) & {'parse', '_walk', 'infer_slots'}))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestCheck:
