@@ -39,7 +39,7 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -191,6 +191,28 @@ def space_size(kind: str, spec: GenSpec) -> int:
         return prod(map(len, _allowed(kind, spec, *model)))
     n, ns = len(candidates), spec.shape[0]
     return n**ns if pick else 1 << (n * ns)
+
+
+def _group(shape: tuple[int, int], diagonal: bool) -> list[tuple[tuple[int, ...], ...]]:
+    """The permutations ``(p, q)`` of the source and target elements of
+    arrows of ``shape``: every pair, or with ``diagonal`` one permutation of
+    a carrier that is both.  The identity comes first."""
+    ps = list(permutations(range(shape[0])))
+    return [(p, p) for p in ps] if diagonal else list(product(ps, permutations(range(shape[1]))))
+
+
+def _orbits(values: Iterator, group: list) -> Iterator[tuple[Rel | MRel, int]]:
+    """The values of an exhaustive stream that come first in their orbits
+    under ``group`` (see ``_group``), in stream order, each with the size of
+    its orbit.  The stream must hold the orbit of each of its values, as
+    every stream whose filters ``group`` keeps does: all row tests keep the
+    stream under any permutations, but ``test`` only under diagonal ones."""
+    seen = set()
+    for v in values:
+        if v.rows not in seen:
+            orbit = {v._permuted(p, q).rows for p, q in group}
+            seen |= orbit
+            yield v, len(orbit)
 
 
 def instances(kind: str, spec: GenSpec) -> Iterator[Rel] | Iterator[MRel]:

@@ -5,14 +5,16 @@ A law's claim (and optional guard) are boolean terms over named slots;
 slots are filled from the instance generators, honoring per-slot property
 requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
-byte-identical JSON.
+byte-identical JSON.  An exhaustive check may run its first slot over
+orbit representatives under permutations of its carrier roles (see
+``_symmetries``); its report is the plain sweep's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from typing import Iterator, Mapping, Sequence
 
@@ -20,7 +22,7 @@ from .dsl import (
     Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
 )
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
-from .generate import GenSpec, instances, mix64, space_size
+from .generate import GenSpec, _group, _orbits, instances, mix64, space_size
 from .mrel import MRel
 from .rel import Carrier, Rel, bits
 
@@ -106,6 +108,20 @@ class _Terms:
         if self.typed[key] is None:
             raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
         return self.typed[key]
+
+    def symbolic(self) -> bool:
+        """Whether the claim and guard type as booleans with each role a
+        carrier of its own.  A claim over slots whose roles were given may
+        type only because two roles have one size, as ``R * S`` does over
+        two slots X -> Y."""
+        types: dict = {r: r for r in self.law.roles}
+        types.update((s.name, Sig(s.sort, s.src, s.dst)) for s in self.law.slots)
+        try:
+            for what in ("claim", "guard") if self.guard else ("claim",):
+                self.boolean(what, types)
+        except ShapeMismatch:
+            return False
+        return True
 
     def boolean(self, what: str, types: Mapping, tables: dict | None = None) -> Typed:
         """The "claim" or the "guard", typed; raises ShapeMismatch unless
@@ -235,10 +251,10 @@ def check(
     # choose exhaustive vs seeded-random by the size of the tuple space
     args = [_stream_args(s, resolved) for s in law.slots]
     try:
-        space = prod(space_size(*a) for a in args)
+        spaces = [space_size(*a) for a in args]
     except CapExceeded as e:
         return finish("exhaustive", 0, 0, "skipped", str(e), [])
-    mode = "exhaustive" if space <= law.budget else "random"
+    mode = "exhaustive" if prod(spaces) <= law.budget else "random"
     n_random = count if count is not None else law.count
 
     # NEG entries hunt for a witness: in random mode they sweep several
@@ -248,43 +264,94 @@ def check(
     else:
         densities = [density]
 
-    def tuples() -> Iterator[tuple]:
-        if mode == "exhaustive":
-            yield from product(*(instances(*a) for a in args))
-            return
-        for phase, d in enumerate(densities):
-            streams = [
-                instances(*_stream_args(
-                    s, resolved, "random", mix64(base_seed ^ (1000 * phase + i + 1)), n_random, d
-                ))
-                for i, s in enumerate(law.slots)
-            ]
-            yield from zip(*streams)
+    def tuples(group: list | None) -> Iterator[tuple[int, tuple]]:
+        """Each tuple to check and the number of tuples it stands for: with
+        a ``group``, the first slot runs over the values first in their
+        orbits under it, each standing for its orbit (see ``_symmetries``)."""
+        if mode == "exhaustive" and group is None:
+            yield from zip(repeat(1), product(*(instances(*a) for a in args)))
+        elif mode == "exhaustive":
+            others = [tuple(instances(*a)) for a in args[1:]]
+            for first, weight in _orbits(instances(*args[0]), group):
+                yield from zip(repeat(weight), product((first,), *others))
+        else:
+            for phase, d in enumerate(densities):
+                streams = [
+                    instances(*_stream_args(
+                        s, resolved, "random", mix64(base_seed ^ (1000 * phase + i + 1)),
+                        n_random, d,
+                    ))
+                    for i, s in enumerate(law.slots)
+                ]
+                yield from zip(repeat(1), zip(*streams))
 
     claim, guard = terms.at(carriers)
-    env = Env()
-    checked = 0
-    skipped = 0
-    failures: list[dict] = []
-    try:
-        for tup in tuples():
-            for slot, value in zip(law.slots, tup):
-                env.bindings[slot.name] = value
-            if guard is not None and not eval_term(guard, env):
-                skipped += 1
-                continue
-            checked += 1
-            if not eval_term(claim, env):
-                values = dict(zip((s.name for s in law.slots), tup))
-                small = shrink(law, carriers, values, terms)
-                failures.append(_counterexample_json(*small))
-                if len(failures) >= collect:
-                    break
-    except CapExceeded as e:
-        return finish(mode, checked, skipped, "skipped", str(e), [])
-    failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
-    verdict = "fail" if failures else "pass"
-    return finish(mode, checked, skipped, verdict, None, failures)
+    names = [s.name for s in law.slots]
+
+    def sweep(group: list | None) -> LawReport | None:
+        """The report of a check whose first slot runs over ``group``'s
+        orbits, or over every value without one; None if a reduced sweep
+        fails or hits a cap, so that the plain one reports it."""
+        reduced = group is not None
+        env = Env()
+        checked = 0
+        skipped = 0
+        failures: list[dict] = []
+        try:
+            for weight, tup in tuples(group):
+                env.bindings.update(zip(names, tup))
+                if guard is not None and not eval_term(guard, env):
+                    skipped += weight
+                    continue
+                checked += weight
+                if not eval_term(claim, env):
+                    if reduced:
+                        return None
+                    small = shrink(law, carriers, dict(zip(names, tup)), terms)
+                    failures.append(_counterexample_json(*small))
+                    if len(failures) >= collect:
+                        break
+        except CapExceeded as e:
+            return None if reduced else finish(mode, checked, skipped, "skipped", str(e), [])
+        failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
+        verdict = "fail" if failures else "pass"
+        return finish(mode, checked, skipped, verdict, None, failures)
+
+    group = _symmetries(terms, resolved, spaces) if mode == "exhaustive" else None
+    return (group and sweep(group)) or sweep(None)
+
+
+def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list | None:
+    """The permutations of the first slot's roles that an exhaustive check
+    of ``terms.law`` may reduce that slot by (see ``generate._group``);
+    None, for the plain sweep, unless all of these hold, each of them
+    observable from the law:
+
+    - it is expected to pass, so a reduced sweep that fails is the rare
+      case, and its report comes from the plain sweep;
+    - it has two or more slots, and the other slots have at least as many
+      tuples as the group has elements, so that finding the orbits costs
+      no more than the sweep they save;
+    - its claim and guard type as booleans with each role a carrier of its
+      own (``_Terms.symbolic``);
+    - no slot needs ``test`` between two roles, which a permutation of one
+      of them would not keep.
+
+    Every operation and constant of the term language is defined from the
+    elements' sets alone, so then claim and guard give the same verdict on
+    a tuple and on its image under the group; and a permutation maps each
+    slot's stream onto itself, since its filters are row tests.  So each
+    first value's tuples count as often as the values of its orbit."""
+    law = terms.law
+    if law.expected != "pass" or len(law.slots) < 2:
+        return None
+    first = law.slots[0]
+    group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
+    if len(group) > prod(spaces[1:]):
+        return None
+    if any("test" in s.needs and s.src != s.dst for s in law.slots):
+        return None
+    return group if terms.symbolic() else None
 
 
 def _stable_key(cex: dict) -> str:

@@ -12,7 +12,7 @@ presentation only: they never affect semantics, equality or serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, make_dataclass
-from typing import Any, Callable, Collection, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     POW_CAP,
@@ -179,6 +179,24 @@ class _Arrow:
         """Whether every row passes every flag named in ``names``."""
         passes = row_test(self.FLAGS, names, self.src.size, self.dst.size)
         return passes is not None and all(passes(a, row) for a, row in enumerate(self.rows))
+
+    def _permuted(self, p: Sequence[int], q: Sequence[int]):
+        """This arrow with source element ``a`` renamed ``p[a]`` and target
+        element ``b`` renamed ``q[b]``: a relation's row, or each mask of a
+        multirelation's row, is a set of targets."""
+        rows = [None] * len(self.rows)
+        for a, row in zip(p, self.rows):
+            rows[a] = (_renamed(row, q) if isinstance(row, int)
+                       else tuple(sorted(_renamed(m, q) for m in row)))
+        return self._trusted(self.src, self.dst, tuple(rows))
+
+
+def _renamed(mask: int, q: Sequence[int]) -> int:
+    """The set ``mask`` with each element ``b`` renamed ``q[b]``."""
+    out = 0
+    for b in bits(mask):
+        out |= 1 << q[b]
+    return out
 
 
 def _univalent(a: int, row: int, width: int) -> bool:

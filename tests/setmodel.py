@@ -126,6 +126,26 @@ def fission(m: set, src_size: int) -> set:
     return out
 
 
+def convex(m: set, dst_size: int) -> set:
+    """Every (a, C) with C between two sets that m relates a to."""
+    return {(a, c) for a, low in m for a2, high in m if a2 == a
+            for c in subsets(dst_size) if low <= c <= high}
+
+
+def inner_dual(m: set, src_size: int, dst_size: int) -> set:
+    """Every (a, B) such that m does not relate a to the complement of B."""
+    every = frozenset(range(dst_size))
+    return {(a, b) for a in range(src_size) for b in subsets(dst_size) if (a, every - b) not in m}
+
+
+def odot(r: set, s: set, dst_size: int) -> set:
+    """For each (a, B) in r and each choice of a set s relates each element
+    of B to, the intersection of the chosen sets: all of the target when B
+    is empty."""
+    every = frozenset(range(dst_size))
+    return {(a, every.intersection(*f.values())) for a, big in r for f in choices(s, big)}
+
+
 def rel_flags(r: Rel) -> dict[str, bool]:
     """The flags of ``classify_rel``, from the pair set."""
     pairs = rel_pairs(r)

@@ -1,8 +1,9 @@
 """The subset kernels against their set-comprehension definitions in
-``setmodel``: the image functor, mu, the Kleisli and Peleg lifts, dsup and
-Peleg composition.  Every value is compared at shapes whose roles have 1 or
-2 elements, and seeded values at 3,3 and at 2,4 and 4,3, sparse enough that
-some rows are empty."""
+``setmodel``: the image functor, mu, the Kleisli and Peleg lifts, dsup,
+the convex closure, the inner dual, Peleg composition and its conjugate
+odot.  Every value is compared at shapes whose roles have 1 or 2 elements,
+and seeded values at 3,3 and at 2,4 and 4,3, sparse enough that some rows
+are empty."""
 
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ import pytest
 import setmodel
 from multirel import (
     GenSpec,
+    closure,
     image_functor,
+    inner_dual,
     instances,
     kleisli_lift,
     mu,
+    odot,
     peleg_compose,
     peleg_compose_oracle,
     peleg_lift,
@@ -91,6 +95,18 @@ def test_dsup():
         assert setmodel.mrel_sets(dsup(m)) == setmodel.dsup(setmodel.mrel_sets(m)), m
 
 
+def test_convex_closure():
+    for m in values("mrel"):
+        got = setmodel.mrel_sets(closure("convex", m))
+        assert got == setmodel.convex(setmodel.mrel_sets(m), m.dst.size), m
+
+
+def test_inner_dual():
+    for m in values("mrel"):
+        got = setmodel.mrel_sets(inner_dual(m))
+        assert got == setmodel.inner_dual(setmodel.mrel_sets(m), m.src.size, m.dst.size), m
+
+
 sets = cache(setmodel.mrel_sets)
 
 
@@ -114,3 +130,24 @@ def test_peleg_compose_every_pair(x, y, z):
 def test_peleg_compose_seeded(x, y, z):
     for r, s in seeded_pairs(x, y, z):
         agree(r, s)
+
+
+def odot_agrees(r, s):
+    got = setmodel.mrel_sets(odot(r, s))
+    assert got == setmodel.odot(sets(r), sets(s), s.dst.size), (r, s)
+
+
+@pytest.mark.parametrize("x, y, z", list(product((1, 2), repeat=3)))
+def test_odot_every_pair(x, y, z):
+    # at 2,2,2 one pair in 4, with every r and every s among them
+    stride = 4 if (x, y, z) == (2, 2, 2) else 1
+    rs, ss = every("mrel", x, y), every("mrel", y, z)
+    for (i, r), (j, s) in product(enumerate(rs), enumerate(ss)):
+        if (i - j) % stride == 0:
+            odot_agrees(r, s)
+
+
+@pytest.mark.parametrize("x, y, z", COMPOSED)
+def test_odot_seeded(x, y, z):
+    for r, s in seeded_pairs(x, y, z):
+        odot_agrees(r, s)

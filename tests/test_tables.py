@@ -201,6 +201,8 @@ def test_kernel_calls_fall_but_do_not_vanish(monkeypatch):
     calls.clear()
     rep = check(law, sizes=(2, 2))
     assert rep.verdict == "pass" and rep.checked == 65536
-    # with tables, every pair (R, S) is composed once, and di(R) * di(S)
-    # mostly finds its pair already there
-    assert 65536 <= len(calls) < 2 * 65536
+    # R runs over its 88 orbits under the permutations of X and Y, each
+    # standing for its orbit's tuples; with tables, every pair (R, S) met is
+    # composed once, and di(R) * di(S) mostly finds its pair already there
+    pairs = 88 * 256
+    assert pairs <= len(calls) < 2 * pairs
