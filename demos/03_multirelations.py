@@ -8,16 +8,12 @@ from multirel import (
     Carrier,
     MRel,
     classify_mrel,
-    convex,
-    down,
-    icap,
-    icomp,
-    icup,
+    closure,
+    inner_bool,
     inner_dual,
     mrel_const,
     preorder,
     split_terminal,
-    up,
 )
 
 X = Carrier(2, names=("a", "b"))
@@ -29,15 +25,14 @@ print("  R =", R)
 
 S = MRel.from_pairs(X, Y, [(0, 0b11), (1, 0b01)])
 print("\nInner union/intersection combine alternatives pointwise:")
-print("  R icup S =", icup(R, S))
-print("  R icap S =", icap(R, S))
-print("  inner complement of R =", icomp(R))
+print("  R icup S =", inner_bool("icup", R, S))
+print("  R icap S =", inner_bool("icap", R, S))
+print("  inner complement of R =", inner_bool("icomp", R))
 print("  dual of R =", inner_dual(R))
 
 print("\nClosures pad rows with super- or subsets:")
-print("  up(R)     =", up(R))
-print("  down(R)   =", down(R))
-print("  convex(R) =", convex(R))
+for mode in ("up", "down", "convex"):
+    print(f"  {mode + '(R)':9s} =", closure(mode, R))
 
 T = MRel.from_pairs(X, Y, [(0, 0b11), (1, 0b01)])
 print("\nRefinement preorders (Smyth, Hoare, Egli-Milner):")

@@ -6,13 +6,14 @@ Run: python3 demos/05_determinisation.py
 
 from multirel import (
     Carrier,
+    Env,
     MRel,
     alpha,
-    closed_repr,
+    classify_mrel,
     cofission,
     cofusion,
+    evaluate,
     fission,
-    fixpoint_class,
     fusion,
     preorder,
 )
@@ -37,12 +38,17 @@ print("whole carrier, the empty intersection):")
 print("  cofusion(R)  =", cofusion(R))
 print("  cofission(R) =", cofission(R))
 
-print("\nClosed representations pack fusion and fission into one value:")
-print("  down-closed:", closed_repr("down", R))
-print("  up-closed:  ", closed_repr("up", R))
+# the term language names fusion ``do`` and fission ``di``
+env = Env({"R": R})
+print("\nClosed representations pack fusion and fission into one value,")
+print("the closures of the fusion:")
+for text in ("down(do(R))", "up(do(R))"):
+    print(f"  {text:11s} =", evaluate(text, env))
 
-rep = fixpoint_class(R)
-print("\nFixpoint report: fusion fixes R?", rep.is_fix_fusion,
-      "fission fixes R?", rep.is_fix_fission)
-print("  (the fixpoints of the two maps are exactly the outer and inner")
-print("   deterministic multirelations)")
+flags = classify_mrel(R)
+print("\nThe fixpoints of the two maps are exactly the outer and inner")
+print("deterministic multirelations:")
+print("  do(R) == R:", evaluate("do(R) == R", env),
+      " outer deterministic:", flags.outer_deterministic)
+print("  di(R) == R:", evaluate("di(R) == R", env),
+      " inner deterministic:", flags.inner_deterministic)

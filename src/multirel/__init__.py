@@ -47,30 +47,20 @@ from .mrel import (
     PropertyFlags,
     classify_mrel,
     closure,
-    convex,
-    down,
-    icap,
-    icomp,
-    icup,
     inner_bool,
     inner_dual,
-    inner_union_family,
     is_submrel,
     mrel_bool,
     mrel_const,
     mrel_to_rel,
-    nu,
     preorder,
     rel_to_mrel,
     split_terminal,
-    tau,
-    up,
 )
 from .power import (
     alpha,
     ccomp,
     eta,
-    has_element_rel,
     image_functor,
     member_rel,
     mu,
@@ -83,18 +73,9 @@ from .peleg import (
     kleisli_lift,
     odot,
     peleg_compose,
-    peleg_compose_oracle,
     peleg_lift,
 )
-from .determinise import (
-    FixpointReport,
-    closed_repr,
-    cofission,
-    cofusion,
-    fission,
-    fixpoint_class,
-    fusion,
-)
+from .determinise import cofission, cofusion, fission, fusion
 from .generate import GenSpec, SplitMix64, instances, mix64, space_size
 from .dsl import Env, evaluate, parse, print_term
 from .laws import Law, LawReport, Slot, check

@@ -9,9 +9,7 @@ readings check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .mrel import MRel, classify_mrel, closure, is_submrel, mrel_bool, preorder
+from .mrel import MRel
 from .power import _union
 from .rel import full_mask
 
@@ -58,61 +56,3 @@ def cofission(r: MRel) -> MRel:
             missed |= top ^ m
         rows.append(tuple(sorted(top ^ (1 << b) for b in range(r.dst.size) if missed >> b & 1)))
     return MRel._trusted(r.src, r.dst, tuple(rows))
-
-
-def closed_repr(mode: str, r: MRel) -> MRel:
-    """Down- or up-closed representation: the closure of the fusion."""
-    if mode not in ("down", "up"):
-        raise ValueError(f"unknown representation mode {mode!r}")
-    return closure(mode, fusion(r))
-
-
-_ORDERS = ("subset", "smyth", "hoare", "egli_milner")
-
-
-def _below(order: str, r: MRel, s: MRel) -> bool:
-    if order == "subset":
-        return is_submrel(r, s)
-    return preorder(order, r, s)
-
-
-@dataclass(frozen=True)
-class FixpointReport:
-    """Where a multirelation sits relative to its fusion and fission.
-
-    ``prefixpoints[(map, order)]`` records map(R) below R and
-    ``postfixpoints[(map, order)]`` records R below map(R), for each of
-    the four orders.
-    """
-
-    is_fix_fusion: bool
-    is_fix_fission: bool
-    prefixpoints: dict[tuple[str, str], bool]
-    postfixpoints: dict[tuple[str, str], bool]
-
-
-def fixpoint_class(r: MRel) -> FixpointReport:
-    fo = fusion(r)
-    fi = fission(r)
-    pre = {}
-    post = {}
-    for name, image in (("fusion", fo), ("fission", fi)):
-        for order in _ORDERS:
-            pre[(name, order)] = _below(order, image, r)
-            post[(name, order)] = _below(order, r, image)
-    return FixpointReport(
-        is_fix_fusion=fo == r,
-        is_fix_fission=fi == r,
-        prefixpoints=pre,
-        postfixpoints=post,
-    )
-
-
-def agrees_with_classification(r: MRel) -> bool:
-    """Fixpoints of fusion/fission coincide with the deterministic classes."""
-    flags = classify_mrel(r)
-    report = fixpoint_class(r)
-    return (
-        report.is_fix_fusion == flags.outer_deterministic
-        and report.is_fix_fission == flags.inner_deterministic
-    )

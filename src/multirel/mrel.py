@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import MASK_CAP, MaskTooWide, ShapeMismatch
 from .rel import Carrier, Rel, RowFlag, _Arrow, _require_pow_ok, bits, full_mask
-from .rel import pow_carrier, require_index, require_object, require_size
+from .rel import pow_carrier, require_array, require_index, require_object, require_size
 
 
 def _outer_total(a: int, row: tuple[int, ...], width: int) -> bool:
@@ -137,9 +137,10 @@ class MRel(_Arrow):
         src, dst = (Carrier(require_size(data[k], f"a multirelation's {k!r}"))
                     for k in ("src", "dst"))
         rows = []
-        for a, row in enumerate(data["rows"]):
+        for a, row in enumerate(require_array(data["rows"], "a multirelation's 'rows'")):
             masks = set()
-            for elems in row:
+            for elems in require_array(row, f"row {a}"):
+                require_array(elems, f"row {a}: subset {elems!r}")
                 m = 0
                 for b in elems:
                     require_index(b, dst, f"row {a}: element")
@@ -206,30 +207,6 @@ def inner_bool(op: str, r: MRel, s: MRel | None = None) -> MRel:
     return MRel._from_sets(r.src, r.dst, rows)
 
 
-def icup(r: MRel, s: MRel) -> MRel:
-    return inner_bool("icup", r, s)
-
-
-def icap(r: MRel, s: MRel) -> MRel:
-    return inner_bool("icap", r, s)
-
-
-def icomp(r: MRel) -> MRel:
-    return inner_bool("icomp", r)
-
-
-def inner_union_family(rs: Sequence[MRel], shape: tuple[Carrier, Carrier] | None = None) -> MRel:
-    """Inner union of a finite family; the empty family yields the inner unit."""
-    if not rs:
-        if shape is None:
-            raise ValueError("empty family needs an explicit shape")
-        return mrel_const("inner_unit", shape[0], shape[1])
-    acc = rs[0]
-    for r in rs[1:]:
-        acc = inner_bool("icup", acc, r)
-    return acc
-
-
 _OUTER = {"union": set.union, "inter": set.intersection, "minus": set.difference}
 
 
@@ -287,18 +264,6 @@ def closure(mode: str, r: MRel) -> MRel:
     return MRel._from_sets(r.src, r.dst, rows)
 
 
-def up(r: MRel) -> MRel:
-    return closure("up", r)
-
-
-def down(r: MRel) -> MRel:
-    return closure("down", r)
-
-
-def convex(r: MRel) -> MRel:
-    return closure("convex", r)
-
-
 def preorder(mode: str, r: MRel, s: MRel) -> bool:
     """The Smyth, Hoare and Egli-Milner preorders.
 
@@ -335,14 +300,6 @@ def split_terminal(r: MRel) -> tuple[MRel, MRel]:
         MRel._trusted(r.src, r.dst, tuple(nu_rows)),
         MRel._trusted(r.src, r.dst, tuple(tau_rows)),
     )
-
-
-def nu(r: MRel) -> MRel:
-    return split_terminal(r)[0]
-
-
-def tau(r: MRel) -> MRel:
-    return split_terminal(r)[1]
 
 
 def inner_dual(r: MRel) -> MRel:

@@ -3,9 +3,7 @@ multirelation into its univalent same-domain parts.
 
 The direct composition folds choice functions per pair, keeping distinct
 unions only, and ENUM_CAP bounds each step of that fold; pairs whose sets
-share their lowest elements share those steps within one call.  The oracle
-recomputes the same composition through the decomposition-and-lifting
-route so the two can be played against each other in tests.
+share their lowest elements share those steps within one call.
 """
 
 from __future__ import annotations
@@ -14,9 +12,9 @@ from itertools import product
 from typing import Iterator
 
 from .errors import ENUM_CAP, EnumerationTooLarge
-from .mrel import MRel, inner_bool, mrel_to_rel, rel_to_mrel
-from .power import _image_rows, _union, alpha, image_functor
-from .rel import Rel, _require_carriers, bits, pow_carrier, rel_bool, rel_compose
+from .mrel import MRel, inner_bool
+from .power import _image_rows, _union, alpha
+from .rel import Rel, _require_carriers, bits, pow_carrier
 
 
 def _dom_mask(r: MRel) -> int:
@@ -137,28 +135,6 @@ def peleg_compose(r: MRel, s: MRel) -> MRel:
             acc |= _choice_unions(s, b_mask, unions, a)
         out_rows.append(acc)
     return MRel._from_sets(r.src, s.dst, out_rows)
-
-
-def peleg_compose_oracle(r: MRel, s: MRel) -> MRel:
-    """Same composition, computed as r composed with the union of the
-    liftings of the univalent parts of s.  Exercises a disjoint code path
-    (decomposition, materialized powersets, relational composition)."""
-    _require_carriers(r.dst.size, s.src.size, "peleg compose: inner")
-    py = pow_carrier(s.src)
-    pz = pow_carrier(s.dst)
-    dom_mask = 0
-    for b, row in enumerate(s.rows):
-        if row:
-            dom_mask |= 1 << b
-    lift_union = Rel(py, pz, (0,) * py.size)
-    for t in d_subrelations(s):
-        t_p = image_functor(alpha(t))
-        rows = tuple(
-            t_p.rows[a_mask] if a_mask & ~dom_mask == 0 else 0
-            for a_mask in range(py.size)
-        )
-        lift_union = rel_bool("union", lift_union, Rel(py, pz, rows))
-    return rel_to_mrel(rel_compose(mrel_to_rel(r), lift_union))
 
 
 def kleisli_compose(r: MRel, s: MRel) -> MRel:

@@ -10,7 +10,7 @@ in the law suite rather than used as definitions.
 from __future__ import annotations
 
 from .mrel import MRel, _require_mask_ok
-from .rel import Carrier, Rel, full_mask, pow_carrier, rel_converse
+from .rel import Carrier, Rel, full_mask, pow_carrier
 
 
 def member_rel(y: Carrier) -> Rel:
@@ -24,11 +24,6 @@ def member_rel(y: Carrier) -> Rel:
                 acc |= 1 << a
         rows.append(acc)
     return Rel._trusted(y, py, tuple(rows))
-
-
-def has_element_rel(y: Carrier) -> Rel:
-    """The converse of membership: P(y) <-> y."""
-    return rel_converse(member_rel(y))
 
 
 def power_transpose(r: Rel) -> MRel:

@@ -74,6 +74,13 @@ def require_object(data, what: str, keys: tuple[str, ...] = ()) -> None:
             raise ValueError(f"{what} has no {key!r} key")
 
 
+def require_array(data, what: str) -> list:
+    """``data``, or ValueError unless it is a JSON array (a list)."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(data).__name__}")
+    return data
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -257,7 +264,11 @@ class Rel(_Arrow):
     def from_json(cls, data: dict) -> "Rel":
         require_object(data, "a relation", ("src", "dst", "pairs"))
         src, dst = (Carrier(require_size(data[k], f"a relation's {k!r}")) for k in ("src", "dst"))
-        return cls.from_pairs(src, dst, data["pairs"])
+        pairs = require_array(data["pairs"], "a relation's 'pairs'")
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"pair {pair!r} is not [source, target]")
+        return cls.from_pairs(src, dst, pairs)
 
     @classmethod
     def from_pairs(cls, src: Carrier, dst: Carrier, pairs: Iterable[tuple[int, int]]) -> "Rel":

@@ -20,9 +20,8 @@ from multirel import (
     classify_rel,
     eta,
     fission,
-    fixpoint_class,
     fusion,
-    icap,
+    inner_bool,
     instances,
     is_subrel,
     is_submrel,
@@ -30,7 +29,6 @@ from multirel import (
     mrel_const,
     mrel_to_rel,
     peleg_compose,
-    peleg_compose_oracle,
     power_transpose,
     preorder,
     rel_bool,
@@ -43,6 +41,7 @@ from multirel import (
 from multirel.laws import check
 from multirel.registry import law_by_id, registry
 from conftest import C, M, R, mask
+from peleg_oracle import peleg_compose_oracle
 
 
 @contextmanager
@@ -210,7 +209,7 @@ def test_criterion_4_galois_connection_suite():
         for m in mrels:
             am = alpha(m)
             for s in mrels:
-                assert alpha(icap(m, s)) == rel_bool("inter", am, alpha(s))
+                assert alpha(inner_bool("icap", m, s)) == rel_bool("inter", am, alpha(s))
         # item 3: monotonicity
         for t in rels:
             for v in rels:
@@ -306,37 +305,28 @@ def test_criterion_6_fixpoint_suites():
         # pre/postfixpoint refinements, exhaustive at (2,2)
         for m in all_mrels(2, 2):
             flags = classify_mrel(m)
-            rep = fixpoint_class(m)
-            assert rep.postfixpoints[("fusion", "subset")] == flags.outer_univalent
-            assert rep.prefixpoints[("fusion", "smyth")] == flags.outer_univalent
+            fo, fi = fusion(m), fission(m)
+            assert is_submrel(m, fo) == flags.outer_univalent
+            assert preorder("smyth", fo, m) == flags.outer_univalent
             for hyp in (
-                rep.prefixpoints[("fusion", "subset")],
-                rep.prefixpoints[("fusion", "hoare")],
-                rep.postfixpoints[("fusion", "smyth")],
+                is_submrel(fo, m),
+                preorder("hoare", fo, m),
+                preorder("smyth", m, fo),
             ):
                 if hyp:
                     assert flags.outer_total
-            assert (
-                rep.postfixpoints[("fusion", "egli_milner")]
-                == rep.postfixpoints[("fusion", "smyth")]
-            )
-            if rep.prefixpoints[("fusion", "egli_milner")]:
+            assert preorder("egli_milner", m, fo) == preorder("smyth", m, fo)
+            if preorder("egli_milner", fo, m):
                 assert flags.outer_deterministic
             if flags.inner_univalent:
-                assert rep.prefixpoints[("fission", "subset")]
-                assert rep.postfixpoints[("fission", "smyth")]
-            if rep.postfixpoints[("fission", "hoare")]:
+                assert is_submrel(fi, m)
+                assert preorder("smyth", m, fi)
+            if preorder("hoare", m, fi):
                 assert flags.inner_univalent
-            assert (
-                rep.postfixpoints[("fission", "egli_milner")]
-                == rep.postfixpoints[("fission", "hoare")]
-            )
-            assert rep.prefixpoints[("fission", "smyth")] == flags.inner_total
-            assert (
-                rep.prefixpoints[("fission", "egli_milner")]
-                == rep.prefixpoints[("fission", "smyth")]
-            )
-            if rep.postfixpoints[("fission", "subset")]:
+            assert preorder("egli_milner", m, fi) == preorder("hoare", m, fi)
+            assert preorder("smyth", fi, m) == flags.inner_total
+            assert preorder("egli_milner", fi, m) == preorder("smyth", fi, m)
+            if is_submrel(m, fi):
                 assert flags.inner_deterministic
 
 

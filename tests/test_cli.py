@@ -124,25 +124,38 @@ class TestEval:
             assert issubclass(cap_error, CapExceeded)
 
 
-    @pytest.mark.parametrize("env", [
-        [1, 2],
-        {"carriers": {"X": 2}, "rels": {"T": {"src": 2, "dst": 2, "pairs": [[5, 0]]}}},
-        {"carriers": {"X": 2}, "rels": {"T": {"src": 2, "dst": 2, "pairs": [[-1, 0]]}}},
-        {"carriers": {"X": 2}, "rels": {"T": [1, 2]}},
-        {"carriers": {"X": 2}, "mrels": {"T": [1, 2]}},
-        {"carriers": [2]},
-        {"carriers": {"X": "2"}},
-        {"carriers": {"X": 2}, "rel": {"T": {"src": 2, "dst": 2, "pairs": []}}},
-        {"rels": {"T": {"src": 2, "dst": 2}}},
-        {"mrels": {"T": {"src": 2, "rows": [[], []]}}},
-        {"carriers": {"X": {"names": ["a", "b"]}}},
+    @pytest.mark.parametrize("env, named", [
+        ([1, 2], "an environment must be a JSON object, not list"),
+        ({"carriers": {"X": 2}, "rels": {"T": {"src": 2, "dst": 2, "pairs": [[5, 0]]}}},
+         "source index 5 is outside 0..1"),
+        ({"carriers": {"X": 2}, "rels": {"T": {"src": 2, "dst": 2, "pairs": [[-1, 0]]}}},
+         "source index -1 is outside 0..1"),
+        ({"carriers": {"X": 2}, "rels": {"T": [1, 2]}}, "a relation must be a JSON object"),
+        ({"carriers": {"X": 2}, "mrels": {"T": [1, 2]}},
+         "a multirelation must be a JSON object"),
+        ({"carriers": [2]}, "'carriers' must be a JSON object"),
+        ({"carriers": {"X": "2"}}, "carrier 'X' must be a JSON object"),
+        ({"carriers": {"X": 2}, "rel": {"T": {"src": 2, "dst": 2, "pairs": []}}},
+         "unknown environment key 'rel'"),
+        ({"rels": {"T": {"src": 2, "dst": 2}}}, "a relation has no 'pairs' key"),
+        ({"mrels": {"T": {"src": 2, "rows": [[], []]}}}, "a multirelation has no 'dst' key"),
+        ({"carriers": {"X": {"names": ["a", "b"]}}}, "carrier 'X' has no 'size' key"),
+        ({"rels": {"T": {"src": 2, "dst": 2, "pairs": [[0, 1, 2]]}}},
+         "pair [0, 1, 2] is not [source, target]"),
+        ({"rels": {"T": {"src": 2, "dst": 2, "pairs": {"a": 1}}}},
+         "a relation's 'pairs' must be a JSON array, not dict"),
+        ({"mrels": {"T": {"src": 2, "dst": 2, "rows": [[1]]}}},
+         "row 0: subset 1 must be a JSON array, not int"),
+        ({"mrels": {"T": {"src": 2, "dst": 2, "rows": "ab"}}},
+         "a multirelation's 'rows' must be a JSON array, not str"),
     ], ids=["list", "index-5", "index-minus-1", "rel-list", "mrel-list", "carriers-list",
-            "carrier-text", "unknown-key", "rel-no-pairs", "mrel-no-dst", "carrier-no-size"])
-    def test_malformed_environment_is_a_usage_error(self, tmp_path, capsys, env):
+            "carrier-text", "unknown-key", "rel-no-pairs", "mrel-no-dst", "carrier-no-size",
+            "pair-of-three", "pairs-object", "subset-not-array", "rows-text"])
+    def test_malformed_environment_is_a_usage_error(self, tmp_path, capsys, env, named):
         path = tmp_path / "env.json"
         path.write_text(json.dumps(env))
         assert main(["eval", "--env", str(path), "--expr", "T"]) == 2
-        assert "cannot load environment" in capsys.readouterr().err
+        assert f"cannot load environment: {named}" in capsys.readouterr().err
 
 
 class TestLaws:

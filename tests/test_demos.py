@@ -1,4 +1,5 @@
-"""Every demo runs to the end: exit 0 and nothing on stderr."""
+"""Every demo runs to the end: exit 0 and nothing on stderr.  So does the
+README's library tour."""
 
 from __future__ import annotations
 
@@ -24,3 +25,12 @@ def test_demo_runs_cleanly(demo):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_readme_library_tour_runs():
+    """The README's "Library tour" block runs against the current API."""
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from multirel import" in code
+    exec(compile(code, "README.md: Library tour", "exec"), {})

@@ -5,15 +5,13 @@ from multirel import (
     GenSpec,
     alpha,
     classify_mrel,
-    closed_repr,
+    closure,
     cofission,
     cofusion,
-    down,
     eta,
     fission,
-    fixpoint_class,
     fusion,
-    icomp,
+    inner_bool,
     instances,
     is_submrel,
     mrel_bool,
@@ -24,7 +22,6 @@ from multirel import (
     preorder,
     rel_compose,
     split_terminal,
-    up,
 )
 from conftest import C, M, mask
 
@@ -66,17 +63,17 @@ class TestFusionFission:
             assert mrel_to_rel(fission(r)) == rel_compose(
                 alpha(r), mrel_to_rel(eta(C(3)))
             )
-            assert cofusion(r) == icomp(fusion(icomp(r)))
-            assert cofission(r) == icomp(fission(icomp(r)))
+            assert cofusion(r) == inner_bool("icomp", fusion(inner_bool("icomp", r)))
+            assert cofission(r) == inner_bool("icomp", fission(inner_bool("icomp", r)))
 
     def test_cofission_is_upclosure_meet_coatoms(self):
         for r in some_mrels(2, 2, 20, seed=3):
-            rhs = mrel_bool("inter", up(r), mrel_const("coatoms", C(2), C(2)))
+            rhs = mrel_bool("inter", closure("up", r), mrel_const("coatoms", C(2), C(2)))
             assert cofission(r) == rhs
 
     def test_fission_is_downclosure_meet_atoms(self):
         for r in some_mrels(2, 2, 20, seed=4):
-            rhs = mrel_bool("inter", down(r), mrel_const("atoms", C(2), C(2)))
+            rhs = mrel_bool("inter", closure("down", r), mrel_const("atoms", C(2), C(2)))
             assert fission(r) == rhs
 
     def test_idempotence_square(self):
@@ -94,18 +91,18 @@ class TestExplicitFormulas:
         for nd in (1, 2, 3):
             at = mrel_const("atoms", C(1), C(nd))
             for r in some_mrels(1, nd, 15, seed=5):
-                lhs = down(fusion(r))
-                inner = mrel_bool("inter", mrel_bool("complement", down(r)), at)
-                rhs = mrel_bool("complement", up(inner))
+                lhs = closure("down", fusion(r))
+                inner = mrel_bool("inter", mrel_bool("complement", closure("down", r)), at)
+                rhs = mrel_bool("complement", closure("up", inner))
                 assert lhs == rhs
 
     def test_up_of_fusion(self):
         for nd in (1, 2, 3):
             coat = mrel_const("coatoms", C(1), C(nd))
             for r in some_mrels(1, nd, 15, seed=6):
-                lhs = up(fusion(r))
-                inner = mrel_bool("inter", icomp(down(r)), coat)
-                rhs = mrel_bool("complement", down(inner))
+                lhs = closure("up", fusion(r))
+                inner = mrel_bool("inter", inner_bool("icomp", closure("down", r)), coat)
+                rhs = mrel_bool("complement", closure("down", inner))
                 assert lhs == rhs
 
     def test_fusion_as_meet_of_both(self):
@@ -113,13 +110,11 @@ class TestExplicitFormulas:
             at = mrel_const("atoms", C(1), C(nd))
             coat = mrel_const("coatoms", C(1), C(nd))
             for r in some_mrels(1, nd, 15, seed=7):
-                first = mrel_bool(
-                    "complement",
-                    up(mrel_bool("inter", mrel_bool("complement", down(r)), at)),
-                )
-                second = mrel_bool(
-                    "complement", down(mrel_bool("inter", icomp(down(r)), coat))
-                )
+                lowered = closure("down", r)
+                outside = mrel_bool("inter", mrel_bool("complement", lowered), at)
+                first = mrel_bool("complement", closure("up", outside))
+                inside = mrel_bool("inter", inner_bool("icomp", lowered), coat)
+                second = mrel_bool("complement", closure("down", inside))
                 assert fusion(r) == mrel_bool("inter", first, second)
 
 
@@ -176,28 +171,28 @@ class TestGalois:
 class TestClosedRepresentations:
     def test_fusion_recovered_from_down_repr(self):
         for r in some_mrels(2, 2, 20, seed=9):
-            assert fusion(closed_repr("down", r)) == fusion(r)
+            assert fusion(closure("down", fusion(r))) == fusion(r)
 
     def test_fission_inside_down_repr(self):
         at = mrel_const("atoms", C(2), C(2))
         for r in some_mrels(2, 2, 20, seed=10):
-            assert fission(r) == mrel_bool("inter", closed_repr("down", r), at)
+            assert fission(r) == mrel_bool("inter", closure("down", fusion(r)), at)
 
     def test_fusion_recovered_from_up_repr_by_cofusion(self):
         for r in some_mrels(2, 2, 20, seed=11):
-            assert cofusion(closed_repr("up", r)) == fusion(r)
+            assert cofusion(closure("up", fusion(r))) == fusion(r)
 
     def test_cofission_of_fusion_inside_up_repr(self):
         coat = mrel_const("coatoms", C(2), C(2))
         for r in some_mrels(2, 2, 20, seed=12):
             lhs = cofission(fusion(r))
-            assert lhs == mrel_bool("inter", closed_repr("up", r), coat)
+            assert lhs == mrel_bool("inter", closure("up", fusion(r)), coat)
 
     def test_cofission_literal_up_repr_fails(self):
         # the literal reading breaks on a two-set row
         r = M(1, 2, [(0, [0]), (0, [1])])
         coat = mrel_const("coatoms", C(1), C(2))
-        assert cofission(r) != mrel_bool("inter", closed_repr("up", r), coat)
+        assert cofission(r) != mrel_bool("inter", closure("up", fusion(r)), coat)
 
 
 class TestNuTau:
@@ -313,7 +308,7 @@ class TestAlphaInteraction:
 
     def test_alpha_of_down_closure(self):
         for r in some_mrels(2, 3, 15, seed=21):
-            assert alpha(down(r)) == alpha(r)
+            assert alpha(closure("down", r)) == alpha(r)
 
     def test_outer_total_determinisation_failure_pinned(self):
         r = M(2, 2, [(0, [0, 1])])
@@ -327,58 +322,53 @@ class TestAlphaInteraction:
 
 
 class TestFixpointClass:
+    """Where a multirelation sits relative to its fusion and fission: a
+    prefixpoint of a map lies above its image in an order, a postfixpoint
+    below it."""
+
     def test_eta_fixes_both(self):
-        rep = fixpoint_class(eta(C(2)))
-        assert rep.is_fix_fusion and rep.is_fix_fission
+        e = eta(C(2))
+        assert fusion(e) == e and fission(e) == e
 
     def test_doubleton_fixes_fusion_only(self):
-        rep = fixpoint_class(M(1, 2, [(0, [0, 1])]))
-        assert rep.is_fix_fusion and not rep.is_fix_fission
+        r = M(1, 2, [(0, [0, 1])])
+        assert fusion(r) == r and fission(r) != r
 
     def test_inner_unit_postfix_of_fusion(self):
-        rep = fixpoint_class(mrel_const("inner_unit", C(2), C(2)))
-        assert rep.postfixpoints[("fusion", "subset")]
+        lo = mrel_const("inner_unit", C(2), C(2))
+        assert is_submrel(lo, fusion(lo))
 
     def test_fixpoints_agree_with_classification(self):
-        from multirel.determinise import agrees_with_classification
-
         for r in every_mrel(2, 2):
-            assert agrees_with_classification(r)
+            flags = classify_mrel(r)
+            assert (fusion(r) == r) == flags.outer_deterministic
+            assert (fission(r) == r) == flags.inner_deterministic
 
     def test_refinements_exhaustive(self):
         for r in every_mrel(2, 2):
             flags = classify_mrel(r)
-            rep = fixpoint_class(r)
+            fo, fi = fusion(r), fission(r)
             # outer univalent <=> below fusion <=> fusion Smyth-prefixes it
-            assert rep.postfixpoints[("fusion", "subset")] == flags.outer_univalent
-            assert rep.prefixpoints[("fusion", "smyth")] == flags.outer_univalent
+            assert is_submrel(r, fo) == flags.outer_univalent
+            assert preorder("smyth", fo, r) == flags.outer_univalent
             # prefixpoints wrt subset/hoare and postfixpoints wrt smyth are total
-            if rep.prefixpoints[("fusion", "subset")]:
+            if is_submrel(fo, r):
                 assert flags.outer_total
-            if rep.prefixpoints[("fusion", "hoare")]:
+            if preorder("hoare", fo, r):
                 assert flags.outer_total
-            if rep.postfixpoints[("fusion", "smyth")]:
+            if preorder("smyth", r, fo):
                 assert flags.outer_total
-            assert (
-                rep.postfixpoints[("fusion", "egli_milner")]
-                == rep.postfixpoints[("fusion", "smyth")]
-            )
-            if rep.prefixpoints[("fusion", "egli_milner")]:
+            assert preorder("egli_milner", r, fo) == preorder("smyth", r, fo)
+            if preorder("egli_milner", fo, r):
                 assert flags.outer_deterministic
             # fission side
             if flags.inner_univalent:
-                assert rep.prefixpoints[("fission", "subset")]
-                assert rep.postfixpoints[("fission", "smyth")]
-            if rep.postfixpoints[("fission", "hoare")]:
+                assert is_submrel(fi, r)
+                assert preorder("smyth", r, fi)
+            if preorder("hoare", r, fi):
                 assert flags.inner_univalent
-            assert (
-                rep.postfixpoints[("fission", "egli_milner")]
-                == rep.postfixpoints[("fission", "hoare")]
-            )
-            assert rep.prefixpoints[("fission", "smyth")] == flags.inner_total
-            assert (
-                rep.prefixpoints[("fission", "egli_milner")]
-                == rep.prefixpoints[("fission", "smyth")]
-            )
-            if rep.postfixpoints[("fission", "subset")]:
+            assert preorder("egli_milner", r, fi) == preorder("hoare", r, fi)
+            assert preorder("smyth", fi, r) == flags.inner_total
+            assert preorder("egli_milner", fi, r) == preorder("smyth", fi, r)
+            if is_submrel(r, fi):
                 assert flags.inner_deterministic

@@ -23,11 +23,11 @@ from multirel import (
     mu,
     odot,
     peleg_compose,
-    peleg_compose_oracle,
     peleg_lift,
 )
 from multirel.dsl import _OPS
 from conftest import C
+from peleg_oracle import peleg_compose_oracle
 
 SMALL = [(1, 1), (1, 2), (2, 1), (2, 2)]
 SEEDED = [(3, 3), (2, 4), (4, 3)]

@@ -11,9 +11,9 @@ from multirel import (
     alpha,
     classify_mrel,
     classify_rel,
+    closure,
     d_subrelations,
     domain,
-    down,
     eta,
     image_functor,
     instances,
@@ -27,16 +27,16 @@ from multirel import (
     omega,
     peleg,
     peleg_compose,
-    peleg_compose_oracle,
     peleg_lift,
     pow_carrier,
     rel_compose,
     rel_const,
     rel_converse,
     rel_to_mrel,
-    tau,
+    split_terminal,
 )
 from conftest import C, M, R, mask
+from peleg_oracle import peleg_compose_oracle
 
 
 def every_mrel(ns, nd):
@@ -103,7 +103,7 @@ class TestKleisliLift:
 
 class TestPelegLift:
     def test_lowered_unit_lifts_to_superset_order(self):
-        lowered = down(eta(C(2)))
+        lowered = closure("down", eta(C(2)))
         assert peleg_lift(lowered) == rel_converse(omega(C(2)))
 
     def test_peleg_equals_kleisli_on_deterministic(self):
@@ -160,7 +160,7 @@ class TestPelegCompose:
     def test_empty_second_factor_is_terminal_part(self):
         empty = mrel_const("empty", C(2), C(2))
         for r in some_mrels(2, 2, 20, seed=5):
-            assert peleg_compose(r, empty) == tau(r)
+            assert peleg_compose(r, empty) == split_terminal(r)[1]
 
     def test_matches_set_model(self):
         rs = list(some_mrels(2, 2, 30, seed=6))
@@ -390,7 +390,7 @@ class TestBasisPelegLift:
     def test_lift_via_transpose_and_mu(self):
         # lift == (transpose of element-to-singletons, Peleg-composed with
         # the per-element boxed relation), flattened by mu
-        from multirel import has_element_rel, power_transpose
+        from multirel import member_rel, power_transpose
 
         for n in (1, 2):
             x = C(n)
@@ -404,7 +404,7 @@ class TestBasisPelegLift:
                 sing = rel_to_mrel(
                     mrel_to_rel(
                         power_transpose(
-                            rel_compose(has_element_rel(x), mrel_to_rel(eta(x)))
+                            rel_compose(rel_converse(member_rel(x)), mrel_to_rel(eta(x)))
                         )
                     )
                 )

@@ -10,6 +10,7 @@ from multirel import (
     alpha,
     ccomp,
     classify_mrel,
+    closure,
     eta,
     image_functor,
     instances,
@@ -23,7 +24,6 @@ from multirel import (
     rel_compose,
     rel_const,
     rel_converse,
-    up,
 )
 from conftest import C, M, R, mask
 
@@ -49,7 +49,7 @@ class TestMemberRel:
         assert sorted(member_rel(C(2)).pairs()) == [(0, 1), (0, 3), (1, 2), (1, 3)]
 
     def test_equals_up_closure_of_unit(self):
-        assert member_rel(C(2)) == mrel_to_rel(up(eta(C(2))))
+        assert member_rel(C(2)) == mrel_to_rel(closure("up", eta(C(2))))
 
     def test_cap(self):
         with pytest.raises(PowersetTooLarge):
@@ -65,9 +65,8 @@ class TestPowerTranspose:
         assert power_transpose(R(1, 1, [(0, 0)])) == M(1, 1, [(0, [0])])
 
     def test_has_element_transposes_to_identity_view(self):
-        from multirel import has_element_rel
-
-        got = power_transpose(has_element_rel(C(2)))
+        # has-element, P(y) <-> y, is the converse of membership
+        got = power_transpose(rel_converse(member_rel(C(2))))
         assert mrel_to_rel(got) == rel_const(
             "identity", pow_carrier(C(2)), pow_carrier(C(2))
         )

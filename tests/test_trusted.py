@@ -177,7 +177,6 @@ class TestArrowCore:
          "right residual: source"),
         (lambda t, s: rel.symmetric_quotient(rel.rel_converse(t), s), "rel", "syq: source"),
         (peleg.peleg_compose, "mrel", "peleg compose: inner"),
-        (peleg.peleg_compose_oracle, "mrel", "peleg compose: inner"),
         (peleg.kleisli_compose, "mrel", "kleisli compose: inner"),
     ])
     def test_carrier_checks_keep_their_messages(self, op, kind, message):
