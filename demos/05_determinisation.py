@@ -6,7 +6,6 @@ Run: python3 demos/05_determinisation.py
 
 from multirel import (
     Carrier,
-    Env,
     MRel,
     alpha,
     classify_mrel,
@@ -39,7 +38,7 @@ print("  cofusion(R)  =", cofusion(R))
 print("  cofission(R) =", cofission(R))
 
 # the term language names fusion ``do`` and fission ``di``
-env = Env({"R": R})
+env = {"R": R}
 print("\nClosed representations pack fusion and fission into one value,")
 print("the closures of the fusion:")
 for text in ("down(do(R))", "up(do(R))"):

@@ -7,16 +7,16 @@ Run: python3 demos/07_term_language.py
 import json
 
 from multirel.cli import main
-from multirel.dsl import Env, evaluate, parse, print_term
+from multirel.dsl import evaluate, parse, print_term
 from multirel.mrel import MRel
 from multirel.rel import Carrier
 
 X = Carrier(2)
-env = Env({
+env = {
     "X": X,
     "Y": X,
     "R": MRel.from_pairs(X, X, [(0, 0b11)]),
-})
+}
 
 print("Terms use ASCII operators; named operations use call syntax:")
 for text in ("a(L(R))", "di(R) * S", "(R * S) * T", "down(R) == R * down(eta)"):

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .dsl import _INFIX, Cmp, env_from_json, evaluate, parse, value_names
+from .dsl import _INFIX, Cmp, env_from_json, env_to_json, evaluate, parse, value_names
 from .errors import (
     CapExceeded,
     ShapeMismatch,
@@ -208,20 +208,7 @@ def _canonicalize(data):
         return Rel.from_json(data).to_json()
     if isinstance(data, dict) and "rows" in data:
         return MRel.from_json(data).to_json()
-    # environment file
-    env = env_from_json(data)
-    out = {"carriers": {}, "rels": {}, "mrels": {}}
-    for name in sorted(env.bindings):
-        v = env.bindings[name]
-        if isinstance(v, Rel):
-            out["rels"][name] = v.to_json()
-        elif isinstance(v, MRel):
-            out["mrels"][name] = v.to_json()
-        else:
-            out["carriers"][name] = (
-                v.size if v.names is None else {"size": v.size, "names": list(v.names)}
-            )
-    return out
+    return env_to_json(env_from_json(data))
 
 
 def main(argv: list[str] | None = None) -> int:

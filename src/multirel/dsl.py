@@ -372,52 +372,34 @@ def print_term(t: Term) -> str:
 
 Value = Rel | MRel | bool
 
-
-class Env:
-    """Name bindings for evaluation: carriers, relations, multirelations."""
-
-    def __init__(self, bindings: Mapping[str, Carrier | Rel | MRel] | None = None):
-        self.bindings: dict[str, Carrier | Rel | MRel] = dict(bindings or {})
-
-    def __getitem__(self, name: str):
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise UnboundVariable(f"unbound name {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
+# The keys of an environment file, each a map of names.
+_SECTIONS = ("carriers", "rels", "mrels")
 
 
-def env_from_json(data: Mapping) -> Env:
-    """Environment files: {"carriers": {...}, "rels": {...}, "mrels": {...}}.
+def env_from_json(data: Mapping) -> dict:
+    """Environment files: {"carriers": {...}, "rels": {...}, "mrels": {...}},
+    read into a dict of name bindings for evaluation.
 
     Carriers are either a size or {"size": n, "names": [...]}.
     """
-    env = Env()
-    seen: set[str] = set()
+    env: dict[str, Carrier | Rel | MRel] = {}
 
     def add(name, value):
-        if name in seen:
+        if name in env:
             raise ValueError(f"duplicate environment name {name!r}")
-        seen.add(name)
-        env.bindings[name] = value
+        env[name] = value
 
     def section(key: str) -> dict:
-        part = data.get(key) or {}
-        require_object(part, f"{key!r}")
+        part = data.get(key, {})
+        require_object(part, f"{key!r}", (), None)
         return part
 
-    require_object(data, "an environment")
-    unknown = sorted(set(data) - {"carriers", "rels", "mrels"})
-    if unknown:
-        raise ValueError(f"unknown environment key {unknown[0]!r}: "
-                         "expected 'carriers', 'rels' or 'mrels'")
+    require_object(data, "an environment", (), _SECTIONS)
     for name, c in section("carriers").items():
         if isinstance(c, int):
             add(name, Carrier(require_size(c, f"carrier {name!r}")))
         else:
-            require_object(c, f"carrier {name!r}", ("size",))
+            require_object(c, f"carrier {name!r}", ("size",), ("names",))
             names = c.get("names")
             if names is not None:
                 if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -429,6 +411,21 @@ def env_from_json(data: Mapping) -> Env:
     for name, m in section("mrels").items():
         add(name, MRel.from_json(m))
     return env
+
+
+def env_to_json(env: Mapping) -> dict:
+    """The environment file of ``env``, names sorted; ``env_from_json``
+    reads it back."""
+    out = {key: {} for key in _SECTIONS}
+    for name in sorted(env):
+        v = env[name]
+        if isinstance(v, Carrier):
+            out["carriers"][name] = (
+                v.size if v.names is None else {"size": v.size, "names": list(v.names)}
+            )
+        else:
+            out["mrels" if isinstance(v, MRel) else "rels"][name] = v.to_json()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +513,9 @@ def _value_type(v):
     return Sig("mrel" if isinstance(v, MRel) else "rel", _value_type(v.src), _value_type(v.dst))
 
 
-def env_types(env: Env) -> dict:
+def env_types(env: Mapping) -> dict:
     """The type of every name bound in ``env``, for ``typecheck``."""
-    return {name: _value_type(v) for name, v in env.bindings.items()}
+    return {name: _value_type(v) for name, v in env.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1051,15 +1048,15 @@ def _compile(node: _Node, tables: dict | None, small: bool) -> _Code:
     return _Code(_once(run) if tables is not None and not reads else run, reads, shape, None)
 
 
-def eval_term(t: Term | Typed, env: Env):
+def eval_term(t: Term | Typed, env: Mapping):
     """Evaluate a term.  A raw term is typed against ``env`` first, so a
     shape error names its sub-term before anything is evaluated."""
     if not isinstance(t, Typed):
         t = typecheck(t, env_types(env))
-    return t.run(env.bindings)
+    return t.run(env)
 
 
-def evaluate(text: str, env: Env):
+def evaluate(text: str, env: Mapping):
     """Parse and evaluate in one step."""
     return eval_term(parse(text), env)
 

@@ -19,7 +19,7 @@ from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .dsl import (
-    Env, Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
+    Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
 )
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
 from .generate import GenSpec, _group, _orbits, instances, mix64, space_size
@@ -232,7 +232,7 @@ def check(
         env = env_from_json(law.pinned or {})
         resolved = {
             name: value.size
-            for name, value in env.bindings.items()
+            for name, value in env.items()
             if isinstance(value, Carrier)
         }
         claim = terms.boolean("claim", env_types(env))
@@ -293,13 +293,13 @@ def check(
         orbits, or over every value without one; None if a reduced sweep
         fails or hits a cap, so that the plain one reports it."""
         reduced = group is not None
-        env = Env()
+        env = {}
         checked = 0
         skipped = 0
         failures: list[dict] = []
         try:
             for weight, tup in tuples(group):
-                env.bindings.update(zip(names, tup))
+                env.update(zip(names, tup))
                 if guard is not None and not eval_term(guard, env):
                     skipped += weight
                     continue
@@ -378,10 +378,9 @@ def _still_fails(law: Law, terms: _Terms, carriers: dict[str, Carrier], values: 
         if not all(values[s.name].has_flags(s.needs) for s in law.slots if s.needs):
             return False
         claim, guard = terms.at(carriers)
-        env = Env(values)
-        if guard is not None and not eval_term(guard, env):
+        if guard is not None and not eval_term(guard, values):
             return False
-        return not eval_term(claim, env)
+        return not eval_term(claim, values)
     except (ShapeMismatch, CapExceeded):
         return False
 

@@ -133,7 +133,7 @@ class MRel(_Arrow):
 
     @classmethod
     def from_json(cls, data: dict) -> "MRel":
-        require_object(data, "a multirelation", ("src", "dst", "rows"))
+        require_object(data, "a multirelation", ("src", "dst", "rows"), ())
         src, dst = (Carrier(require_size(data[k], f"a multirelation's {k!r}"))
                     for k in ("src", "dst"))
         rows = []

@@ -64,14 +64,21 @@ class Carrier:
             raise ValueError("powerset carrier size must be 2^base.size")
 
 
-def require_object(data, what: str, keys: tuple[str, ...] = ()) -> None:
+def require_object(data, what: str, required: tuple[str, ...],
+                   optional: tuple[str, ...] | None) -> None:
     """Raises ValueError unless ``data`` is a JSON object (a dict) with
-    every one of ``keys``."""
+    every key of ``required`` and no key outside ``required`` and
+    ``optional``; an ``optional`` of None allows any other key, as in a
+    map of names.  This is the one place that refuses a document's keys."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
-    for key in keys:
+    for key in required:
         if key not in data:
             raise ValueError(f"{what} has no {key!r} key")
+    unknown = [] if optional is None else sorted(set(data).difference(required, optional))
+    if unknown:
+        raise ValueError(f"{what} has an unknown key {unknown[0]!r}: "
+                         f"expected one of {', '.join(map(repr, required + optional))}")
 
 
 def require_array(data, what: str) -> list:
@@ -262,7 +269,7 @@ class Rel(_Arrow):
 
     @classmethod
     def from_json(cls, data: dict) -> "Rel":
-        require_object(data, "a relation", ("src", "dst", "pairs"))
+        require_object(data, "a relation", ("src", "dst", "pairs"), ())
         src, dst = (Carrier(require_size(data[k], f"a relation's {k!r}")) for k in ("src", "dst"))
         pairs = require_array(data["pairs"], "a relation's 'pairs'")
         for pair in pairs:

@@ -21,3 +21,11 @@ def mask(*elems: int) -> int:
 def M(ns: int, nd: int, pairs) -> MRel:
     """Build an MRel from (source, iterable-of-elements) pairs."""
     return MRel.from_pairs(C(ns), C(nd), [(a, mask(*elems)) for a, elems in pairs])
+
+
+# The environment file that the CLI tests load; `convert` leaves it as it is.
+ENV_DOC = {
+    "carriers": {"X": 2, "Y": 2},
+    "mrels": {"R": {"src": 2, "dst": 2, "rows": [[[0, 1]], []]}},
+    "rels": {"T": {"src": 2, "dst": 2, "pairs": [[0, 1]]}},
+}

@@ -7,20 +7,13 @@ from pathlib import Path
 import pytest
 
 from multirel.cli import main
+from conftest import ENV_DOC
 
 
 @pytest.fixture
 def env_file(tmp_path):
     path = tmp_path / "env.json"
-    path.write_text(
-        json.dumps(
-            {
-                "carriers": {"X": 2, "Y": 2},
-                "mrels": {"R": {"src": 2, "dst": 2, "rows": [[[0, 1]], []]}},
-                "rels": {"T": {"src": 2, "dst": 2, "pairs": [[0, 1]]}},
-            }
-        )
-    )
+    path.write_text(json.dumps(ENV_DOC))
     return str(path)
 
 
@@ -136,7 +129,7 @@ class TestEval:
         ({"carriers": [2]}, "'carriers' must be a JSON object"),
         ({"carriers": {"X": "2"}}, "carrier 'X' must be a JSON object"),
         ({"carriers": {"X": 2}, "rel": {"T": {"src": 2, "dst": 2, "pairs": []}}},
-         "unknown environment key 'rel'"),
+         "an environment has an unknown key 'rel': expected one of 'carriers', 'rels', 'mrels'"),
         ({"rels": {"T": {"src": 2, "dst": 2}}}, "a relation has no 'pairs' key"),
         ({"mrels": {"T": {"src": 2, "rows": [[], []]}}}, "a multirelation has no 'dst' key"),
         ({"carriers": {"X": {"names": ["a", "b"]}}}, "carrier 'X' has no 'size' key"),
@@ -434,8 +427,11 @@ class TestConvert:
     def test_env_round_trip(self, env_file, tmp_path):
         dst = tmp_path / "env-out.json"
         assert main(["convert", "--in", env_file, "--out", str(dst)]) == 0
-        data = json.loads(dst.read_text())
-        assert data["mrels"]["R"]["rows"] == [[[0, 1]], []]
+        assert json.loads(dst.read_text()) == ENV_DOC
+        # canonical output is a fixpoint
+        dst2 = tmp_path / "env-out2.json"
+        assert main(["convert", "--in", str(dst), "--out", str(dst2)]) == 0
+        assert dst.read_text() == dst2.read_text()
 
     def test_unwritable_output_is_a_usage_error(self, env_file, tmp_path, capsys):
         out = tmp_path / "missing" / "o.json"
@@ -456,21 +452,35 @@ class TestConvert:
         bad.write_text('{"src": 1, "dst": 1, "pairs": [[5, 5]]}')
         assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
 
-    @pytest.mark.parametrize("doc", [
-        [1, 2],
-        {"src": 2, "dst": 2, "pairs": [[-1, 0]]},
-        {"src": 2, "dst": 2, "pairs": [[2, 0]]},
-        {"rels": {"T": "x"}},
-        "text",
-        {"carriers": {"X": {"size": 2, "names": "ab"}}},
-        {"src": 1, "dst": 1},
-        {"rel": {"T": {"src": 1, "dst": 1, "pairs": []}}},
-    ])
-    def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, named", [
+        ([1, 2], "an environment must be a JSON object, not list"),
+        ({"src": 2, "dst": 2, "pairs": [[-1, 0]]}, "source index -1 is outside 0..1"),
+        ({"src": 2, "dst": 2, "pairs": [[2, 0]]}, "source index 2 is outside 0..1"),
+        ({"rels": {"T": "x"}}, "a relation must be a JSON object, not str"),
+        ("text", "an environment must be a JSON object, not str"),
+        ({"carriers": {"X": {"size": 2, "names": "ab"}}},
+         "the names of carrier 'X' must be a list of strings"),
+        ({"src": 1, "dst": 1}, "an environment has an unknown key 'dst'"),
+        ({"rel": {"T": {"src": 1, "dst": 1, "pairs": []}}},
+         "an environment has an unknown key 'rel'"),
+        ({"src": 2, "dst": 2, "rows": [[[0]], [[0]]], "pairs": []},
+         "a relation has an unknown key 'rows': expected one of 'src', 'dst', 'pairs'"),
+        ({"src": 2, "dst": 2, "pairs": [], "extra": 1}, "a relation has an unknown key 'extra'"),
+        ({"src": 2, "dst": 2, "rows": [[], []], "extra": 1},
+         "a multirelation has an unknown key 'extra'"),
+        ({"mrels": {"S": {"src": 2, "dst": 2, "rows": [[], []], "pairs": []}}},
+         "a multirelation has an unknown key 'pairs': expected one of 'src', 'dst', 'rows'"),
+        ({"carriers": {"X": {"size": 2, "nmes": ["a", "b"]}}},
+         "carrier 'X' has an unknown key 'nmes': expected one of 'size', 'names'"),
+    ], ids=["doc0", "doc1", "doc2", "doc3", "text", "doc5", "doc6", "doc7", "rows-and-pairs",
+            "rel-extra", "mrel-extra", "mrel-pairs", "carrier-misspelt-key"])
+    def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, doc, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
-        assert "malformed value file" in capsys.readouterr().err
+        out = tmp_path / "o.json"
+        assert main(["convert", "--in", str(bad), "--out", str(out)]) == 2
+        assert f"malformed value file: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fractional_size_is_not_truncated(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from multirel import ShapeMismatch, TermSyntaxError, UnboundVariable
+from multirel import (
+    GenSpec, MRel, Rel, ShapeMismatch, TermSyntaxError, UnboundVariable, instances,
+)
 from multirel.dsl import (
     _CONSTS,
     _INFIX,
@@ -18,10 +21,10 @@ from multirel.dsl import (
     Const,
     CPow,
     CRef,
-    Env,
     Un,
     Var,
     env_from_json,
+    env_to_json,
     env_types,
     eval_term,
     evaluate,
@@ -33,14 +36,11 @@ from multirel.dsl import (
     _lex,
 )
 from multirel.registry import registry
-from conftest import C, M, R
+from conftest import ENV_DOC, C, M, R
 
 
 def std_env(**extra):
-    env = Env({"X": C(2), "Y": C(2), "Z": C(2)})
-    for k, v in extra.items():
-        env.bindings[k] = v
-    return env
+    return {"X": C(2), "Y": C(2), "Z": C(2), **extra}
 
 
 class TestParsing:
@@ -477,15 +477,27 @@ class TestSlots:
         assert value_names(parse("(S ; R) == (R ; mem(Y)) & T")) == ["S", "R", "T"]
 
 
+NAMED_ENV = {
+    "carriers": {"X": 2, "Y": {"size": 2, "names": ["p", "q"]}},
+    "rels": {"R": {"src": 2, "dst": 2, "pairs": [[0, 1]]}},
+    "mrels": {"S": {"src": 2, "dst": 2, "rows": [[[0]], []]}},
+}
+
+
+def _with_extra(doc):
+    """``doc`` with an "extra" key added to one of its objects whose keys
+    are fixed, for each in turn: the file itself, and every carrier entry,
+    relation and multirelation."""
+    yield {**doc, "extra": 1}
+    for key, section in doc.items():
+        for name, v in section.items():
+            if isinstance(v, dict):
+                yield {**doc, key: {**section, name: {**v, "extra": 1}}}
+
+
 class TestEnvJson:
     def test_load(self):
-        env = env_from_json(
-            {
-                "carriers": {"X": 2, "Y": {"size": 2, "names": ["p", "q"]}},
-                "rels": {"R": {"src": 2, "dst": 2, "pairs": [[0, 1]]}},
-                "mrels": {"S": {"src": 2, "dst": 2, "rows": [[[0]], []]}},
-            }
-        )
+        env = env_from_json(NAMED_ENV)
         assert env["X"] == C(2)
         assert env["R"] == R(2, 2, [(0, 1)])
         assert env["S"] == M(2, 2, [(0, [0])])
@@ -496,17 +508,48 @@ class TestEnvJson:
             env_from_json({"carriers": {"X": {"size": 2, "names": names}}})
 
     @pytest.mark.parametrize("env, says", [
-        ({"rel": {}}, "unknown environment key 'rel'"),
-        ({"carriers": {}, "src": 1, "dst": 1}, "unknown environment key 'dst'"),
+        ({"rel": {}}, "an environment has an unknown key 'rel'"),
+        ({"carriers": {}, "src": 1, "dst": 1}, "an environment has an unknown key 'dst'"),
         ({"rels": {"R": {"src": 1, "dst": 1}}}, "a relation has no 'pairs' key"),
         ({"rels": {"R": {"dst": 1, "pairs": []}}}, "a relation has no 'src' key"),
         ({"mrels": {"R": {"src": 1, "dst": 1}}}, "a multirelation has no 'rows' key"),
         ({"carriers": {"X": {"names": []}}}, "carrier 'X' has no 'size' key"),
+        ({"rels": {"R": {"src": 2, "dst": 2, "rows": [[[0]], [[0]]], "pairs": []}}},
+         "a relation has an unknown key 'rows': expected one of 'src', 'dst', 'pairs'"),
+        ({"rels": {"R": {"src": 2, "dst": 2, "pairs": [], "extra": 1}}},
+         "a relation has an unknown key 'extra'"),
+        ({"mrels": {"R": {"src": 2, "dst": 2, "rows": [[], []], "pairs": []}}},
+         "a multirelation has an unknown key 'pairs': expected one of 'src', 'dst', 'rows'"),
+        ({"carriers": {"X": {"size": 2, "nmes": ["a", "b"]}}},
+         "carrier 'X' has an unknown key 'nmes': expected one of 'size', 'names'"),
     ])
     def test_bad_keys_are_named(self, env, says):
         with pytest.raises(ValueError) as err:
             env_from_json(env)
         assert str(err.value).startswith(says)
+
+    @pytest.mark.parametrize("kind, cls, other, count", [
+        ("rel", Rel, "rows", 2 + 4 + 4 + 16),
+        ("mrel", MRel, "pairs", 4 + 16 + 16 + 256),
+    ])
+    def test_values_round_trip(self, kind, cls, other, count):
+        """Every value up to 2,2 survives JSON, and its document refuses an
+        unknown key and the other kind's key."""
+        values = [v for ns in (1, 2) for nd in (1, 2) for v in instances(kind, GenSpec((ns, nd)))]
+        assert len(values) == count
+        for v in values:
+            doc = json.loads(json.dumps(v.to_json()))
+            assert cls.from_json(doc) == v
+            for key in ("extra", other):
+                with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                    cls.from_json({**doc, key: []})
+
+    @pytest.mark.parametrize("doc", [NAMED_ENV, ENV_DOC], ids=["named", "cli"])
+    def test_environments_round_trip(self, doc):
+        assert env_to_json(env_from_json(doc)) == doc
+        for bad in _with_extra(doc):
+            with pytest.raises(ValueError, match="unknown key 'extra'"):
+                env_from_json(bad)
 
     def test_carrier_names_are_kept(self):
         env = env_from_json({"carriers": {"X": {"size": 2, "names": ["p", "q"]},

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from multirel import GenSpec, instances, mrel, power, rel
-from multirel.dsl import Env, Sig, _typecheck, env_from_json, eval_term, parse, typecheck
+from multirel.dsl import Sig, _typecheck, env_from_json, eval_term, parse, typecheck
 from multirel.laws import Law, Slot, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
@@ -283,7 +283,7 @@ class TestShrink:
         # one of the four pinned one-point instances; recorded, not required
         law, carriers, values = _shrink_input("galois")
         sc, sv = shrink(law, carriers, values)
-        env = Env({**sc, **sv})
+        env = {**sc, **sv}
         assert eval_term(parse(law.claim), env) is False
         assert sv["R"].count() == 1 and list(sv["R"].pairs())[0][1] == 0
         assert sc["X"].size == 1 and sc["Y"].size == 1
@@ -293,7 +293,7 @@ class TestShrink:
 
         law, carriers, values = _shrink_input("assoc")
         sc, sv = shrink(law, carriers, values)
-        env = Env({**sc, **sv})
+        env = {**sc, **sv}
         assert eval_term(parse(law.claim), env) is False
         for name, v in sv.items():
             for pair in v.pairs():
@@ -301,7 +301,7 @@ class TestShrink:
                 rows[pair[0]] = [m for m in rows[pair[0]] if m != pair[1]]
                 cand = dict(sv)
                 cand[name] = MRel.make(v.src, v.dst, rows)
-                env2 = Env({**sc, **cand})
+                env2 = {**sc, **cand}
                 assert eval_term(parse(law.claim), env2) is True
 
     @pytest.mark.parametrize("name", sorted(_SHRUNK))
@@ -363,7 +363,7 @@ class TestKeptSubterms:
         mu = power.mu
         monkeypatch.setattr(power, "mu", lambda x: calls.append(x) or mu(x))
         claim = "mu(X) == Pf(mem(X)^)"
-        env = Env({"X": C(2)})
+        env = {"X": C(2)}
         # public evaluation keeps nothing
         for _ in range(2):
             assert eval_term(parse(claim), env)
@@ -375,7 +375,7 @@ class TestKeptSubterms:
         law = Law("dev-mu", "theorem", "mu is union-flattening", claim, roles=("X",))
         typed, _ = _Terms(law).at({"X": C(2)})
         for _ in range(2):
-            assert eval_term(typed, Env())
+            assert eval_term(typed, {})
         assert len(calls) == 6
         # a law with slots builds it once, however many tuples it checks
         r, s = Slot("R", "mrel", "X", "Y"), Slot("S", "mrel", "Y", "Y")

@@ -11,7 +11,7 @@ import multirel
 
 # ``__all__`` is every public name of the package but its submodules.
 PUBLIC = [
-    "CapExceeded", "Carrier", "ENUM_CAP", "EnumerationTooLarge", "Env", "GenSpec",
+    "CapExceeded", "Carrier", "ENUM_CAP", "EnumerationTooLarge", "GenSpec",
     "IdentityShapeMismatch", "Law", "LawReport", "MASK_CAP", "MRel", "MaskTooWide",
     "MultirelError", "POW_CAP", "PowersetTooLarge", "PropertyFlags", "Rel",
     "RelFlags", "ShapeMismatch", "Slot", "SplitMix64", "TermSyntaxError",

@@ -387,7 +387,8 @@ class TestJson:
     def test_environment_must_be_an_object(self):
         from multirel.dsl import env_from_json
 
-        for env in ([1, 2], {"rels": [1]}, {"carriers": {"X": [2]}}):
+        for env in ([1, 2], {"rels": [1]}, {"rels": []}, {"mrels": None}, {"carriers": False},
+                    {"carriers": {"X": [2]}}):
             with pytest.raises(ValueError, match="must be a JSON object"):
                 env_from_json(env)
         pair = {"src": 2, "dst": 2, "pairs": [[-1, 0]]}

@@ -12,7 +12,7 @@ import pytest
 import multirel
 import multirel.cli  # noqa: F401  (the tracer rebinds names in every loaded module)
 from multirel import generate, laws, mrel, rel
-from multirel.dsl import _CONSTS, _OPS, Env, evaluate
+from multirel.dsl import _CONSTS, _OPS, evaluate
 from multirel.generate import GenSpec
 from multirel.laws import Law, Slot, check
 from conftest import C, M, R
@@ -95,7 +95,7 @@ def test_every_term_operation_reaches_a_traced_kernel_function(tracer):
 
 
 def test_determinisation_is_traced_under_its_map(tracer):
-    evaluate("di(R)", Env({"R": M(2, 2, [(0, [0, 1]), (1, [0])])}))
+    evaluate("di(R)", {"R": M(2, 2, [(0, [0, 1]), (1, [0])])})
     assert "determinise.fission" in _recorded(tracer)
 
 
