@@ -806,9 +806,9 @@ def _settle(consts: list[_Node]) -> None:
 
 def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
     """``typecheck``, where the evaluator of a checked term keeps what it
-    can when ``tables`` is given (see ``_compile``): nodes over small shapes
-    look their values up in operator tables kept in ``tables`` (see
-    ``_table``), and sub-terms that read no name are computed once.  The
+    can when ``tables`` is given (see ``_compile``): sub-terms that read no
+    name are computed once, and other nodes over small shapes look their
+    values up in operator tables kept in ``tables`` (see ``_table``).  The
     caller owns ``tables`` and decides how long they live; with None,
     nothing is kept."""
     _require_depth(t)
@@ -819,9 +819,7 @@ def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
         if not all(map(_ground, node.letters.values())):
             raise _located(f"cannot infer the carriers of {node.term.name}; give them explicitly",
                            node.ctx)
-    # no shape over carriers this large is small: skip the shape tests
-    small = tables is not None and _smallest(types) ** 2 <= _SMALL_CELLS
-    return Typed(_find(root.sort), _compile(root, tables, small).run)
+    return Typed(_find(root.sort), _compile(root, tables).run)
 
 
 # ---------------------------------------------------------------------------
@@ -881,12 +879,6 @@ def _size(atom) -> int:
     if isinstance(atom, tuple):
         return 1 << min(_size(atom[0]), _SMALL_CELLS + 1)
     return atom if isinstance(atom, int) else _SMALL_CELLS + 1
-
-
-def _smallest(types: Mapping) -> int:
-    """The size of the smallest carrier in ``types``, named or a value's."""
-    ends = (e for ty in types.values() for e in ((ty.src, ty.dst) if isinstance(ty, Sig) else (ty,)))
-    return min((_size(_atom(e)) for e in ends), default=0)
 
 
 def _small(sort, src, dst) -> _Shape | None:
@@ -982,9 +974,9 @@ def _operand(kid: _Node, view: str) -> _Node:
     return kid
 
 
-# A compiled node: its evaluator, the value names it reads, the shape of its
-# values where that is small and tables are used, and the evaluator of its
-# value's id where it has one of its own (a table node, or a name).
+# A compiled node: its evaluator, whether it reads a value name, the shape of
+# its values where that is small and tables are used, and the evaluator of
+# its value's id where it has one of its own (a table node, or a name).
 _Code = namedtuple("_Code", "run reads shape ids")
 
 
@@ -1005,40 +997,38 @@ def _name_ids(name: str, shape: _Shape) -> Callable[[dict], int]:
     return ids
 
 
-def _compile(node: _Node, tables: dict | None, small: bool) -> _Code:
+def _compile(node: _Node, tables: dict | None) -> _Code:
     """Each node is compiled one way, chosen here from its types alone.
     Where ``tables`` is given, a node is
 
     - computed once if it reads no name: a constant, a constant sub-term,
       or a conversion of one;
-    - a table node if ``small`` holds, its operands and value are of small
-      shapes, and its operands read as many names as there are of them:
-      with fewer, most of its table would stay empty (a binary node over
-      one name meets at most 256 of its 65,536 operand pairs);
+    - else a table node if its operands and value are of small shapes
+      (see ``_small``);
     - else plain, computed at every evaluation.
 
     Without ``tables``, every node is plain."""
     t, spec = node.term, node.spec
     sort = _find(node.sort)
-    shape = _small(sort, node.src, node.dst) if small else None
+    shape = None if tables is None else _small(sort, node.src, node.dst)
     if isinstance(t, Var):
-        return _Code(lambda b, name=t.name: b[name], frozenset([t.name]), shape,
+        return _Code(lambda b, name=t.name: b[name], True, shape,
                      shape and _name_ids(t.name, shape))
     impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
     views = spec.views
     if isinstance(impl, tuple):
         as_mrel = all(_find(k.sort) == "mrel" for k in node.kids)
         impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(node.kids)
-    kids = [_compile(_operand(k, v), tables, small) for k, v in zip(node.kids, views)]
-    reads = frozenset().union(*(k.reads for k in kids))
+    kids = [_compile(_operand(k, v), tables) for k, v in zip(node.kids, views)]
+    reads = any(k.reads for k in kids)
     if isinstance(t, Const):
         carriers = [node.letters[x] for x in spec.letters]
         run = lambda b: impl(*map(_carrier_value, carriers))
-    elif shape is not None and len(reads) >= len(kids) and all(k.shape is not None for k in kids):
+    elif reads and shape is not None and all(k.shape is not None for k in kids):
         ids = _table(impl, [(k.ids or _ids_of(k.run, k.shape), k.shape) for k in kids],
                      shape, tables)
         values = shape.values
-        return _Code(lambda b: values[ids(b)], reads, shape, ids)
+        return _Code(lambda b: values[ids(b)], True, shape, ids)
     elif len(kids) == 1:
         f = kids[0].run
         run = lambda b: impl(f(b))

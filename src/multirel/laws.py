@@ -76,6 +76,7 @@ class Law:
 class _Terms:
     """A law's claim and guard, parsed once and typed once per carrier sizes,
     and the law with its slots' sorts and roles inferred from them (``law``).
+    ``roles_given`` tells whether a slot of the law as written gave a role.
 
     Sub-terms over values of small shapes look their values up in operator
     tables over value ids, and sub-terms that read no slot are computed
@@ -87,6 +88,7 @@ class _Terms:
     def __init__(self, law: Law):
         self.claim = law.parsed_claim()
         self.guard = parse(law.guard) if law.guard else None
+        self.roles_given = any(s.src or s.dst for s in law.slots)
         if law.kind != "regression":  # a pinned law has no slots and no roles
             given = [(s.name, s.sort, s.src, s.dst) for s in law.slots]
             roles, ends = infer_slots((self.claim, self.guard), given, law.roles)
@@ -108,20 +110,6 @@ class _Terms:
         if self.typed[key] is None:
             raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
         return self.typed[key]
-
-    def symbolic(self) -> bool:
-        """Whether the claim and guard type as booleans with each role a
-        carrier of its own.  A claim over slots whose roles were given may
-        type only because two roles have one size, as ``R * S`` does over
-        two slots X -> Y."""
-        types: dict = {r: r for r in self.law.roles}
-        types.update((s.name, Sig(s.sort, s.src, s.dst)) for s in self.law.slots)
-        try:
-            for what in ("claim", "guard") if self.guard else ("claim",):
-                self.boolean(what, types)
-        except ShapeMismatch:
-            return False
-        return True
 
     def boolean(self, what: str, types: Mapping, tables: dict | None = None) -> Typed:
         """The "claim" or the "guard", typed; raises ShapeMismatch unless
@@ -332,8 +320,11 @@ def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list
     - it has two or more slots, and the other slots have at least as many
       tuples as the group has elements, so that finding the orbits costs
       no more than the sweep they save;
-    - its claim and guard type as booleans with each role a carrier of its
-      own (``_Terms.symbolic``);
+    - no slot of the law as written gives a role (``_Terms.roles_given``),
+      so ``dsl.infer_slots`` named every role, and claim and guard type
+      with each role a carrier of its own: slots given roles may type only
+      because two roles have one size, as ``R * S`` does over two slots
+      X -> Y;
     - no slot needs ``test`` between two roles, which a permutation of one
       of them would not keep.
 
@@ -343,7 +334,7 @@ def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list
     slot's stream onto itself, since its filters are row tests.  So each
     first value's tuples count as often as the values of its orbit."""
     law = terms.law
-    if law.expected != "pass" or len(law.slots) < 2:
+    if law.expected != "pass" or len(law.slots) < 2 or terms.roles_given:
         return None
     first = law.slots[0]
     group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
@@ -351,7 +342,7 @@ def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list
         return None
     if any("test" in s.needs and s.src != s.dst for s in law.slots):
         return None
-    return group if terms.symbolic() else None
+    return group
 
 
 def _stable_key(cex: dict) -> str:

@@ -6,7 +6,9 @@ All boolean structure, composition, converse, residuals, the symmetric
 quotient, the domain map and the basic classification predicates live here.
 
 Carrier elements are 0-based indices.  Display names, when present, are
-presentation only: they never affect semantics, equality or serialization.
+presentation only: they never affect semantics, equality or the JSON of a
+relation or multirelation.  An environment file keeps a carrier's names
+(``dsl.env_to_json``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from multirel import GenSpec, instances, mrel, power, rel
 from multirel.dsl import Sig, _typecheck, env_from_json, eval_term, parse, typecheck
+from multirel.errors import ShapeMismatch
 from multirel.laws import Law, Slot, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
@@ -22,6 +24,21 @@ from conftest import C, M, R
 def resolved_registry() -> list[Law]:
     """Every registry law with its slots' sorts and roles inferred."""
     return [_Terms(law).law for law in registry()]
+
+
+def types_over_distinct_roles(terms: _Terms) -> bool:
+    """Whether the claim and guard type as booleans with each role a carrier
+    of its own, the premise of laws._symmetries: a claim over slots whose
+    roles were given may type only because two roles have one size, as
+    ``R * S`` does over two slots X -> Y."""
+    types: dict = {r: r for r in terms.law.roles}
+    types.update((s.name, Sig(s.sort, s.src, s.dst)) for s in terms.law.slots)
+    try:
+        for what in ("claim", "guard") if terms.guard else ("claim",):
+            terms.boolean(what, types)
+    except ShapeMismatch:
+        return False
+    return True
 
 
 class TestRegistry:
@@ -64,10 +81,24 @@ class TestRegistry:
 
         for law in registry():
             if law.kind != "regression":
-                assert _Terms(law).symbolic(), law.id
+                assert types_over_distinct_roles(_Terms(law)), law.id
                 continue
             types = env_types(env_from_json(law.pinned))
             assert typecheck(parse(law.claim), types).sort == "bool", law.id
+
+    @pytest.mark.parametrize("law_id", [l.id for l in registry() if l.kind != "regression"])
+    def test_inferred_roles_type_as_distinct_carriers(self, law_id):
+        # laws._symmetries reduces every law whose slots give no role, so
+        # each role infer_slots names must be a carrier of its own, also
+        # where the slots' sorts are given and the free roles renamed
+        law = law_by_id(law_id)
+        inferred = _Terms(law).law
+        slots = tuple(Slot(s.name, s.sort, needs=s.needs) for s in inferred.slots)
+        renamed = tuple(f"A{i}" for i in range(len(inferred.roles)))
+        terms = _Terms(replace(law, slots=slots, roles=renamed))
+        assert not terms.roles_given
+        assert [s.sort for s in terms.law.slots] == [s.sort for s in inferred.slots]
+        assert types_over_distinct_roles(terms)
 
     def test_slot_needs_are_flags_of_their_sort(self):
         flags = {"rel": rel.REL_ROW_FLAGS, "mrel": mrel.MREL_ROW_FLAGS}
@@ -182,10 +213,6 @@ class TestCheck:
         assert rep.verdict == "pass"
 
     def test_non_boolean_claims_are_rejected(self):
-        import pytest
-
-        from multirel.errors import ShapeMismatch
-
         law = Law("dev-rel-claim", "theorem", "a relation, not a claim", "R ; S",
                   (Slot("R", "rel", "X", "Y"), Slot("S", "rel", "Y", "X")))
         with pytest.raises(ShapeMismatch, match="claim R ; S is a rel"):

@@ -264,12 +264,18 @@ def test_a_slot_from_a_role_to_itself_gets_the_diagonal_group():
     assert check(law, sizes=(2, 2), seed=7).to_json() == plain_check(law, (2, 2))
 
 
+def test_consistent_given_roles_are_not_reduced():
+    # the reduction needs roles that infer_slots named, and these are given
+    slots = (Slot("R", "rel", "X", "Y"), Slot("S", "rel", "Y", "Z"))
+    law = Law("dev-given-chain", "theorem", "R;S <= U", "(R ; S) <= U(X, Z)", slots)
+    assert group_of(law, (2, 2))[0] is None
+    assert check(law, sizes=(2, 2), seed=7).to_json() == plain_check(law, (2, 2))
+
+
 def test_a_test_slot_between_two_roles_is_not_reduced():
     # ``test`` reads the row index, so it survives only a permutation of both ends
     test = ("test",)
-    law = Law("dev-test", "theorem", "", "(R ; T) <= R",
-              (Slot("R", "rel", "X", "Y"), Slot("T", "rel", "Y", "Y", test)))
+    law = Law("dev-test", "theorem", "", "(R ; T) <= R", (Slot("R"), Slot("T", needs=test)))
     assert len(group_of(law, (2, 2))[0]) == 4
-    law = Law("dev-test-roles", "theorem", "", "R <= U(X, Y)",
-              (Slot("R", "rel", "X", "Y"), Slot("T", "rel", "X", "Y", test)))
+    law = Law("dev-test-roles", "theorem", "", "(R & T) <= R", (Slot("R"), Slot("T", needs=test)))
     assert group_of(law, (2, 2))[0] is None

@@ -16,9 +16,10 @@ from itertools import product
 
 import pytest
 
-from multirel import GenSpec, check, instances, peleg
+from multirel import GenSpec, check, instances, mrel, peleg
 from multirel import laws as laws_module
 from multirel.dsl import _LEVEL, _OPS, Pw, Sig, _typecheck, parse
+from multirel.laws import Law, Slot
 from multirel.mrel import mrel_to_rel, rel_to_mrel
 from multirel.registry import law_by_id
 from multirel.rel import Rel, pow_carrier
@@ -206,3 +207,22 @@ def test_kernel_calls_fall_but_do_not_vanish(monkeypatch):
     # composed once, and di(R) * di(S) mostly finds its pair already there
     pairs = 88 * 256
     assert pairs <= len(calls) < 2 * pairs
+
+
+def test_a_node_over_one_slot_read_twice_takes_a_table(monkeypatch):
+    # icup(R, R) reads one slot for its two operands; its table meets at
+    # most the 256 diagonal pairs of its 65,536, and icup(S, S) shares it
+    calls = []
+    inner_bool = mrel.inner_bool
+
+    def counted(op, r, s=None):
+        if op == "icup" and r == s:
+            calls.append(r)
+        return inner_bool(op, r, s)
+
+    monkeypatch.setattr(mrel, "inner_bool", counted)
+    law = Law("dev-icup", "theorem", "", "(R <= icup(R, R)) == (S <= icup(S, S))",
+              (Slot("R"), Slot("S")))
+    rep = check(law, sizes=(2, 2))
+    assert rep.verdict == "pass" and rep.checked == 65536
+    assert len(calls) <= 256
