@@ -2,7 +2,9 @@
 counterexamples, and canonicalize serialized values.
 
 Exit codes: 0 success / all laws as declared; 1 law failed or
-counterexample found; 2 usage error; 3 size cap exceeded.
+counterexample found; 2 usage error, or output that cannot be written (an
+unwritable ``--out``, a closed stdout, a full disk), with ``error: cannot
+write output: ...``; 3 size cap exceeded.  No input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -51,50 +53,48 @@ _SIZES = _number(lambda text: tuple(map(int, text.split(","))),
                  "two positive integers joined by a comma")
 
 
-# What loading a value or an environment file raises on malformed input
+class _Usage(Exception):
+    """A usage error: ``main`` prints it and exits 2."""
+
+
+# What reading a value or an environment file raises on malformed input
 # (``json.load`` raises RecursionError on a document nested too deeply);
 # a value past a size cap is left to main, which exits 3.
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError)
+_LOAD_ERRORS = (OSError, ValueError, RecursionError)
 
 
-def _write(path: str, text: str) -> int:
-    """Writes ``text`` to ``path``: exit 0, or 2 if it cannot be written."""
+def _load(path: str, read, what: tuple[str, str]):
+    """``read`` applied to the JSON document at ``path``.  A file that cannot
+    be read as JSON is a usage error headed ``what[0]``; a document that
+    ``read`` refuses is one headed ``what[1]``."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"error: cannot write output: {e}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_eval(args) -> int:
-    try:
-        with open(args.env) as fh:
-            env = env_from_json(json.load(fh))
+        with open(path) as fh:
+            data = json.load(fh)
     except _LOAD_ERRORS as e:
-        print(f"error: cannot load environment: {e}", file=sys.stderr)
-        return 2
-    value = evaluate(args.expr, env)
-    text = json.dumps(_value_json(value), indent=2) + "\n"
-    if args.out:
-        return _write(args.out, text)
-    sys.stdout.write(text)
-    return 0
+        raise _Usage(f"{what[0]}: {e}") from None
+    try:
+        return read(data)
+    except _LOAD_ERRORS as e:
+        raise _Usage(f"{what[1]}: {e}") from None
 
 
-def _cmd_laws(args) -> int:
+def _cmd_eval(args):
+    env = _load(args.env, env_from_json, ("cannot load environment",) * 2)
+    return 0, json.dumps(_value_json(evaluate(args.expr, env)), indent=2) + "\n"
+
+
+def _cmd_laws(args):
+    text = ""
     for law in registry():
         if args.filter and not law.id.startswith(args.filter):
             continue
-        print(f"{law.id:44s} {law.kind:10s} {law.anchor}")
-        line = f"    claim: {law.claim}"
+        text += f"{law.id:44s} {law.kind:10s} {law.anchor}\n    claim: {law.claim}"
         if law.guard:
-            line += f"   [given {law.guard}]"
+            text += f"   [given {law.guard}]"
         if law.kind != "theorem":
-            line += f"   [expected to {law.expected}]"
-        print(line)
-    return 0
+            text += f"   [expected to {law.expected}]"
+        text += "\n"
+    return 0, text
 
 
 def _report_lines(rep: LawReport) -> str:
@@ -113,94 +113,60 @@ def _report_lines(rep: LawReport) -> str:
     return line
 
 
-def _cmd_check(args) -> int:
-    kwargs = dict(sizes=args.sizes, seed=args.seed)
-    if args.random is not None:
-        kwargs["count"] = args.random
-    if args.density is not None:
-        kwargs["density"] = args.density
+def _cmd_check(args):
+    laws = [law_by_id(args.law)] if args.law else registry()
+    reports = [check(law, sizes=args.sizes, seed=args.seed, count=args.random,
+                     density=args.density) for law in laws]
     if args.law:
-        rep = check(law_by_id(args.law), **kwargs)
-        if args.json:
-            print(json.dumps(rep.to_json(timing=args.timing), indent=2))
-        else:
-            print(_report_lines(rep))
-        if rep.verdict == "skipped":
-            return 3
-        return 0 if rep.verdict == "pass" else 1
-    reports = [check(law, **kwargs) for law in registry()]
+        rep = reports[0]
+        text = (json.dumps(rep.to_json(timing=args.timing), indent=2) if args.json
+                else _report_lines(rep))
+        return {"pass": 0, "skipped": 3}.get(rep.verdict, 1), text + "\n"
     ok = all(r.as_declared for r in reports)
     if args.json:
         payload = {
             "seed": args.seed,
-            "sizes": list(args.sizes or (2, 2)),
+            "sizes": list(args.sizes),
             "all_as_declared": ok,
             "reports": [r.to_json(timing=args.timing) for r in reports],
         }
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        for rep in reports:
-            if not rep.as_declared or args.verbose:
-                print(_report_lines(rep))
-        declared = sum(r.as_declared for r in reports)
-        print(f"{declared}/{len(reports)} laws behaved as declared")
-    return 0 if ok else 1
+        text = "".join(_report_lines(rep) + "\n" for rep in reports
+                       if not rep.as_declared or args.verbose)
+        text += f"{sum(r.as_declared for r in reports)}/{len(reports)} laws behaved as declared\n"
+    return 0 if ok else 1, text
 
 
-def _cmd_find_cex(args) -> int:
+def _cmd_find_cex(args):
     claim = f"({args.lhs}) {args.rel} ({args.rhs})"
     names = value_names(Cmp(args.rel, parse(args.lhs), parse(args.rhs)))
     sorts: dict[str, str] = {}
     for piece in args.vars.split(",") if args.vars else ():
         name, _, sort = (part.strip() for part in piece.partition("="))
         if sort not in ("rel", "mrel"):
-            print(f"error: bad --vars entry {piece!r}", file=sys.stderr)
-            return 2
+            raise _Usage(f"bad --vars entry {piece!r}")
         if name not in names:
-            print(f"error: --vars names {name!r}, which the claim does not use", file=sys.stderr)
-            return 2
+            raise _Usage(f"--vars names {name!r}, which the claim does not use")
         if name in sorts:
-            print(f"error: --vars names {name!r} twice", file=sys.stderr)
-            return 2
+            raise _Usage(f"--vars names {name!r} twice")
         sorts[name] = sort
     slots = tuple(Slot(name, sorts.get(name)) for name in names)
-    law = Law(
-        id="adhoc",
-        kind="neg",
-        anchor=claim,
-        claim=claim,
-        slots=slots,
-        expected="fail",
-        size_cap=max(args.sizes),
-        count=args.random if args.random is not None else 2000,
-        density=args.density if args.density is not None else 0.5,
-    )
-    rep = check(law, sizes=args.sizes, seed=args.seed, collect=1)
+    law = Law(id="adhoc", kind="neg", anchor=claim, claim=claim, slots=slots,
+              expected="fail", size_cap=max(args.sizes), count=2000)
+    rep = check(law, sizes=args.sizes, seed=args.seed, count=args.random,
+                density=args.density, collect=1)
     if rep.verdict == "skipped":
         print(f"skipped: {rep.reason}", file=sys.stderr)
-        return 3
+        return 3, None
     if rep.counterexamples:
-        print(json.dumps(rep.counterexamples[0], sort_keys=True, indent=2))
-        return 1
-    print(
-        f"no counterexample found ({rep.mode} search, {rep.checked} instances)"
-    )
-    return 0
+        return 1, json.dumps(rep.counterexamples[0], sort_keys=True, indent=2) + "\n"
+    return 0, f"no counterexample found ({rep.mode} search, {rep.checked} instances)\n"
 
 
-def _cmd_convert(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as e:
-        print(f"error: cannot read input: {e}", file=sys.stderr)
-        return 2
-    try:
-        out = _canonicalize(data)
-    except _LOAD_ERRORS as e:
-        print(f"error: malformed value file: {e}", file=sys.stderr)
-        return 2
-    return _write(args.outfile, json.dumps(out, indent=2) + "\n")
+def _cmd_convert(args):
+    out = _load(args.infile, _canonicalize, ("cannot read input", "malformed value file"))
+    return 0, json.dumps(out, indent=2) + "\n"
 
 
 def _canonicalize(data):
@@ -211,7 +177,23 @@ def _canonicalize(data):
     return env_to_json(env_from_json(data))
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Writes ``text`` to the file at ``path``, or to stdout if it is None."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as e:
+        raise _Usage(f"cannot write output: {e}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Runs one command.  Each command returns its exit code and its text
+    (None for none); only here is output written and an error mapped to
+    its ``error:`` line and exit code."""
     ap = argparse.ArgumentParser(
         prog="multirel",
         description="finite-model workbench for the algebra of binary multirelations",
@@ -219,18 +201,21 @@ def main(argv: list[str] | None = None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a term against an environment file")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--env", required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("laws", help="list the law registry")
+    p.set_defaults(run=_cmd_laws)
     p.add_argument("--filter", default=None, help="id prefix filter")
 
     p = sub.add_parser("check", help="check one law or the whole registry")
+    p.set_defaults(run=_cmd_check)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--law")
     g.add_argument("--all", action="store_true")
-    p.add_argument("--sizes", type=_SIZES, default=None, help="carrier sizes, e.g. 2,2")
+    p.add_argument("--sizes", type=_SIZES, default=(2, 2), help="carrier sizes (default 2,2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=_COUNT, default=None, help="random tuples per law")
     p.add_argument("--density", type=_DENSITY, default=None)
@@ -239,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("find-cex", help="search for a counterexample to lhs REL rhs")
+    p.set_defaults(run=_cmd_find_cex)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--rel", required=True, choices=_INFIX[0].tokens)  # comparisons
@@ -249,28 +235,22 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--vars", default=None, help="override sorts, e.g. R=rel,S=mrel")
 
     p = sub.add_parser("convert", help="canonicalize a value or environment file")
+    p.set_defaults(run=_cmd_convert)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
+    p.add_argument("--out", required=True)
 
     args = ap.parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "laws":
-            return _cmd_laws(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "find-cex":
-            return _cmd_find_cex(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
+        code, text = args.run(args)
+        if text is not None:
+            _emit(text, getattr(args, "out", None))
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ShapeMismatch, TermSyntaxError, UnboundVariable, UnknownLaw) as e:
+    except (_Usage, ShapeMismatch, TermSyntaxError, UnboundVariable, UnknownLaw) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,13 +1,28 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirel.cli import main
 from conftest import ENV_DOC
+
+DATA = Path(__file__).parent / "data"
+
+
+def assert_pinned(out: str, digest_file: str) -> None:
+    """``out`` has the sha256 recorded in ``tests/data/<digest_file>``."""
+    assert hashlib.sha256(out.encode()).hexdigest() == (DATA / digest_file).read_text().strip()
 
 
 @pytest.fixture
@@ -169,6 +184,14 @@ class TestLaws:
         out = capsys.readouterr().out
         assert "claim: a(L(R)) == R" in out
 
+    def test_full_listing_is_pinned(self, capsys):
+        assert main(["laws"]) == 0
+        assert_pinned(capsys.readouterr().out, "laws.sha256")
+
+    def test_a_filter_matching_nothing_prints_nothing(self, capsys):
+        assert main(["laws", "--filter", "NOPE"]) == 0
+        assert capsys.readouterr() == ("", "")
+
 
 class TestCheck:
     def test_passing_law_exits_zero(self, capsys):
@@ -225,9 +248,12 @@ class TestCheck:
         # 3,3 is the path that takes no operator tables: its report bytes
         # are pinned, as criterion 8 pins those of 2,2
         assert main(["check", "--all", "--sizes", "3,3", "--seed", "7", "--json"]) == 0
-        out = capsys.readouterr().out
-        pinned = (Path(__file__).parent / "data" / "check_all_3x3_seed7.sha256").read_text()
-        assert hashlib.sha256(out.encode()).hexdigest() == pinned.strip()
+        assert_pinned(capsys.readouterr().out, "check_all_3x3_seed7.sha256")
+
+    def test_verbose_text_report_at_3x3_is_pinned(self, capsys):
+        # the text mode's bytes, as the digests in tests/data pin the JSON's
+        assert main(["check", "--all", "--sizes", "3,3", "--seed", "7", "--verbose"]) == 0
+        assert_pinned(capsys.readouterr().out, "check_all_3x3_seed7_verbose.sha256")
 
     def test_json_timing_flag(self, capsys):
         assert main(
@@ -489,3 +515,110 @@ class TestConvert:
         assert main(["convert", "--in", str(bad), "--out", str(out)]) == 2
         assert "'src' must be a non-negative integer, not 2.7" in capsys.readouterr().err
         assert not out.exists()
+
+
+# One command of each kind that writes to stdout; {env} is an environment file.
+WRITERS = {
+    "laws": ["laws"],
+    "check": ["check", "--law", "L2.1-lambda-alpha-inverse", "--json"],
+    "eval": ["eval", "--env", "{env}", "--expr", "R * R"],
+    "find-cex": ["find-cex", "--lhs", "a(R * S)", "--rhs", "a(R) ; a(S)", "--rel", "==",
+                 "--sizes", "2,2"],
+}
+
+
+class TestWriteFailures:
+    """Output that cannot be written exits 2 with one error line, never a
+    traceback: a pipe whose reader has gone, or a full device."""
+
+    @staticmethod
+    def run(command, env_file, stdout):
+        argv = [arg.format(env=env_file) for arg in WRITERS[command]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        return subprocess.run([sys.executable, "-W", "error", "-m", "multirel", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_closed_pipe(self, command, env_file):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self.run(command, env_file, write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_full_device(self, command, env_file):
+        with open("/dev/full", "w") as full:
+            done = self.run(command, env_file, full)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+# Valid documents of each kind, whose leaves the property below mutates.
+VALID_DOCS = [
+    ENV_DOC,
+    {"carriers": {"X": {"size": 2, "names": ["a", "b"]}, "Y": 1},
+     "rels": {"R": {"src": 2, "dst": 1, "pairs": [[1, 0]]}}},
+    {"src": 2, "dst": 3, "pairs": [[0, 2], [1, 1]]},
+    {"src": 2, "dst": 2, "rows": [[[0, 1], []], [[1]]]},
+]
+
+# containers are parsed afresh for each draw, as the mutations change them
+_LEAVES = (st.integers(-2, 4) | st.sampled_from([65_536, 65_537, 2 ** 62, 2 ** 70])
+           | st.floats() | st.text(max_size=3) | st.booleans() | st.none()
+           | st.sampled_from(["[]", "{}", "[0]", "[[0]]", "[[0, 1]]", '{"size": 2}'])
+           .map(json.loads))
+
+
+def _paths(doc, path=()):
+    """The path to every node of ``doc`` below its root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _near_valid(draw):
+    """A valid document with one to three nodes replaced, deleted or given
+    an unknown key beside them."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "delete", "beside"]))
+        if action == "replace":
+            parent[key] = draw(_LEAVES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent["extra"] = draw(_LEAVES)
+        else:
+            parent.append(draw(_LEAVES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_valid())
+def test_near_valid_documents_exit_with_a_code(doc):
+    """Every document the loaders refuse is a usage error or a cap, never a
+    traceback: ``convert`` and ``eval --env`` exit 0, 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(["convert", "--in", path, "--out", os.path.join(tmp, "o.json")]),
+                     main(["eval", "--env", path, "--expr", "R"])]
+    assert set(codes) <= {0, 2, 3}

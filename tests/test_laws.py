@@ -15,7 +15,7 @@ import pytest
 from multirel import GenSpec, instances, mrel, power, rel
 from multirel.dsl import Sig, _typecheck, env_from_json, eval_term, parse, typecheck
 from multirel.errors import ShapeMismatch
-from multirel.laws import Law, Slot, _Terms, check, law_seed, shrink
+from multirel.laws import Law, Slot, _resolve_sizes, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
 from conftest import C, M, R
@@ -171,6 +171,13 @@ class TestCheck:
         assert rep.verdict == "pass"
         assert rep.mode == "exhaustive"
         assert rep.checked == 16
+
+    def test_sizes_2_2_are_the_default(self):
+        # so `check --sizes` may state its default as 2,2
+        tiny = Law("tiny", "theorem", "", "R == R", (Slot("R"),), size_cap=1)
+        for law in [*registry(), tiny]:
+            law = _Terms(law).law
+            assert _resolve_sizes(law, (2, 2)) == _resolve_sizes(law, None), law.id
 
     def test_pinned_regression_fails_with_witness(self):
         rep = check(law_by_id("REG-nonassoc-triple"))
