@@ -57,6 +57,24 @@ class _Usage(Exception):
     """A usage error: ``main`` prints it and exits 2."""
 
 
+class _Skipped(Exception):
+    """A search that a cap ended: ``main`` prints its reason and exits 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, whose ``_print_message`` writes every stderr line: its own
+    usage errors, and ``main``'s ``error:`` and ``skipped:`` lines.  A
+    stream that cannot be written loses the line, and the exit code stands."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        try:
+            file.write(message)
+            file.flush()
+        except OSError:
+            pass
+
+
 # What reading a value or an environment file raises on malformed input
 # (``json.load`` raises RecursionError on a document nested too deeply);
 # a value past a size cap is left to main, which exits 3.
@@ -157,8 +175,7 @@ def _cmd_find_cex(args):
     rep = check(law, sizes=args.sizes, seed=args.seed, count=args.random,
                 density=args.density, collect=1)
     if rep.verdict == "skipped":
-        print(f"skipped: {rep.reason}", file=sys.stderr)
-        return 3, None
+        raise _Skipped(rep.reason)
     if rep.counterexamples:
         return 1, json.dumps(rep.counterexamples[0], sort_keys=True, indent=2) + "\n"
     return 0, f"no counterexample found ({rep.mode} search, {rep.checked} instances)\n"
@@ -194,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     """Runs one command.  Each command returns its exit code and its text
     (None for none); only here is output written and an error mapped to
     its ``error:`` line and exit code."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="multirel",
         description="finite-model workbench for the algebra of binary multirelations",
     )
@@ -244,12 +261,14 @@ def main(argv: list[str] | None = None) -> int:
         code, text = args.run(args)
         if text is not None:
             _emit(text, getattr(args, "out", None))
+        return code
+    except _Skipped as e:
+        code, line = 3, f"skipped: {e}"
     except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        code, line = 3, f"error: {e}"
     except (_Usage, ShapeMismatch, TermSyntaxError, UnboundVariable, UnknownLaw) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {e}"
+    ap._print_message(f"{line}\n")
     return code
 
 

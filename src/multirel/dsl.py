@@ -35,7 +35,7 @@ import operator
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, repeat
 from math import prod
 from typing import Callable, Mapping
 
@@ -526,40 +526,45 @@ def env_types(env: Mapping) -> dict:
 # is taken as a relation ("r", or "s" where an open sort follows its
 # sibling's), a multirelation ("m") or as it is ("*"), with carriers named
 # by letters, "p" for a powerset; "m" operands and "mrel" results name
-# (src, base).  Sort "same" (a multirelation when all operands are) and "?"
-# (0 and U: a multirelation where an "m" operand or a sibling is one, else
-# a relation) pick ``impl`` from a (relation, multirelation) pair.  Plain
-# named tuples keep import cheap.
-_Spec = namedtuple("_Spec", "views operands sort result letters impl")
+# (src, base).  An operand marked "~" is read row by row: row i of the value
+# depends only on row i of each such operand and the whole of the others, and
+# a boolean holds when it holds at every row (see ``_table``).  Sort "same" (a
+# multirelation when all operands are) and "?" (0 and U: a multirelation
+# where an "m" operand or a sibling is one, else a relation) pick ``impl``
+# from a (relation, multirelation) pair.  Plain named tuples keep import cheap.
+_Spec = namedtuple("_Spec", "views operands sort result letters impl by_row")
 
 
 def _spec(sig: str, impl) -> _Spec:
-    """Read ``"r a b, r b c -> rel a c"``, or ``"mrel a a"`` for a constant."""
+    """Read ``"~r a b, r b c -> rel a c"``, or ``"mrel a a"`` for a constant."""
     args, _, out = sig.rpartition("->")
-    operands = tuple(tuple(a.split()) for a in args.split(",") if a.strip())
+    args = [a for a in args.split(",") if a.strip()]
+    operands = tuple(tuple(a.replace("~", "").split()) for a in args)
+    by_row = tuple("~" in a for a in args)
     sort, *result = out.split()
     letters = tuple(dict.fromkeys(c[-1] for c in result))
-    return _Spec("".join(o[0] for o in operands), operands, sort, tuple(result), letters, impl)
+    return _Spec("".join(o[0] for o in operands), operands, sort, tuple(result), letters, impl,
+                 by_row)
 
 
 # Implementations look kernel functions up on their modules at call time,
 # so a wrapper installed on a module attribute (a tracer) sees these calls.
 _CONVERSE = _spec("r a b -> rel b a", lambda r: _rel.rel_converse(r))
 _COMPLEMENT = _spec(
-    "* a b -> same a b",
+    "~* a b -> same a b",
     (lambda r: _rel.rel_bool("complement", r), lambda m: _mrel.mrel_bool("complement", m)),
 )
 
 
 def _outer(name: str) -> _Spec:
     return _spec(
-        "* a b, * a b -> same a b",
+        "~* a b, ~* a b -> same a b",
         (lambda r, s: _rel.rel_bool(name, r, s), lambda r, s: _mrel.mrel_bool(name, r, s)),
     )
 
 
 def _on_mrel(fn: Callable) -> _Spec:
-    return _spec("m a b -> mrel a b", fn)
+    return _spec("~m a b -> mrel a b", fn)
 
 
 def _dsup(m: MRel) -> MRel:
@@ -607,8 +612,8 @@ _OPS: dict[str, _Spec] = {
     "nu": _on_mrel(lambda m: _mrel.split_terminal(m)[0]),
     "tau": _on_mrel(lambda m: _mrel.split_terminal(m)[1]),
     "dom": _spec("r a b -> rel a a", lambda r: _rel.domain(r)),
-    "L": _spec("r a b -> mrel a b", lambda r: _power.power_transpose(r)),
-    "a": _spec("m a b -> rel a b", lambda m: _power.alpha(m)),
+    "L": _spec("~r a b -> mrel a b", lambda r: _power.power_transpose(r)),
+    "a": _spec("~m a b -> rel a b", lambda m: _power.alpha(m)),
     "Pf": _spec("r a b -> rel pa pb", lambda r: _power.image_functor(r)),
     "kl": _spec("m a b -> rel pa pb", lambda m: _peleg.kleisli_lift(m)),
     "pl": _spec("m a b -> rel pa pb", lambda m: _peleg.peleg_lift(m)),
@@ -616,29 +621,29 @@ _OPS: dict[str, _Spec] = {
     "di": _on_mrel(lambda m: _det.fission(m)),
     "cfo": _on_mrel(lambda m: _det.cofusion(m)),
     "cfi": _on_mrel(lambda m: _det.cofission(m)),
-    "dsup": _on_mrel(_dsup),
-    "icup": _spec("m a b, m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icup", r, s)),
-    "icap": _spec("m a b, m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icap", r, s)),
-    "odot": _spec("m a b, m b c -> mrel a c", lambda r, s: _peleg.odot(r, s)),
+    "dsup": _spec("m a b -> mrel a b", _dsup),
+    "icup": _spec("~m a b, ~m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icup", r, s)),
+    "icap": _spec("~m a b, ~m a b -> mrel a b", lambda r, s: _mrel.inner_bool("icap", r, s)),
+    "odot": _spec("~m a b, m b c -> mrel a c", lambda r, s: _peleg.odot(r, s)),
     "syq": _spec("r c a, r c b -> rel a b", lambda t, s: _rel.symmetric_quotient(t, s)),
     # operator tokens
     "^": _CONVERSE,
     "-": _COMPLEMENT,
-    ";": _spec("r a b, r b c -> rel a c", lambda r, s: _rel.rel_compose(r, s)),
-    "*": _spec("m a b, m b c -> mrel a c", lambda r, s: _peleg.peleg_compose(r, s)),
-    "@": _spec("m a b, m b c -> mrel a c", lambda r, s: _peleg.kleisli_compose(r, s)),
+    ";": _spec("~r a b, r b c -> rel a c", lambda r, s: _rel.rel_compose(r, s)),
+    "*": _spec("~m a b, m b c -> mrel a c", lambda r, s: _peleg.peleg_compose(r, s)),
+    "@": _spec("~m a b, m b c -> mrel a c", lambda r, s: _peleg.kleisli_compose(r, s)),
     "&": _outer("inter"),
     "|": _outer("union"),
     "\\": _spec("s c a, s c b -> rel a b", lambda t, s: _rel.residual("right", t, s)),
     "/": _spec("s a b, s c b -> rel a c", lambda t, s: _rel.residual("left", t, s)),
-    "==": _spec("* a b, * a b -> bool", (operator.eq, operator.eq)),
+    "==": _spec("~* a b, ~* a b -> bool", (operator.eq, operator.eq)),
     "<=": _spec(
-        "* a b, * a b -> bool",
+        "~* a b, ~* a b -> bool",
         (lambda r, s: _rel.is_subrel(r, s), lambda r, s: _mrel.is_submrel(r, s)),
     ),
-    "<u=": _spec("m a b, m a b -> bool", lambda r, s: _mrel.preorder("smyth", r, s)),
-    "<d=": _spec("m a b, m a b -> bool", lambda r, s: _mrel.preorder("hoare", r, s)),
-    "<ud=": _spec("m a b, m a b -> bool", lambda r, s: _mrel.preorder("egli_milner", r, s)),
+    "<u=": _spec("~m a b, ~m a b -> bool", lambda r, s: _mrel.preorder("smyth", r, s)),
+    "<d=": _spec("~m a b, ~m a b -> bool", lambda r, s: _mrel.preorder("hoare", r, s)),
+    "<ud=": _spec("~m a b, ~m a b -> bool", lambda r, s: _mrel.preorder("egli_milner", r, s)),
 }
 
 
@@ -897,46 +902,82 @@ def _small(sort, src, dst) -> _Shape | None:
 
 _UNKNOWN_ID = 0xFFFF  # a table entry not yet filled
 _UNKNOWN_BOOL = 2
+_ONE = Carrier(1)  # the source of a one-row operand
 
 
-def _table(impl: Callable, operands: list[tuple[Callable, _Shape]], out: _Shape,
-           tables: dict) -> Callable[[dict], int]:
-    """The evaluator of the id of ``impl``'s value, given the evaluators
-    of its operands' ids and their shapes.  It looks the id up in the table
-    of ``tables`` for ``impl`` and these shapes, one flat entry per tuple of
-    operand ids, and calls ``impl`` where the entry is not filled yet.
-    Nodes with the same operation and operand shapes share a table."""
-    key = (impl, *(shape for _, shape in operands))
-    table = tables.get(key)
-    if table is None:
-        cells = prod(shape.size for _, shape in operands)
-        if out is _BOOLS:
-            table = bytearray([_UNKNOWN_BOOL]) * cells
-        else:
-            table = array("H", [_UNKNOWN_ID]) * cells
-        tables[key] = table
+class _OneRow(dict):
+    """The rows, or the boolean, of ``impl``'s value at one part of each
+    operand: a row where ``split`` marks the operand, given to ``impl`` as a
+    one-row value, else the id of its value.  ``made`` is the last value."""
+
+    def __init__(self, impl: Callable, shapes: list[_Shape], split: list[bool]):
+        super().__init__()
+        self.impl, self.shapes, self.split, self.made = impl, shapes, split, None
+
+    def __missing__(self, parts: tuple):
+        xs = []
+        for part, shape, cut in zip(parts, self.shapes, self.split):
+            x = shape.values[0 if cut else part]  # any value of its shape gives class and dst
+            xs.append(x._trusted(_ONE, x.dst, (part,)) if cut else x)
+        made = self.made = self.impl(*xs)
+        self[parts] = made if isinstance(made, bool) else made.rows
+        return self[parts]
+
+
+def _table(impl: Callable, operands: list[tuple[Callable, _Shape]], by_row: tuple[bool, ...],
+           out: _Shape, tables: dict) -> Callable[[dict], int]:
+    """The evaluator of the id of ``impl``'s value, given the evaluators of
+    its operands' ids and shapes and which it reads by row (``_Spec.by_row``;
+    a boolean has no rows).  The id is looked up in a flat table of
+    ``tables``, one entry per tuple of operand ids, that a ``_OneRow`` table
+    fills row by row: the entry is the value of the rows found, or whether
+    all hold.  With no operand read by row, the whole value is one row.
+    Nodes with the same operation and operand shapes share both tables."""
+    shapes = [shape for _, shape in operands]
+    split = [mark and shape is not _BOOLS for mark, shape in zip(by_row, shapes)]
+    key = (impl, *shapes)
     unknown = _UNKNOWN_BOOL if out is _BOOLS else _UNKNOWN_ID
-    intern = out.id
+    if key not in tables:
+        flat = bytearray([unknown]) if out is _BOOLS else array("H", [unknown])
+        tables[key] = flat * prod(shape.size for shape in shapes), _OneRow(impl, shapes, split)
+    table, one_row = tables[key]
+    get, known = one_row.__getitem__, out is not _BOOLS and out.ids.get
+    source = split.index(True) if any(split) else None
+    # each operand's part at each row, by the id of its value: its row where it
+    # is read by row, else its id, at every row (or once, where none is read so)
+    parts = [(lambda i, v=shape.values: v[i].rows) if cut else repeat if source is not None
+             else lambda i: (i,) for shape, cut in zip(shapes, split)]
+
+    def fill(found) -> int:
+        if out is _BOOLS:
+            return all(found)
+        rows = tuple(chain.from_iterable(found))
+        i = known(rows)
+        if i is None:  # a value new to its shape
+            made = one_row.made
+            src = (made if source is None else shapes[source].values[0]).src
+            i = out.id(made._trusted(src, made.dst, rows))
+        return i
+
     if len(operands) == 1:
-        ((f, shape),) = operands
-        xs = shape.values
+        ((f, _),), (p,) = operands, parts
 
         def ids(b):
             x = f(b)
             r = table[x]
             if r == unknown:
-                r = table[x] = intern(impl(xs[x]))
+                r = table[x] = fill(map(get, zip(p(x))))
             return r
         return ids
-    (f, left), (g, right) = operands
-    xs, ys, n = left.values, right.values, right.size
+    ((f, _), (g, right)), (p, q) = operands, parts
+    n = right.size
 
     def ids(b):
         x, y = f(b), g(b)
         i = x * n + y
         r = table[i]
         if r == unknown:
-            r = table[i] = intern(impl(xs[x], ys[y]))
+            r = table[i] = fill(map(get, zip(p(x), q(y))))
         return r
     return ids
 
@@ -959,8 +1000,8 @@ def _once(f: Callable[[dict], Value]) -> Callable[[dict], Value]:
 
 # Conversions between the two views of an arrow src <-> P(dst), as unary
 # operations that keep the relation-view carriers.
-_TO_REL = _spec("m a b -> rel a pb", lambda m: _mrel.mrel_to_rel(m))
-_TO_MREL = _spec("r a pb -> mrel a b", lambda r: _mrel.rel_to_mrel(r))
+_TO_REL = _spec("~m a b -> rel a pb", lambda m: _mrel.mrel_to_rel(m))
+_TO_MREL = _spec("~r a pb -> mrel a b", lambda r: _mrel.rel_to_mrel(r))
 
 
 def _operand(kid: _Node, view: str) -> _Node:
@@ -1026,7 +1067,7 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
         run = lambda b: impl(*map(_carrier_value, carriers))
     elif reads and shape is not None and all(k.shape is not None for k in kids):
         ids = _table(impl, [(k.ids or _ids_of(k.run, k.shape), k.shape) for k in kids],
-                     shape, tables)
+                     spec.by_row, shape, tables)
         values = shape.values
         return _Code(lambda b: values[ids(b)], True, shape, ids)
     elif len(kids) == 1:

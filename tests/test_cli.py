@@ -559,6 +559,60 @@ class TestWriteFailures:
             2, "error: cannot write output: [Errno 28] No space left on device\n")
 
 
+# Commands whose one line goes to stderr, that line and their exit code;
+# {big} is an environment file with a carrier past the powerset cap.
+QUIET = {
+    "usage": (["eval", "--env", "/nonexistent/env.json", "--expr", "R"],
+              "error: cannot load environment: ", 2),
+    "argparse": (["check"], "usage: multirel check ", 2),
+    "cap": (["eval", "--env", "{big}", "--expr", "mem(X)"],
+            "error: cannot materialize powerset of carrier of size 40 (cap 16)", 3),
+    "skipped": (["find-cex", "--lhs", "Pf(R)", "--rhs", "Pf(R)", "--rel", "==",
+                 "--sizes", "17,17"],
+                "skipped: cannot materialize powerset of carrier of size 17 (cap 16)", 3),
+}
+
+
+class TestStderrFailures:
+    """A command keeps its exit code when its ``error:``, ``skipped:`` or
+    usage line cannot be written to stderr: a pipe whose reader has gone,
+    or a full device.  Nothing is raised, so the code is not 1."""
+
+    @staticmethod
+    def run(case, tmp_path, stderr):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"carriers": {"X": 40}}))
+        argv = [arg.format(big=big) for arg in QUIET[case][0]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        return subprocess.run([sys.executable, "-W", "error", "-m", "multirel", *argv],
+                              stdout=subprocess.PIPE, stderr=stderr, env=env, text=True,
+                              timeout=120)
+
+    @pytest.mark.parametrize("case", QUIET)
+    def test_the_line_when_stderr_can_be_written(self, case, tmp_path):
+        done = self.run(case, tmp_path, subprocess.PIPE)
+        _, line, code = QUIET[case]
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr.startswith(line) and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("case", QUIET)
+    def test_closed_pipe(self, case, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self.run(case, tmp_path, write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stdout) == (QUIET[case][2], "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("case", QUIET)
+    def test_full_device(self, case, tmp_path):
+        with open("/dev/full", "w") as full:
+            done = self.run(case, tmp_path, full)
+        assert (done.returncode, done.stdout) == (QUIET[case][2], "")
+
+
 # Valid documents of each kind, whose leaves the property below mutates.
 VALID_DOCS = [
     ENV_DOC,

@@ -2,9 +2,10 @@
 
 Where a law is checked, each term node whose operands and value are of
 small shapes looks its value up by operand ids instead of calling the
-kernel.  These tests hold the table path to direct kernel calls, for every
-operation at every small shape it types at, and check that the tables live
-for one check only."""
+kernel, and fills a missing entry from one-row values where the operation
+reads an operand row by row.  These tests hold the table path to direct
+kernel calls, for every operation at every small shape it types at, check
+the row-by-row marks, and check that the tables live for one check only."""
 
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ from itertools import product
 
 import pytest
 
-from multirel import GenSpec, check, instances, mrel, peleg
+from multirel import GenSpec, check, dsl, instances, mrel, peleg
 from multirel import laws as laws_module
-from multirel.dsl import _LEVEL, _OPS, Pw, Sig, _typecheck, parse
+from multirel.determinise import fission
+from multirel.dsl import _LEVEL, _OPS, Pw, Sig, _OneRow, _typecheck, parse
+from multirel.generate import _group, _orbits
 from multirel.laws import Law, Slot
 from multirel.mrel import mrel_to_rel, rel_to_mrel
 from multirel.registry import law_by_id
@@ -100,12 +103,22 @@ def _same(out, direct) -> bool:
 
 
 @pytest.mark.parametrize("name", sorted(_OPS))
-def test_table_path_equals_the_kernel(name):
+def test_table_path_equals_the_kernel(name, monkeypatch):
     # one set of tables for every shape of the operation, as a check that
-    # meets several shapes has: a table must not mix them up
+    # meets several shapes has: a table must not mix them up; the shapes
+    # start empty, so a table also builds values new to their shape
+    monkeypatch.setattr(dsl, "_SHAPES", {})
     tables: dict = {}
     cases = [s for s in SIGNATURES if s[0] == name]
     assert cases, f"{name} types at no small shape"
+    _hold_to_the_kernel(name, cases, tables)
+    for _, impl, sorts, ends in cases:
+        assert any(key[0] is impl for key in tables), (name, sorts, ends)
+
+
+def _hold_to_the_kernel(name: str, cases: list, tables: dict) -> None:
+    """Runs ``name`` through the tables at each of ``cases`` (items of
+    ``SIGNATURES``) against a direct call of the case's kernel function."""
     for seed, (_, impl, sorts, ends) in enumerate(cases):
         names = "RS"[: len(sorts)]
         types = {n: Sig(so, *e) for n, so, e in zip(names, sorts, ends)}
@@ -115,7 +128,6 @@ def test_table_path_equals_the_kernel(name):
             out = typed.run(dict(zip(names, operands)))
             direct = impl(*operands)
             assert _same(out, direct), (name, sorts, ends, operands, out, direct)
-        assert any(key[0] is impl for key in tables), (name, sorts, ends)
 
 
 def _into_powerset(r: Rel) -> Rel:
@@ -147,6 +159,83 @@ def test_converted_operands_equal_the_kernel(text, types, direct):
     assert len(tables) >= 2  # the operation's table and a conversion's
 
 
+# The operations that read no operand row by row: each of these puts a row
+# of its value at another source (the converse, the residuals, the
+# symmetric quotient, dom's diagonal, the powerset lifts), or, as dsup,
+# enumerates choices across all rows under a cap that counts them all.
+UNMARKED = ("^", "cnv", "dom", "Pf", "kl", "pl", "dsup", "syq", "\\", "/")
+MARKED = sorted(name for name, spec in _OPS.items() if any(spec.by_row))
+
+
+def test_marks_leave_the_listed_operations_unmarked():
+    assert not any(any(_OPS[name].by_row) for name in UNMARKED)
+    assert sorted(set(_OPS) - set(UNMARKED)) == MARKED
+
+
+@pytest.mark.parametrize("name", [*MARKED, "_TO_REL", "_TO_MREL"])
+def test_marked_operands_share_the_source_of_the_value(name):
+    spec = _OPS[name] if name in _OPS else getattr(dsl, name)
+    sources = {src for (_, src, _), by_row in zip(spec.operands, spec.by_row) if by_row}
+    assert len(sources) == 1
+    assert spec.sort == "bool" or spec.result[0] in sources
+
+
+def _recording(impl, calls: list):
+    """``impl`` (or each of a pair), appending each call's operands to ``calls``."""
+    if isinstance(impl, tuple):
+        return tuple(_recording(i, calls) for i in impl)
+    return lambda *xs: calls.append(xs) or impl(*xs)
+
+
+def _one_row_calls(calls: list, rows: tuple) -> bool:
+    """Whether every call took a one-row value for each marked operand."""
+    return all(x.src.size == 1 for xs in calls for x, by_row in zip(xs, rows) if by_row)
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_row_wise_marks_hold_at_two_rows(name, monkeypatch):
+    # every operand marked row by row has a source of 2 elements: the
+    # table is filled from one-row values, and equals the kernel's value
+    spec = _OPS[name]
+    calls: list = []
+    monkeypatch.setitem(_OPS, name, spec._replace(impl=_recording(spec.impl, calls)))
+    cases = [case for case in SIGNATURES if case[0] == name
+             and all(src == 2 for (src, _), by_row in zip(case[3], spec.by_row) if by_row)]
+    assert cases, f"{name} types at no small shape whose marked source has 2 elements"
+    _hold_to_the_kernel(name, cases, {})
+    assert calls and _one_row_calls(calls, spec.by_row)
+
+
+@pytest.mark.parametrize("attr,text,types,direct", [
+    ("_TO_REL", "cnv(R)", {"R": Sig("mrel", 2, 1)}, lambda r: _OPS["cnv"].impl(mrel_to_rel(r))),
+    ("_TO_MREL", "up(T)", {"T": Sig("rel", 2, Pw(1))},
+     lambda t: _OPS["up"].impl(rel_to_mrel(t))),
+])
+def test_conversions_are_filled_from_rows(attr, text, types, direct, monkeypatch):
+    spec, calls = getattr(dsl, attr), []
+    monkeypatch.setattr(dsl, attr, spec._replace(impl=_recording(spec.impl, calls)))
+    typed = _typecheck(parse(text), types, {})
+    ((name, sig),) = types.items()
+    if isinstance(sig.dst, Pw):
+        values = [_into_powerset(r) for r in _values("rel", (2, 2))]
+    else:
+        values = _values(sig.sort, (2, 1))
+    for v in values:
+        assert _same(typed.run({name: v}), direct(v)), (text, v)
+    assert calls and _one_row_calls(calls, spec.by_row)
+
+
+def test_booleans_compared_with_eq_are_not_split():
+    # == over two comparisons shares operator.eq with == over values, and
+    # its operands are booleans, which have no rows
+    typed = _typecheck(parse("(R <= S) == (S <= R)"),
+                       {"R": Sig("rel", 2, 2), "S": Sig("rel", 2, 2)}, {})
+    below = _OPS["<="].impl[0]
+    values = _values("rel", (2, 2))
+    for r, s in product(values, values):
+        assert typed.run({"R": r, "S": s}) is (below(r, s) == below(s, r))
+
+
 def _reachable_from_modules() -> set[int]:
     """The ids of every object reachable from the package's modules."""
     seen: set[int] = set()
@@ -176,10 +265,12 @@ def test_tables_last_one_check(monkeypatch):
     rep = check(law_by_id("L2.2-icap-comm"), sizes=(2, 2))
     assert rep.verdict == "pass" and rep.checked == 65536
     (owner,) = made
-    tables = list(owner.tables.values())
-    # icap(R, S) and icap(S, R) share one table, and == has its own
-    assert len(tables) == 2
-    assert {type(t) for t in tables} == {array, bytearray}
+    # icap(R, S) and icap(S, R) share one table, and == has its own; each
+    # keeps its one-row table beside it
+    assert len(owner.tables) == 2
+    tables = [t for pair in owner.tables.values() for t in pair]
+    assert sorted(map(type, tables), key=str) == [array, bytearray, _OneRow, _OneRow]
+    assert all(tables)  # the one-row tables were filled
     made.clear()
     del owner
     gc.collect()
@@ -190,7 +281,7 @@ def test_tables_last_one_check(monkeypatch):
 def test_kernel_calls_fall_but_do_not_vanish(monkeypatch):
     calls = []
     compose = peleg.peleg_compose
-    monkeypatch.setattr(peleg, "peleg_compose", lambda r, s: calls.append(1) or compose(r, s))
+    monkeypatch.setattr(peleg, "peleg_compose", lambda r, s: calls.append((r, s)) or compose(r, s))
     law = law_by_id("L3.4-fission-subdistributive")
     # the claim evaluated without tables: two Peleg compositions per tuple
     typed = _typecheck(law.parsed_claim(), {"X": 2, "Y": 2, "Z": 2, "R": Sig("mrel", 2, 2),
@@ -202,11 +293,20 @@ def test_kernel_calls_fall_but_do_not_vanish(monkeypatch):
     calls.clear()
     rep = check(law, sizes=(2, 2))
     assert rep.verdict == "pass" and rep.checked == 65536
-    # R runs over its 88 orbits under the permutations of X and Y, each
-    # standing for its orbit's tuples; with tables, every pair (R, S) met is
-    # composed once, and di(R) * di(S) mostly finds its pair already there
-    pairs = 88 * 256
-    assert pairs <= len(calls) < 2 * pairs
+    # R runs over the first values of its 88 orbits under the permutations
+    # of X and Y; with tables, * reads its left operand row by row, so each
+    # pair of a row of R (or of di(R)) and a value of S (or of di(S)) met is
+    # composed once, on a one-row R
+    firsts = [r for r, _ in _orbits(iter(values), _group((2, 2), False))]
+    assert len(firsts) == 88
+    met = {(row, s.rows) for r, s in product(firsts, values) for row in r.rows}
+    met |= {(row, fission(s).rows) for r, s in product(firsts, values)
+            for row in fission(r).rows}
+    assert all(r.src.size == 1 for r, _ in calls)
+    assert sorted((r.rows[0], s.rows) for r, s in calls) == sorted(met)
+    # every one of the 16 rows of an MRel(2,2) is met, beside each of S's
+    # 256 values
+    assert len(calls) == 16 * 256
 
 
 def test_a_node_over_one_slot_read_twice_takes_a_table(monkeypatch):
