@@ -64,15 +64,17 @@ class _Skipped(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse, whose ``_print_message`` writes every stderr line: its own
     usage errors, and ``main``'s ``error:`` and ``skipped:`` lines.  A
-    stream that cannot be written loses the line, and the exit code stands."""
+    stream that cannot be written loses the line, and the exit code stands.
+    Help that cannot be written to stdout exits 2, as other output does."""
 
     def _print_message(self, message, file=None):
         file = file or sys.stderr
         try:
             file.write(message)
             file.flush()
-        except OSError:
-            pass
+        except OSError as e:
+            if file is not sys.stderr:
+                self.exit(2, f"error: cannot write output: {e}\n")
 
 
 # What reading a value or an environment file raises on malformed input

@@ -32,10 +32,9 @@ find the sort and carrier roles of each of its slots.
 from __future__ import annotations
 
 import operator
-from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count
 from math import prod
 from typing import Callable, Mapping
 
@@ -46,7 +45,7 @@ from . import power as _power
 from . import rel as _rel
 from .errors import ShapeMismatch, TermSyntaxError, UnboundVariable
 from .mrel import MRel
-from .rel import Carrier, Rel, require_object, require_size
+from .rel import Carrier, Rel, bits, require_object, require_size
 
 
 # ---------------------------------------------------------------------------
@@ -777,12 +776,19 @@ def _walk(t: Term, types: Mapping, consts: list, ctx: Term) -> _Node:
 
 class Typed:
     """A term's inferred sort ("rel", "mrel" or "bool") and its evaluator,
-    which does no inference and no sort tests."""
+    which does no inference and no sort tests.
 
-    __slots__ = ("sort", "run")
+    ``rows``, where it is not None, evaluates the term over rows: where one
+    name is bound to a ``bytes`` row of value ids (see ``_id_row``), it gives
+    the id of the value at every place of that row at once, as a ``bytes``
+    row, or one id where the term does not read the name.  A term has it
+    when it is compiled with tables and each of its nodes that reads a name
+    is a table node (see ``_compile``)."""
 
-    def __init__(self, sort: str, run: Callable[[dict], Value]):
-        self.sort, self.run = sort, run
+    __slots__ = ("sort", "run", "rows")
+
+    def __init__(self, sort: str, run: Callable[[dict], Value], rows: Callable | None = None):
+        self.sort, self.run, self.rows = sort, run, rows
 
 
 def typecheck(t: Term, types: Mapping) -> Typed:
@@ -824,7 +830,8 @@ def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
         if not all(map(_ground, node.letters.values())):
             raise _located(f"cannot infer the carriers of {node.term.name}; give them explicitly",
                            node.ctx)
-    return Typed(_find(root.sort), _compile(root, tables).run)
+    code = _compile(root, tables)
+    return Typed(_find(root.sort), code.run, code.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -834,34 +841,48 @@ def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
 # with src * dst <= 8, or a multirelation src <-> P(dst) whose relation view
 # src <-> pw(dst) is one (src * 2^dst <= 8).  Shapes are told apart by their
 # sort and carrier types, so a powerset carrier is not a plain one of its
-# size.  Each small shape numbers its values in the order they are first
-# given, once for the whole process; the tables from operand ids to value
-# ids belong to whoever compiles with them (``_typecheck``).
+# size.  A value's id is its bit code: the word of row a at bit a * w, where w
+# is the size of the relation view's target; a relation's row is its own
+# word, and a multirelation's row has bit m of its word set for each of its
+# masks m.  So each value of a shape has one id, and an exhaustive stream
+# with no filter runs through the ids in order.  The tables from operand ids
+# to value ids belong to whoever compiles with them (``_typecheck``).
 
 _SMALL_CELLS = 8
 
 
+# Each multirelation row of masks below 8, by its word.
+_MASKS = [tuple(bits(word)) for word in range(256)]
+_ONE = Carrier(1)  # the source of a one-row value
+
+
 class _Shape:
-    """The values of one small shape and their ids."""
+    """The values of one small shape by id, the id of each value's rows
+    (``ids``), the words of each id's rows (``words``), the bit at which each
+    row's word starts (``shifts``), and the shape of its one-row values
+    (``row``), where the id of a row is its word."""
 
-    __slots__ = ("size", "values", "ids")
+    __slots__ = ("size", "shifts", "values", "ids", "words", "row")
 
-    def __init__(self, size: int):
-        self.size, self.values, self.ids = size, [], {}
+    def __init__(self, cls: type, src: Carrier, dst: Carrier, width: int):
+        self.size, self.shifts = 1 << src.size * width, [a * width for a in range(src.size)]
+        mask = (1 << width) - 1
+        self.words = [tuple(i >> at & mask for at in self.shifts) for i in range(self.size)]
+        rows = (words if cls is Rel else tuple(map(_MASKS.__getitem__, words))
+                for words in self.words)
+        self.values = [cls._trusted(src, dst, r) for r in rows]
+        self.ids = {v.rows: i for i, v in enumerate(self.values)}
+        self.row = self if src == _ONE else _Shape(cls, _ONE, dst, width)
 
     def id(self, v) -> int:
-        i = self.ids.get(v.rows)
-        if i is None:
-            i = self.ids[v.rows] = len(self.values)
-            self.values.append(v)
-        return i
+        return self.ids[v.rows]
 
 
 class _Bools(_Shape):
     """Booleans as a shape: False is 0 and True is 1."""
 
     def __init__(self):
-        self.size, self.values, self.ids = 2, (False, True), None
+        self.size, self.values = 2, (False, True)
 
     def id(self, v: bool) -> int:
         return int(v)
@@ -892,94 +913,125 @@ def _small(sort, src, dst) -> _Shape | None:
     if sort == "bool":
         return _BOOLS
     key = (sort, _atom(src), _atom(dst))
-    cells = _size(key[1]) * _size(key[2])
-    if cells > _SMALL_CELLS:
+    width = _size(key[2])
+    if _size(key[1]) * width > _SMALL_CELLS:
         return None
     if key not in _SHAPES:
-        _SHAPES[key] = _Shape(1 << cells)
+        cls, dst = (MRel, _find(dst).arg) if sort == "mrel" else (Rel, dst)
+        _SHAPES[key] = _Shape(cls, _carrier_value(src), _carrier_value(dst), width)
     return _SHAPES[key]
 
 
-_UNKNOWN_ID = 0xFFFF  # a table entry not yet filled
-_UNKNOWN_BOOL = 2
-_ONE = Carrier(1)  # the source of a one-row operand
+def _id_row(values: list) -> bytes | None:
+    """The ids of ``values``, which share one shape, as a row for
+    ``Typed.rows``; None where that shape is not small."""
+    sig = _value_type(values[0])
+    shape = _small(sig.sort, sig.src, Pw(sig.dst) if sig.sort == "mrel" else sig.dst)
+    return shape and bytes(map(shape.id, values))
 
 
 class _OneRow(dict):
-    """The rows, or the boolean, of ``impl``'s value at one part of each
-    operand: a row where ``split`` marks the operand, given to ``impl`` as a
-    one-row value, else the id of its value.  ``made`` is the last value."""
+    """The word of one row of ``impl``'s value, or its boolean, at one part
+    of each operand: a row's word where ``split`` marks the operand, given to
+    ``impl`` as a one-row value, else the id of its value.  With no operand
+    split, the word is the id of the whole value."""
 
-    def __init__(self, impl: Callable, shapes: list[_Shape], split: list[bool]):
+    def __init__(self, impl: Callable, shapes: list[_Shape], split: list[bool], out: _Shape):
         super().__init__()
-        self.impl, self.shapes, self.split, self.made = impl, shapes, split, None
+        self.impl, self.shapes, self.split = impl, shapes, split
+        self.out = out.row if any(split) and out is not _BOOLS else out
 
     def __missing__(self, parts: tuple):
-        xs = []
-        for part, shape, cut in zip(parts, self.shapes, self.split):
-            x = shape.values[0 if cut else part]  # any value of its shape gives class and dst
-            xs.append(x._trusted(_ONE, x.dst, (part,)) if cut else x)
-        made = self.made = self.impl(*xs)
-        self[parts] = made if isinstance(made, bool) else made.rows
+        made = self.impl(*((shape.row if cut else shape).values[part]
+                           for part, shape, cut in zip(parts, self.shapes, self.split)))
+        self[parts] = made if self.out is _BOOLS else self.out.id(made)
         return self[parts]
 
 
-def _table(impl: Callable, operands: list[tuple[Callable, _Shape]], by_row: tuple[bool, ...],
-           out: _Shape, tables: dict) -> Callable[[dict], int]:
-    """The evaluator of the id of ``impl``'s value, given the evaluators of
-    its operands' ids and shapes and which it reads by row (``_Spec.by_row``;
-    a boolean has no rows).  The id is looked up in a flat table of
-    ``tables``, one entry per tuple of operand ids, that a ``_OneRow`` table
-    fills row by row: the entry is the value of the rows found, or whether
-    all hold.  With no operand read by row, the whole value is one row.
-    Nodes with the same operation and operand shapes share both tables."""
-    shapes = [shape for _, shape in operands]
+def _table(impl: Callable, operands: list[tuple], by_row: tuple[bool, ...], out: _Shape,
+           tables: dict) -> tuple[Callable, Callable | None]:
+    """The evaluators of the id of ``impl``'s value, given each operand's
+    evaluators of its id and of its rows and its shape, and which operands
+    ``impl`` reads by row (``_Spec.by_row``; a boolean has no rows): one for
+    a tuple of values, and one for rows (see ``Typed``), None where an
+    operand has none.
+
+    The id is looked up in a flat table of ``tables``, one entry per tuple
+    of operand ids, beside a flag for each entry that is filled.  A
+    ``_OneRow`` table fills an entry: the words of the rows found at their
+    places, or whether all hold.  With no operand read by row, the whole
+    value is one row.  Nodes with the same operation and operand shapes share
+    these tables.  ``==`` between values of one shape compares their ids."""
+    shapes = [shape for *_, shape in operands]
+    (f, fs, _), *rest = operands
+    if impl is operator.eq and shapes[0] is shapes[1]:
+        ((g, gs, _),) = rest
+        return (lambda b: f(b) == g(b)), fs and gs and (lambda b: _equal_rows(fs(b), gs(b)))
     split = [mark and shape is not _BOOLS for mark, shape in zip(by_row, shapes)]
     key = (impl, *shapes)
-    unknown = _UNKNOWN_BOOL if out is _BOOLS else _UNKNOWN_ID
     if key not in tables:
-        flat = bytearray([unknown]) if out is _BOOLS else array("H", [unknown])
-        tables[key] = flat * prod(shape.size for shape in shapes), _OneRow(impl, shapes, split)
-    table, one_row = tables[key]
-    get, known = one_row.__getitem__, out is not _BOOLS and out.ids.get
-    source = split.index(True) if any(split) else None
-    # each operand's part at each row, by the id of its value: its row where it
-    # is read by row, else its id, at every row (or once, where none is read so)
-    parts = [(lambda i, v=shape.values: v[i].rows) if cut else repeat if source is not None
-             else lambda i: (i,) for shape, cut in zip(shapes, split)]
+        size = prod(shape.size for shape in shapes)
+        tables[key] = bytearray(size), bytearray(size), _OneRow(impl, shapes, split, out)
+    table, known, one_row = tables[key]
+    get, bools = one_row.__getitem__, out is _BOOLS
+    rows = next((len(shape.shifts) for shape, cut in zip(shapes, split) if cut), 0)
+    # each operand's part at each row, by the id of its value: its row's word
+    # where it is read by row, else its id; and the place of each row's word
+    parts = [shape.words if cut else [(i,) * (rows or 1) for i in range(shape.size)]
+             for shape, cut in zip(shapes, split)]
+    shifts = () if bools else out.shifts if rows else out.shifts[:1]
+    n, (p, *q) = shapes[-1].size, parts
+    at = (lambda i: zip(p[i // n], q[0][i % n])) if q else lambda i: zip(p[i])
 
-    def fill(found) -> int:
-        if out is _BOOLS:
-            return all(found)
-        rows = tuple(chain.from_iterable(found))
-        i = known(rows)
-        if i is None:  # a value new to its shape
-            made = one_row.made
-            src = (made if source is None else shapes[source].values[0]).src
-            i = out.id(made._trusted(src, made.dst, rows))
-        return i
+    def fill(i: int) -> int:
+        found = map(get, at(i))
+        table[i] = r = all(found) if bools else sum(map(operator.lshift, found, shifts))
+        known[i] = 1
+        return r
 
-    if len(operands) == 1:
-        ((f, _),), (p,) = operands, parts
+    def cell(i: int) -> int:
+        return table[i] if known[i] else fill(i)
 
+    def along(xs: bytes, start: int, stop: int, step: int = 1) -> bytes:
+        """``xs`` through the entries start + step * x, filled first; an id in
+        ``xs`` is below the line's length, so its padding is never read."""
+        if 0 in xs.translate(known[start:stop:step].ljust(256)):
+            for x in set(xs):
+                if not known[start + step * x]:
+                    fill(start + step * x)
+        return xs.translate(table[start:stop:step].ljust(256))
+
+    if not rest:
         def ids(b):
             x = f(b)
-            r = table[x]
-            if r == unknown:
-                r = table[x] = fill(map(get, zip(p(x))))
-            return r
-        return ids
-    ((f, _), (g, right)), (p, q) = operands, parts
-    n = right.size
+            return table[x] if known[x] else fill(x)
+
+        def by_rows(b):
+            x = fs(b)
+            return along(x, 0, n) if type(x) is bytes else cell(x)
+        return ids, fs and by_rows
+    ((g, gs, _),) = rest
 
     def ids(b):
-        x, y = f(b), g(b)
-        i = x * n + y
-        r = table[i]
-        if r == unknown:
-            r = table[i] = fill(map(get, zip(p(x), q(y))))
-        return r
-    return ids
+        i = f(b) * n + g(b)
+        return table[i] if known[i] else fill(i)
+
+    def by_rows(b):
+        x, y = fs(b), gs(b)
+        if type(x) is not bytes:
+            return cell(x * n + y) if type(y) is not bytes else along(y, x * n, x * n + n)
+        if type(y) is not bytes:
+            return along(x, y, len(table), n)
+        return bytes(map(cell, [u * n + v for u, v in zip(x, y)]))
+    return ids, fs and gs and by_rows
+
+
+def _equal_rows(x, y):
+    """``==`` between ids of one shape, where either may be a row of ids."""
+    if type(x) is bytes and type(y) is bytes:
+        return bytes(map(operator.eq, x, y))
+    x, y = (y, x) if type(y) is bytes else (x, y)
+    return x.translate(bytes(y) + b"\1" + bytes(255 - y)) if type(x) is bytes else x == y
 
 
 # ---------------------------------------------------------------------------
@@ -1016,25 +1068,26 @@ def _operand(kid: _Node, view: str) -> _Node:
 
 
 # A compiled node: its evaluator, whether it reads a value name, the shape of
-# its values where that is small and tables are used, and the evaluator of
-# its value's id where it has one of its own (a table node, or a name).
-_Code = namedtuple("_Code", "run reads shape ids")
+# its values where that is small and tables are used, and the evaluators of
+# its value's id and of its rows (see ``Typed``) where it has them: a table
+# node, a name, or a node that reads no name.
+_Code = namedtuple("_Code", "run reads shape ids rows")
 
 
 def _ids_of(f: Callable, shape: _Shape) -> Callable[[dict], int]:
     """The evaluator of the id of ``f``'s value."""
-    intern = shape.id
-    return lambda b: intern(f(b))
+    get = shape.id
+    return lambda b: get(f(b))
 
 
-def _name_ids(name: str, shape: _Shape) -> Callable[[dict], int]:
-    """``_ids_of`` a name, with one lookup where its value has an id."""
-    get, intern = shape.ids.get, shape.id
+def _name_ids(name: str, shape: _Shape) -> Callable[[dict], int | bytes]:
+    """The evaluator of the id of a name's value, or of its row of ids where
+    it is bound to one."""
+    get = shape.ids.__getitem__
 
     def ids(b):
         v = b[name]
-        i = get(v.rows)
-        return intern(v) if i is None else i
+        return v if type(v) is bytes else get(v.rows)
     return ids
 
 
@@ -1053,8 +1106,8 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
     sort = _find(node.sort)
     shape = None if tables is None else _small(sort, node.src, node.dst)
     if isinstance(t, Var):
-        return _Code(lambda b, name=t.name: b[name], True, shape,
-                     shape and _name_ids(t.name, shape))
+        ids = shape and _name_ids(t.name, shape)
+        return _Code(lambda b, name=t.name: b[name], True, shape, ids, ids)
     impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
     views = spec.views
     if isinstance(impl, tuple):
@@ -1066,17 +1119,21 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
         carriers = [node.letters[x] for x in spec.letters]
         run = lambda b: impl(*map(_carrier_value, carriers))
     elif reads and shape is not None and all(k.shape is not None for k in kids):
-        ids = _table(impl, [(k.ids or _ids_of(k.run, k.shape), k.shape) for k in kids],
-                     spec.by_row, shape, tables)
+        ids, rows = _table(impl, [(k.ids or _ids_of(k.run, k.shape), k.rows, k.shape)
+                                  for k in kids], spec.by_row, shape, tables)
         values = shape.values
-        return _Code(lambda b: values[ids(b)], True, shape, ids)
+        return _Code(lambda b: values[ids(b)], True, shape, ids, rows)
     elif len(kids) == 1:
         f = kids[0].run
         run = lambda b: impl(f(b))
     else:
         f, g = (k.run for k in kids)
         run = lambda b: impl(f(b), g(b))
-    return _Code(_once(run) if tables is not None and not reads else run, reads, shape, None)
+    if tables is None or reads:
+        return _Code(run, reads, shape, None, None)
+    run = _once(run)
+    ids = shape and _ids_of(run, shape)
+    return _Code(run, False, shape, ids, ids)
 
 
 def eval_term(t: Term | Typed, env: Mapping):

@@ -7,11 +7,14 @@ requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
 byte-identical JSON.  An exhaustive check may run its first slot over
 orbit representatives under permutations of its carrier roles (see
-``_symmetries``); its report is the plain sweep's.
+``_symmetries``), and its last slot a whole row at a time where claim and
+guard evaluate over rows (see ``dsl.Typed``); its report is the plain
+per-tuple sweep's.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, replace
 from itertools import product, repeat
@@ -19,7 +22,7 @@ from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .dsl import (
-    Sig, Term, Typed, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
+    Sig, Term, Typed, _id_row, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
 )
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
 from .generate import GenSpec, _group, _orbits, instances, mix64, space_size
@@ -252,14 +255,15 @@ def check(
     else:
         densities = [density]
 
-    def tuples(group: list | None) -> Iterator[tuple[int, tuple]]:
-        """Each tuple to check and the number of tuples it stands for: with
-        a ``group``, the first slot runs over the values first in their
-        orbits under it, each standing for its orbit (see ``_symmetries``)."""
+    def tuples(group: list | None, slots: int) -> Iterator[tuple[int, tuple]]:
+        """Each tuple of the first ``slots`` slots to check and the number of
+        tuples it stands for: with a ``group``, the first slot runs over the
+        values first in their orbits under it, each standing for its orbit
+        (see ``_symmetries``)."""
         if mode == "exhaustive" and group is None:
-            yield from zip(repeat(1), product(*(instances(*a) for a in args)))
+            yield from zip(repeat(1), product(*(instances(*a) for a in args[:slots])))
         elif mode == "exhaustive":
-            others = [tuple(instances(*a)) for a in args[1:]]
+            others = [tuple(instances(*a)) for a in args[1:slots]]
             for first, weight in _orbits(instances(*args[0]), group):
                 yield from zip(repeat(weight), product((first,), *others))
         else:
@@ -275,38 +279,74 @@ def check(
 
     claim, guard = terms.at(carriers)
     names = [s.name for s in law.slots]
+    inner = row = None
+    if mode == "exhaustive" and claim.rows and (guard is None or guard.rows):
+        inner = list(instances(*args[-1]))
+        row = inner and _id_row(inner)
 
-    def sweep(group: list | None) -> LawReport | None:
+    def sweep(group: list | None, rows: bytes | None = None) -> LawReport | None:
         """The report of a check whose first slot runs over ``group``'s
-        orbits, or over every value without one; None if a reduced sweep
-        fails or hits a cap, so that the plain one reports it."""
+        orbits, or over every value without one, and whose last slot runs
+        over ``rows`` at once where they are given; None if a reduced sweep
+        fails, or one that is reduced or by rows hits a cap, so that the
+        plain sweep reports it."""
         reduced = group is not None
         env = {}
         checked = 0
         skipped = 0
         failures: list[dict] = []
+
+        def failed(tup: tuple) -> bool:
+            """Records the witness ``tup``, shrunk; whether it is the last."""
+            small = shrink(law, carriers, dict(zip(names, tup)), terms)
+            failures.append(_counterexample_json(*small))
+            return len(failures) >= collect
+
         try:
-            for weight, tup in tuples(group):
+            for weight, tup in tuples(group, len(names) - bool(rows)):
                 env.update(zip(names, tup))
-                if guard is not None and not eval_term(guard, env):
-                    skipped += weight
-                    continue
-                checked += weight
-                if not eval_term(claim, env):
-                    if reduced:
-                        return None
-                    small = shrink(law, carriers, dict(zip(names, tup)), terms)
-                    failures.append(_counterexample_json(*small))
-                    if len(failures) >= collect:
+                if rows:
+                    env[names[-1]] = rows
+                    held, ok = _cells(guard, env, len(rows)), _cells(claim, env, len(rows))
+                    if guard is not None:
+                        ok = bytes(map(operator.ge, ok, held))  # 0 where the claim fails
+                    end, at = len(rows), ok.find(0)
+                    while 0 <= at < end:  # the last witness ends the count at its place
+                        if reduced:
+                            return None
+                        end = at + 1 if failed((*tup, inner[at])) else end
+                        at = ok.find(0, at + 1)
+                    taken = held.count(1, 0, end)
+                    checked += weight * taken
+                    skipped += weight * (end - taken)
+                    if failures and len(failures) >= collect:
                         break
+                elif guard is not None and not eval_term(guard, env):
+                    skipped += weight
+                else:
+                    checked += weight
+                    if not eval_term(claim, env):
+                        if reduced:
+                            return None
+                        if failed(tup):
+                            break
         except CapExceeded as e:
-            return None if reduced else finish(mode, checked, skipped, "skipped", str(e), [])
+            if reduced or rows:
+                return None
+            return finish(mode, checked, skipped, "skipped", str(e), [])
         failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
         verdict = "fail" if failures else "pass"
         return finish(mode, checked, skipped, verdict, None, failures)
 
     group = _symmetries(terms, resolved, spaces) if mode == "exhaustive" else None
-    return (group and sweep(group)) or sweep(None)
+    return (group and sweep(group, row)) or (row and sweep(None, row)) or sweep(None)
+
+
+def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
+    """``typed``'s booleans over a row of ``n`` places, one byte each (see
+    ``dsl.Typed``); all true for no guard."""
+    held = 1 if typed is None else typed.rows(env)
+    return held if type(held) is bytes else bytes([held]) * n
 
 
 def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list | None:

@@ -517,13 +517,16 @@ class TestConvert:
         assert not out.exists()
 
 
-# One command of each kind that writes to stdout; {env} is an environment file.
+# One command of each kind that writes to stdout, and the help of the
+# program and of a command; {env} is an environment file.
 WRITERS = {
     "laws": ["laws"],
     "check": ["check", "--law", "L2.1-lambda-alpha-inverse", "--json"],
     "eval": ["eval", "--env", "{env}", "--expr", "R * R"],
     "find-cex": ["find-cex", "--lhs", "a(R * S)", "--rhs", "a(R) ; a(S)", "--rel", "==",
                  "--sizes", "2,2"],
+    "help": ["--help"],
+    "check-help": ["check", "--help"],
 }
 
 

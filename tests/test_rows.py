@@ -1,0 +1,157 @@
+"""Row sweeps: exhaustive checks that take the last slot a row at a time.
+
+Where every node of a law's claim and guard that reads a slot is a table
+node, ``dsl.Typed.rows`` evaluates them for every value of one slot at
+once, and ``laws.check`` sweeps the last slot's whole stream per tuple of
+the other slots.  Its report must be the per-tuple sweep's, byte for byte:
+the same counts, each weighted by its orbit, the same witnesses, shrunk
+from the same first failing tuples, and counts that stop at the last
+witness collected.  These tests compare the two sweeps on every registry
+law checked by rows at 2,2, 3,2 and 2,3, and on laws built for the cases
+the registry meets seldom; ``per_tuple`` turns the row sweep off."""
+
+from __future__ import annotations
+
+from math import prod
+
+import pytest
+
+from multirel import GenSpec, instances, laws, mrel
+from multirel.dsl import _id_row
+from multirel.errors import CapExceeded, ShapeMismatch
+from multirel.generate import _group, _orbits, space_size
+from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
+from multirel.registry import law_by_id, registry
+from multirel.rel import Carrier
+
+
+def per_tuple(law: Law, sizes, **kw) -> dict:
+    """The report of ``check`` with no row sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_id_row", lambda values: None)
+        return check(law, sizes=sizes, seed=7, **kw).to_json()
+
+
+def by_rows(law: Law, sizes, **kw) -> dict:
+    """The report of ``check``, which must have swept by rows."""
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_id_row", lambda values: made.append(_id_row(values)) or made[-1])
+        report = check(law, sizes=sizes, seed=7, **kw).to_json()
+    assert made and made[-1], law.id
+    return report
+
+
+def swept_by_rows(law: Law, sizes) -> bool:
+    """Whether ``check`` sweeps ``law`` by rows at ``sizes``: it is
+    exhaustive there, its claim and guard evaluate over rows, and its last
+    slot's values are of a small shape."""
+    terms = _Terms(law)
+    resolved = _resolve_sizes(terms.law, sizes)
+    try:
+        args = [_stream_args(s, resolved) for s in terms.law.slots]
+        if not args or prod(space_size(*a) for a in args) > terms.law.budget:
+            return False
+        claim, guard = terms.at({role: Carrier(n) for role, n in resolved.items()})
+    except (CapExceeded, ShapeMismatch):
+        return False
+    if not claim.rows or (guard is not None and not guard.rows):
+        return False
+    inner = list(instances(*args[-1]))
+    return bool(inner and _id_row(inner))
+
+
+def swept(sizes) -> list[Law]:
+    return [law for law in registry() if law.kind != "regression" and swept_by_rows(law, sizes)]
+
+
+def test_registry_laws_swept_by_rows_at_2x2():
+    chosen = swept((2, 2))
+    assert len(chosen) >= 140
+    assert any(law.guard for law in chosen) and any(law.kind == "neg" for law in chosen)
+    assert any(len(law.slots) == 1 for law in chosen) and any(len(law.slots) == 3 for law in chosen)
+
+
+@pytest.mark.parametrize("sizes,least", [((2, 2), 140), ((3, 2), 10), ((2, 3), 5)])
+def test_row_sweeps_equal_per_tuple_sweeps(sizes, least, monkeypatch):
+    # the per-tuple sweep runs second and reads the tables the row sweep
+    # filled: both fill an entry by one rule, and the lookups keep it cheap
+    chosen = swept(sizes)
+    assert len(chosen) >= least
+    kept: dict = {}
+    terms = laws._Terms
+    monkeypatch.setattr(laws, "_Terms", lambda law: kept.setdefault(law.id, terms(law)))
+    for law in chosen:
+        assert by_rows(law, sizes) == per_tuple(law, sizes), law.id
+        del kept[law.id]
+
+
+@pytest.mark.parametrize("collect", [1, 3, 5])
+def test_counts_stop_at_the_last_witness(collect):
+    # R * S fails a(R * S) == a(R) ; a(S) at many S for one R: the count
+    # stops inside the row where the collect-th witness is found
+    law = law_by_id("NEG-alpha-peleg-multiplicative")
+    report = by_rows(law, (2, 2), collect=collect)
+    assert report == per_tuple(law, (2, 2), collect=collect)
+    assert report["verdict"] == "fail" and 0 < report["checked"] < 65536
+    assert 1 <= len(report["counterexamples"]) <= collect
+
+
+def test_a_single_slot_law():
+    law = law_by_id("NEG-icup-idempotent")
+    assert len(law.slots) == 1
+    report = by_rows(law, (2, 2), collect=5)
+    assert report == per_tuple(law, (2, 2), collect=5)
+    assert report["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("claim", ["icap(R, S) <= R", "icap(R, S) == R"])
+def test_a_guarded_law(claim):
+    # the first holds wherever the guard does; the second fails where it
+    # holds, so its reduced sweep fails and the plain sweep reports
+    law = Law("dev-guarded", "theorem", "", claim, (Slot("R"), Slot("S")), guard="R <= up(S)")
+    report = by_rows(law, (2, 2))
+    assert report == per_tuple(law, (2, 2))
+    assert report["checked"] and report["skipped_by_condition"]
+
+
+@pytest.mark.parametrize("claim,verdict", [("icup(R, S) == icup(S, R)", "pass"),
+                                           ("icup(R, S) == R", "fail")])
+def test_an_inner_slot_with_a_filter(claim, verdict):
+    # the row holds the ids of the filtered stream, so a failing place
+    # names a value of that stream
+    needs = frozenset({"inner_deterministic"})
+    law = Law("dev-filtered", "theorem", "", claim, (Slot("R"), Slot("S", needs=tuple(needs))))
+    report = by_rows(law, (2, 2))
+    assert report == per_tuple(law, (2, 2))
+    assert report["verdict"] == verdict
+    if verdict == "pass":
+        assert report["checked"] == 256 * space_size("mrel", GenSpec((2, 2), where=needs))
+
+
+def test_a_cap_in_a_row_sweep_gives_the_per_tuple_report(monkeypatch):
+    # as in test_symmetry: a cap at a one-row pair (x, x) for icap, met
+    # first at a first value that stands for an orbit of 4; the row sweeps,
+    # reduced and plain, give up, and the per-tuple sweep reports the cap
+    law = law_by_id("L2.2-icap-comm")
+    values = list(instances("mrel", GenSpec((2, 2))))
+    seen: set = set()
+    for first, weight in _orbits(iter(values), _group((2, 2), False)):
+        fresh = set(first.rows) - seen
+        if weight == 4 and fresh and seen:
+            break
+        seen.update(first.rows)
+    x = min(fresh)
+    inner_bool = mrel.inner_bool
+    hits = []
+
+    def capped(op, r, s=None):
+        if r.src.size == 1 and r.rows == s.rows == (x,):
+            hits.append(op)
+            raise CapExceeded("capped")
+        return inner_bool(op, r, s)
+
+    monkeypatch.setattr(mrel, "inner_bool", capped)
+    report = by_rows(law, (2, 2))
+    assert report["verdict"] == "skipped" and hits
+    assert report == per_tuple(law, (2, 2))

@@ -3,16 +3,18 @@
 Where a law is checked, each term node whose operands and value are of
 small shapes looks its value up by operand ids instead of calling the
 kernel, and fills a missing entry from one-row values where the operation
-reads an operand row by row.  These tests hold the table path to direct
-kernel calls, for every operation at every small shape it types at, check
-the row-by-row marks, and check that the tables live for one check only."""
+reads an operand row by row; ``==`` between values of one shape compares
+their ids.  These tests hold the table path to direct kernel calls, for
+every operation at every small shape it types at, check the row-by-row
+marks, that ids are bit codes, and that the tables live for one check
+only."""
 
 from __future__ import annotations
 
 import gc
+import operator
 import random
 import sys
-from array import array
 from itertools import product
 
 import pytest
@@ -20,7 +22,7 @@ import pytest
 from multirel import GenSpec, check, dsl, instances, mrel, peleg
 from multirel import laws as laws_module
 from multirel.determinise import fission
-from multirel.dsl import _LEVEL, _OPS, Pw, Sig, _OneRow, _typecheck, parse
+from multirel.dsl import _BOOLS, _LEVEL, _OPS, Pw, Sig, _OneRow, _small, _table, _typecheck, parse
 from multirel.generate import _group, _orbits
 from multirel.laws import Law, Slot
 from multirel.mrel import mrel_to_rel, rel_to_mrel
@@ -102,7 +104,7 @@ def _same(out, direct) -> bool:
     return isinstance(out, bool) or (out.src == direct.src and out.dst == direct.dst)
 
 
-@pytest.mark.parametrize("name", sorted(_OPS))
+@pytest.mark.parametrize("name", sorted(set(_OPS) - {"=="}))
 def test_table_path_equals_the_kernel(name, monkeypatch):
     # one set of tables for every shape of the operation, as a check that
     # meets several shapes has: a table must not mix them up; the shapes
@@ -132,6 +134,88 @@ def _hold_to_the_kernel(name: str, cases: list, tables: dict) -> None:
 
 def _into_powerset(r: Rel) -> Rel:
     return Rel(r.src, pow_carrier(C(r.dst.size.bit_length() - 1)), r.rows)
+
+
+def _small_shapes():
+    """``(sig, values)`` for each small shape of relations, multirelations
+    and relations into a powerset, with carriers of 1 to 3 elements, its
+    values in exhaustive stream order."""
+    for src, dst in product((1, 2, 3), repeat=2):
+        if src * dst <= 8:
+            yield Sig("rel", src, dst), _values("rel", (src, dst))
+        if src << dst <= 8:
+            yield Sig("mrel", src, dst), _values("mrel", (src, dst))
+            into = [_into_powerset(r) for r in _values("rel", (src, 1 << dst))]
+            yield Sig("rel", src, Pw(dst)), into
+
+
+SMALL_SHAPES = list(_small_shapes())
+SHAPE_IDS = [f"{s.sort}-{s.src}-" + (f"pw{s.dst.arg}" if isinstance(s.dst, Pw) else f"{s.dst}")
+             for s, _ in SMALL_SHAPES]
+
+
+def _shape_of(sig: Sig):
+    dst = Pw(sig.dst) if sig.sort == "mrel" else sig.dst
+    return _small(sig.sort, sig.src, dst)
+
+
+@pytest.mark.parametrize("sig,values", SMALL_SHAPES, ids=SHAPE_IDS)
+def test_ids_are_bit_codes(sig, values):
+    # the id of a value is its rows' words, row a at bit a * w; a stream
+    # with no filter runs through them in order, and the id gives the value
+    # back, on the same carriers
+    shape = _shape_of(sig)
+    assert shape is not None and shape.size == len(values)
+    assert [shape.id(v) for v in values] == list(range(shape.size))
+    assert all(_same(shape.values[i], v) for i, v in enumerate(values))
+    width = 1 << sig.dst if sig.sort == "mrel" else values[0].dst.size
+    for i, v in enumerate(values):
+        words = [row if isinstance(row, int) else sum(1 << m for m in row) for row in v.rows]
+        assert i == sum(word << a * width for a, word in enumerate(words))
+
+
+@pytest.mark.parametrize("sig,values", SMALL_SHAPES, ids=SHAPE_IDS)
+def test_eq_on_ids_equals_operator_eq(sig, values):
+    # == between values of one small shape compares ids and takes no table,
+    # over single values and over rows of ids
+    tables: dict = {}
+    typed = _typecheck(parse("R == S"), {"R": sig, "S": sig}, tables)
+    assert tables == {}
+    pairs = _operand_tuples([values, values], len(values)) + [(v, v) for v in values]
+    for r, s in pairs:
+        assert typed.run({"R": r, "S": s}) == operator.eq(r, s), (r, s)
+    row = dsl._id_row(values)
+    backwards = row[::-1]
+    for r in values[:: max(1, len(values) // 16)]:
+        assert typed.rows({"R": r, "S": row}) == bytes(r == s for s in values)
+        assert typed.rows({"R": row, "S": r}) == bytes(s == r for s in values)
+    assert typed.rows({"R": row, "S": backwards}) == bytes(map(operator.eq, values, values[::-1]))
+    assert typed.rows({"R": values[0], "S": values[-1]}) == (values[0] == values[-1])
+
+
+def test_eq_on_ids_over_booleans():
+    # every pair of booleans meets, as the ids 0 and 1
+    rel = Sig("rel", 1, 2)
+    tables: dict = {}
+    typed = _typecheck(parse("(R <= S) == (S <= R)"), {"R": rel, "S": rel}, tables)
+    assert [key[0] for key in tables] == [_OPS["<="].impl[0]]  # no table for ==
+    below = _OPS["<="].impl[0]
+    met = set()
+    values = _values("rel", (1, 2))
+    for r, s in product(values, values):
+        met.add((below(r, s), below(s, r)))
+        assert typed.run({"R": r, "S": s}) == operator.eq(below(r, s), below(s, r))
+    assert met == set(product((False, True), repeat=2))
+
+
+def test_eq_between_two_shapes_takes_the_table():
+    # values of two shapes may share an id and differ: id 1 is the relation
+    # 1 -> 2 with pair (0, 0), and the multirelation 1 -> P(1) with (0, {0})
+    rel, mrel_ = _small("rel", 1, 2), _small("mrel", 1, Pw(1))
+    assert rel.values[1] != mrel_.values[1]
+    ids, _ = _table(operator.eq, [(lambda b: 1, None, rel), (lambda b: 1, None, mrel_)],
+                    (True, True), _BOOLS, {})
+    assert not ids({})
 
 
 @pytest.mark.parametrize("text,types,direct", [
@@ -265,12 +349,13 @@ def test_tables_last_one_check(monkeypatch):
     rep = check(law_by_id("L2.2-icap-comm"), sizes=(2, 2))
     assert rep.verdict == "pass" and rep.checked == 65536
     (owner,) = made
-    # icap(R, S) and icap(S, R) share one table, and == has its own; each
-    # keeps its one-row table beside it
-    assert len(owner.tables) == 2
-    tables = [t for pair in owner.tables.values() for t in pair]
-    assert sorted(map(type, tables), key=str) == [array, bytearray, _OneRow, _OneRow]
-    assert all(tables)  # the one-row tables were filled
+    # icap(R, S) and icap(S, R) share one table, with its flags of filled
+    # entries and its one-row table beside it; == compares ids and has none
+    assert len(owner.tables) == 1
+    tables = [t for triple in owner.tables.values() for t in triple]
+    assert sorted(map(type, tables), key=str) == [bytearray, bytearray, _OneRow]
+    _, known, one_row = tables
+    assert one_row and any(known)  # entries were filled
     made.clear()
     del owner
     gc.collect()
