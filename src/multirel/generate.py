@@ -15,15 +15,27 @@ empty mask for inner univalent).  A pick draw takes exactly one candidate
 row.  It builds the outer deterministic and outer univalent filters (one
 mask, or for outer univalent also no mask).  Any other filter rejects.
 
+A random candidate reads the splitmix64 stream of its sub-seed: a subset
+draw takes candidate ``j`` of a row when that row's ``j``-th output is
+below ``density_threshold(density)``, and a pick draw takes candidate
+``output % n`` with one output per row.  Output ``k`` is the output
+function at state ``sub-seed + (k+1) * GAMMA``, so a candidate's outputs
+are computed together, each in a 64-bit lane of one wide int.  A lane
+sits in its own 128-bit slot, so no multiply or shift carries into the
+next one, and one mask per step brings each lane back to 64 bits.  The
+lanes are computed one block of whole rows at a time: as many rows as fit
+in 64 lanes, and at least one.  The streams are ``SplitMix64``'s bit for
+bit.
+
 Every property flag is row-wise: a value has it when each of its rows
 passes the flag's test in its class's ``FLAGS`` table (``Rel.FLAGS`` or
 ``MRel.FLAGS``), combined by ``rel.row_test``; ``test`` also needs carriers
-of one size.  So a random candidate is drawn one row at a time and dropped
-at its first failing row.  That leaves every stream as it was: candidate
-``k`` reads only its own sub-seed, so how far an earlier candidate got
-changes no later draw.  Only ``test`` reads the row index, so a stream
-remembers each draw's verdict per row when ``test`` filters it and once
-for all rows otherwise.
+of one size.  So a random candidate is dropped at its first failing row,
+before its later blocks are computed.  That leaves every stream as it was:
+candidate ``k`` reads only its own sub-seed, so how far an earlier
+candidate got changes no later draw.  Only ``test`` reads the row index,
+so a stream remembers each draw's verdict per row when ``test`` filters it
+and once for all rows otherwise.
 
 Exhaustive streams use numeric encoding order.  For a subset draw with
 ``n`` candidates, instance ``i`` takes candidate ``j`` into row ``a``
@@ -39,7 +51,7 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -71,6 +83,11 @@ def mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * MIX2) & _MASK64
     return x ^ (x >> 31)
+
+
+def _lane(x: int) -> bytes:
+    """A 64-bit value in its 128-bit lane slot, little-endian."""
+    return x.to_bytes(16, "little")
 
 
 class SplitMix64:
@@ -153,9 +170,9 @@ def _model(kind: str, spec: GenSpec) -> tuple[bool, Sequence, frozenset[str]]:
     return True, [()] + singles if shaping == "outer_univalent" else singles, residual
 
 
-# The row a draw stands for: a pick draws an index into the candidates and a
-# subset draw an n-bit chunk taking candidate j when bit j is set.  Candidates
-# are in range and ascending, so rows need no validation.
+# The row an exhaustive key stands for: a pick key is an index into the
+# candidates and a subset key an n-bit chunk taking candidate j when bit j is
+# set.  Candidates are in range and ascending, so rows need no validation.
 def _row_of(kind: str, pick: bool, candidates: Sequence):
     if pick:
         return candidates.__getitem__
@@ -244,18 +261,30 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
 
     n = len(candidates)
     passes = row_test(cls.FLAGS, residual, ns, nd)
-    row_of = _row_of(kind, pick, candidates)
+    build = sum if kind == "rel" else tuple  # a subset row from its candidates
     threshold = density_threshold(spec.density)
     if cls is MRel and spec.count > 0:
         _require_mask_ok(dst)
     produced = 0
     budget = max(1000, spec.count * 1000)
     candidate = 0 if passes else budget  # no candidate can pass
-    draws = [1 << j for j in range(n)]
     # a memo maps a draw to its row, or to None if the row fails; only the
     # ``test`` flag reads the row index, so without it the rows share one
     memos = [{} for _ in range(ns)] if "test" in residual else [{}] * ns
-    gamma, mix1, mix2, mask = GAMMA, MIX1, MIX2, _MASK64  # locals for the loop
+    width = 1 if pick else n  # a row's draws, one lane each
+    per = max(1, 64 // max(width, 1))  # whole rows in a block
+    blocks = []
+    for r in range(0, ns, per):
+        rows = range(r, min(ns, r + per))
+        lanes = range(r * width, (r + len(rows)) * width)
+        ones = int.from_bytes(_lane(1) * len(lanes), "little")
+        steps = b"".join(_lane((k + 1) * GAMMA & _MASK64) for k in lanes)
+        blocks.append((
+            [(a, memos[a], i * width) for i, a in enumerate(rows)],
+            ones, int.from_bytes(steps, "little"), ones * _MASK64,
+            ones * ((1 << 64) + threshold - 1), 16 * len(lanes),
+        ))
+    mix1, mix2, mask = MIX1, MIX2, _MASK64  # locals for the loop
     while produced < spec.count:
         if candidate >= budget:
             raise EnumerationTooLarge(
@@ -263,33 +292,32 @@ def _stream(kind, spec, pick, candidates, residual) -> Iterator:
                 f"{candidate} candidates",
                 candidate,
             )
-        # splitmix64 from the candidate's sub-seed, inlined: SplitMix64's
-        # below(n) for a pick and one bernoulli(threshold) per candidate
-        # for a subset
+        # splitmix64 from the candidate's sub-seed, one lane per output; see
+        # the module docstring
         state = mix64(spec.seed ^ candidate)
         candidate += 1
         choice = []
-        for a, memo in enumerate(memos):
-            if pick:
-                state = (state + gamma) & mask
-                x = ((state ^ (state >> 30)) * mix1) & mask
-                x = ((x ^ (x >> 27)) * mix2) & mask
-                key = (x ^ (x >> 31)) % n
-            else:
-                key = 0
-                for bit in draws:
-                    state = (state + gamma) & mask
-                    x = ((state ^ (state >> 30)) * mix1) & mask
-                    x = ((x ^ (x >> 27)) * mix2) & mask
-                    if x ^ (x >> 31) < threshold:
-                        key |= bit
-            if key not in memo:
-                row = row_of(key)
-                memo[key] = row if passes(a, row) else None
-            row = memo[key]
+        for rows, ones, steps, low, limit, size in blocks:
+            x = (state * ones + steps) & low
+            x = (x ^ x >> 30) & low
+            x = x * mix1 & low
+            x = (x ^ x >> 27) & low
+            x = x * mix2 & low
+            x = (x ^ x >> 31) & low
+            if not pick:  # 2^64 + threshold - 1 - output has bit 64 set, so
+                # byte 8 of its slot is 1, exactly when output < threshold
+                flags = (limit - x).to_bytes(size, "little")[8::16]
+            for a, memo, i in rows:
+                key = (x >> (i << 7) & mask) % n if pick else flags[i : i + n]
+                if key not in memo:
+                    row = candidates[key] if pick else build(compress(candidates, key))
+                    memo[key] = row if passes(a, row) else None
+                row = memo[key]
+                if row is None:
+                    break
+                choice.append(row)
             if row is None:
                 break
-            choice.append(row)
         else:
             produced += 1
             yield make(src, dst, tuple(choice))

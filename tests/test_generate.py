@@ -204,30 +204,68 @@ class TestRandom:
             ("mrel", (3, 2), "", 0.5),
             ("mrel", (2, 3), "inner_univalent", 0.75),
             ("mrel", (3, 2), "outer_univalent", 0.5),
+            ("mrel", (3, 3), "", 0.5),
+            ("mrel", (3, 3), "", 0.3),
+            ("mrel", (5, 4), "", 0.5),  # 80 lanes: rows 0-3, then row 4
+            ("mrel", (1, 10), "", 0.5),  # one row of 1,024 lanes
+            ("rel", (3, 3), "test", 0.5),  # a memo per row
+            ("rel", (3, 3), "", 0.0),
+            ("rel", (3, 3), "", 1.0),
+            ("mrel", (3, 3), "", 0.0),
+            ("mrel", (3, 3), "", 1.0),
+            ("mrel", (3, 3), "inner_total", 0.3),
+            ("mrel", (3, 3), "outer_total", 0.5),
+            ("mrel", (3, 2), "up_closed", 0.5),
+            ("mrel", (5, 4), "up_closed", 0.95),
+            ("mrel", (3, 3), "outer_deterministic+inner_total", 0.5),
         ],
     )
     def test_inlined_draws_match_splitmix64(self, kind, shape, where, density):
         # candidate k draws its rows from SplitMix64(mix64(seed ^ k)): one
         # bernoulli per row candidate for a subset draw, one below(n) per
-        # row for a pick draw
+        # row for a pick draw; it is dropped at its first row that fails a
+        # filter its rows are not built to pass
         spec = GenSpec(shape, "random", count=30, density=density, seed=4,
-                       where=frozenset([where] if where else []))
+                       where=frozenset(where.split("+") if where else []))
         pick, candidates, residual = _model(kind, spec)
-        assert not residual
+        make = Rel if kind == "rel" else MRel
+        passes = row_test(make.FLAGS, residual, *shape)
         threshold = density_threshold(density)
-        expected = []
-        for k in range(30):
+        expected, k = [], 0
+        while len(expected) < 30:
             rng = SplitMix64(mix64(4 ^ k))
-            if pick:
-                rows = [candidates[rng.below(len(candidates))] for _ in range(shape[0])]
+            k += 1
+            rows = []
+            for a in range(shape[0]):
+                if pick:
+                    row = candidates[rng.below(len(candidates))]
+                else:
+                    taken = [c for c in candidates if rng.bernoulli(threshold)]
+                    row = sum(taken) if kind == "rel" else tuple(taken)
+                if not passes(a, row):
+                    break
+                rows.append(row)
             else:
-                rows = [[c for c in candidates if rng.bernoulli(threshold)]
-                        for _ in range(shape[0])]
-            if kind == "rel":
-                expected.append(Rel(C(shape[0]), C(shape[1]), tuple(sum(r) for r in rows)))
-            else:
-                expected.append(MRel(C(shape[0]), C(shape[1]), tuple(tuple(r) for r in rows)))
+                expected.append(make(C(shape[0]), C(shape[1]), tuple(rows)))
         assert list(instances(kind, spec)) == expected
+
+    def test_output_at_the_threshold_is_not_taken(self):
+        # bernoulli takes an output strictly below the threshold; a density
+        # whose threshold is one of candidate 0's 24 outputs at 3,3 (one that
+        # is a multiple of 2^11, so exact as a float) must leave it out
+        def outputs(seed):
+            rng = SplitMix64(mix64(seed))
+            return [rng.next_u64() for _ in range(24)]
+
+        seed, out, j = next((s, out, j) for s in range(10_000) for out in [outputs(s)]
+                            for j, x in enumerate(out) if x % 2048 == 0)
+        x = out[j]
+        assert density_threshold(x / 2**64) == x
+        spec = GenSpec((3, 3), "random", count=1, density=x / 2**64, seed=seed)
+        (value,) = instances("mrel", spec)
+        rows = tuple(tuple(m for m in range(8) if out[a * 8 + m] < x) for a in range(3))
+        assert value == MRel(C(3), C(3), rows)
+        assert j % 8 not in value.rows[j // 8]
 
     def test_density_extremes(self):
         full = list(instances("rel", GenSpec((2, 2), "random", count=5, seed=1, density=1.0)))
@@ -242,7 +280,9 @@ class TestRandom:
 # than 0.5; ``where`` joins several filters with ``+``.  Stream order is part
 # of the report contract: a changed digest changes which instances a law
 # checks.  The first block was taken before the generators shared one row
-# model, the second before random streams were drawn row by row.
+# model, the second before random streams were drawn row by row.  Neither
+# changed when a random candidate's splitmix64 outputs moved into the lanes
+# of one wide int: the lanes hold the very outputs the scalar steps gave.
 PINNED = {
     ("rel", "", "exhaustive", (2, 2)): "17152a7e47b49189",
     ("rel", "", "exhaustive", (2, 3)): "c66d80a5512be067",
@@ -427,12 +467,18 @@ class TestRejectionBudget:
              "rejection sampling for ['up_closed'] exhausted after 20000 candidates"),
             ("rel", GenSpec((3, 2), "random", count=20, seed=11, where=frozenset({"test"})),
              "rejection sampling for ['test'] exhausted after 20000 candidates"),
+            # rows 0-3 and row 4 are drawn in two blocks of lanes; 50 of the
+            # candidates reach row 4
+            ("mrel", GenSpec((5, 4), "random", count=20, density=0.9, seed=11,
+                             where=frozenset({"up_closed"})),
+             "rejection sampling for ['up_closed'] exhausted after 20000 candidates"),
         ],
     )
     def test_exhausted_budget(self, kind, spec, message):
         with pytest.raises(EnumerationTooLarge) as info:
             list(instances(kind, spec))
         assert str(info.value) == message
+        assert info.value.size == int(message.split()[-2])  # the candidates drawn
 
 
 class TestSpaceSize:
