@@ -778,12 +778,13 @@ class Typed:
     """A term's inferred sort ("rel", "mrel" or "bool") and its evaluator,
     which does no inference and no sort tests.
 
-    ``rows``, where it is not None, evaluates the term over rows: where one
+    ``rows``, where it is not None, is the root's id evaluator: where one
     name is bound to a ``bytes`` row of value ids (see ``_id_row``), it gives
     the id of the value at every place of that row at once, as a ``bytes``
-    row, or one id where the term does not read the name.  A term has it
-    when it is compiled with tables and each of its nodes that reads a name
-    is a table node (see ``_compile``)."""
+    row, or one id where the term does not read the name or every name is
+    bound to a value.  A term has it when it is compiled with tables and its
+    root has an id evaluator, so that each of its nodes that reads a name is
+    the name or a table node (see ``_compile``)."""
 
     __slots__ = ("sort", "run", "rows")
 
@@ -831,7 +832,7 @@ def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
             raise _located(f"cannot infer the carriers of {node.term.name}; give them explicitly",
                            node.ctx)
     code = _compile(root, tables)
-    return Typed(_find(root.sort), code.run, code.rows)
+    return Typed(_find(root.sort), code.run, code.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -949,24 +950,25 @@ class _OneRow(dict):
 
 
 def _table(impl: Callable, operands: list[tuple], by_row: tuple[bool, ...], out: _Shape,
-           tables: dict) -> tuple[Callable, Callable | None]:
-    """The evaluators of the id of ``impl``'s value, given each operand's
-    evaluators of its id and of its rows and its shape, and which operands
-    ``impl`` reads by row (``_Spec.by_row``; a boolean has no rows): one for
-    a tuple of values, and one for rows (see ``Typed``), None where an
-    operand has none.
+           tables: dict) -> Callable:
+    """The evaluator of the id of ``impl``'s value, given each operand's
+    evaluator of its id and its shape, and which operands ``impl`` reads by
+    row (``_Spec.by_row``; a boolean has no rows).  Each operand gives an id
+    or a row of ids (see ``Typed``), and so does the evaluator: an id where
+    every operand gives one, else the row of ids at each place.
 
     The id is looked up in a flat table of ``tables``, one entry per tuple
-    of operand ids, beside a flag for each entry that is filled.  A
-    ``_OneRow`` table fills an entry: the words of the rows found at their
-    places, or whether all hold.  With no operand read by row, the whole
-    value is one row.  Nodes with the same operation and operand shapes share
-    these tables.  ``==`` between values of one shape compares their ids."""
-    shapes = [shape for *_, shape in operands]
-    (f, fs, _), *rest = operands
+    of operand ids, beside a flag for each entry that is filled; a lookup
+    fills only the entries it reads.  A ``_OneRow`` table fills an entry:
+    the words of the rows found at their places, or whether all hold.  With
+    no operand read by row, the whole value is one row.  Nodes with the same
+    operation and operand shapes share these tables.  ``==`` between values
+    of one shape compares their ids."""
+    (f, _), *rest = operands
+    shapes = [shape for _, shape in operands]
     if impl is operator.eq and shapes[0] is shapes[1]:
-        ((g, gs, _),) = rest
-        return (lambda b: f(b) == g(b)), fs and gs and (lambda b: _equal_rows(fs(b), gs(b)))
+        ((g, _),) = rest
+        return lambda b: _equal_rows(f(b), g(b))
     split = [mark and shape is not _BOOLS for mark, shape in zip(by_row, shapes)]
     key = (impl, *shapes)
     if key not in tables:
@@ -1004,26 +1006,23 @@ def _table(impl: Callable, operands: list[tuple], by_row: tuple[bool, ...], out:
     if not rest:
         def ids(b):
             x = f(b)
+            if type(x) is bytes:
+                return along(x, 0, n)
             return table[x] if known[x] else fill(x)
-
-        def by_rows(b):
-            x = fs(b)
-            return along(x, 0, n) if type(x) is bytes else cell(x)
-        return ids, fs and by_rows
-    ((g, gs, _),) = rest
+        return ids
+    ((g, _),) = rest
 
     def ids(b):
-        i = f(b) * n + g(b)
-        return table[i] if known[i] else fill(i)
-
-    def by_rows(b):
-        x, y = fs(b), gs(b)
+        x, y = f(b), g(b)
         if type(x) is not bytes:
-            return cell(x * n + y) if type(y) is not bytes else along(y, x * n, x * n + n)
+            if type(y) is bytes:
+                return along(y, x * n, x * n + n)
+            i = x * n + y
+            return table[i] if known[i] else fill(i)
         if type(y) is not bytes:
             return along(x, y, len(table), n)
         return bytes(map(cell, [u * n + v for u, v in zip(x, y)]))
-    return ids, fs and gs and by_rows
+    return ids
 
 
 def _equal_rows(x, y):
@@ -1068,16 +1067,10 @@ def _operand(kid: _Node, view: str) -> _Node:
 
 
 # A compiled node: its evaluator, whether it reads a value name, the shape of
-# its values where that is small and tables are used, and the evaluators of
-# its value's id and of its rows (see ``Typed``) where it has them: a table
-# node, a name, or a node that reads no name.
-_Code = namedtuple("_Code", "run reads shape ids rows")
-
-
-def _ids_of(f: Callable, shape: _Shape) -> Callable[[dict], int]:
-    """The evaluator of the id of ``f``'s value."""
-    get = shape.id
-    return lambda b: get(f(b))
+# its values where that is small and tables are used, and the evaluator of its
+# value's id or row of ids (see ``Typed``) where it has one: a name, a node
+# that reads no name, or a table node.
+_Code = namedtuple("_Code", "run reads shape ids")
 
 
 def _name_ids(name: str, shape: _Shape) -> Callable[[dict], int | bytes]:
@@ -1097,17 +1090,20 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
 
     - computed once if it reads no name: a constant, a constant sub-term,
       or a conversion of one;
-    - else a table node if its operands and value are of small shapes
-      (see ``_small``);
+    - else a table node if its value is of a small shape (see ``_small``)
+      and each of its operands has an id evaluator: a name, a constant
+      sub-term or a table node;
     - else plain, computed at every evaluation.
 
-    Without ``tables``, every node is plain."""
+    Without ``tables``, every node is plain.  Only a name, a node computed
+    once and a table node have an id evaluator, and each of them takes rows
+    (see ``Typed``)."""
     t, spec = node.term, node.spec
     sort = _find(node.sort)
     shape = None if tables is None else _small(sort, node.src, node.dst)
     if isinstance(t, Var):
         ids = shape and _name_ids(t.name, shape)
-        return _Code(lambda b, name=t.name: b[name], True, shape, ids, ids)
+        return _Code(lambda b, name=t.name: b[name], True, shape, ids)
     impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
     views = spec.views
     if isinstance(impl, tuple):
@@ -1118,11 +1114,10 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
     if isinstance(t, Const):
         carriers = [node.letters[x] for x in spec.letters]
         run = lambda b: impl(*map(_carrier_value, carriers))
-    elif reads and shape is not None and all(k.shape is not None for k in kids):
-        ids, rows = _table(impl, [(k.ids or _ids_of(k.run, k.shape), k.rows, k.shape)
-                                  for k in kids], spec.by_row, shape, tables)
+    elif reads and shape is not None and all(k.ids for k in kids):
+        ids = _table(impl, [(k.ids, k.shape) for k in kids], spec.by_row, shape, tables)
         values = shape.values
-        return _Code(lambda b: values[ids(b)], True, shape, ids, rows)
+        return _Code(lambda b: values[ids(b)], True, shape, ids)
     elif len(kids) == 1:
         f = kids[0].run
         run = lambda b: impl(f(b))
@@ -1130,10 +1125,10 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
         f, g = (k.run for k in kids)
         run = lambda b: impl(f(b), g(b))
     if tables is None or reads:
-        return _Code(run, reads, shape, None, None)
+        return _Code(run, reads, shape, None)
     run = _once(run)
-    ids = shape and _ids_of(run, shape)
-    return _Code(run, False, shape, ids, ids)
+    get = shape and shape.id
+    return _Code(run, False, shape, get and (lambda b: get(run(b))))
 
 
 def eval_term(t: Term | Typed, env: Mapping):

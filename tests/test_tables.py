@@ -213,9 +213,13 @@ def test_eq_between_two_shapes_takes_the_table():
     # 1 -> 2 with pair (0, 0), and the multirelation 1 -> P(1) with (0, {0})
     rel, mrel_ = _small("rel", 1, 2), _small("mrel", 1, Pw(1))
     assert rel.values[1] != mrel_.values[1]
-    ids, _ = _table(operator.eq, [(lambda b: 1, None, rel), (lambda b: 1, None, mrel_)],
-                    (True, True), _BOOLS, {})
-    assert not ids({})
+    ids = _table(operator.eq, [(lambda b: b["R"], rel), (lambda b: 1, mrel_)],
+                 (True, True), _BOOLS, {})
+    assert not ids({"R": 1})
+    # over a row of every relation id, each place gives that id's answer
+    row = bytes(range(rel.size))
+    assert ids({"R": row}) == bytes(ids({"R": i}) for i in row)
+    assert ids({"R": row})[1] == 0
 
 
 @pytest.mark.parametrize("text,types,direct", [
