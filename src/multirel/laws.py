@@ -5,11 +5,13 @@ A law's claim (and optional guard) are boolean terms over named slots;
 slots are filled from the instance generators, honoring per-slot property
 requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
-byte-identical JSON.  An exhaustive check may run its first slot over
-orbit representatives under permutations of its carrier roles (see
-``_symmetries``), and its last slot a whole row at a time where claim and
-guard evaluate over rows (see ``dsl.Typed``); its report is the plain
-per-tuple sweep's.
+byte-identical JSON.  An exhaustive check of a law expected to pass may
+run a fast sweep: its first slot over orbit representatives under
+permutations of its carrier roles (see ``_symmetries``), and its last slot
+a whole row at a time where claim and guard evaluate over rows (see
+``dsl.Typed``).  A fast sweep only counts; where it meets a failing tuple or
+a cap, the plain per-tuple sweep runs, and it alone shrinks and collects
+witnesses and reports caps.  So every report is the plain sweep's.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .dsl import (
-    Sig, Term, Typed, _id_row, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
+    Sig, Typed, _id_row, _typecheck, env_from_json, env_types, eval_term, infer_slots, parse,
 )
 from .errors import CapExceeded, ShapeMismatch, UnknownLaw
 from .generate import GenSpec, _group, _orbits, instances, mix64, space_size
 from .mrel import MRel
 from .rel import Carrier, Rel, bits
+
+BUDGET = 1 << 16  # exhaustive tuple budget before degrading to random
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,9 @@ class Law:
     pinned: dict | None = None
     expected: str = "pass"
     size_cap: int = 3
-    budget: int = 1 << 16  # exhaustive tuple budget before degrading to random
     count: int = 200  # random tuples when degraded
     density: float = 0.5
     note: str = ""
-
-    def parsed_claim(self) -> Term:
-        return parse(self.claim)
 
 
 class _Terms:
@@ -89,7 +89,7 @@ class _Terms:
     evaluated once."""
 
     def __init__(self, law: Law):
-        self.claim = law.parsed_claim()
+        self.claim = parse(law.claim)
         self.guard = parse(law.guard) if law.guard else None
         self.roles_given = any(s.src or s.dst for s in law.slots)
         if law.kind != "regression":  # a pinned law has no slots and no roles
@@ -245,7 +245,7 @@ def check(
         spaces = [space_size(*a) for a in args]
     except CapExceeded as e:
         return finish("exhaustive", 0, 0, "skipped", str(e), [])
-    mode = "exhaustive" if prod(spaces) <= law.budget else "random"
+    mode = "exhaustive" if prod(spaces) <= BUDGET else "random"
     n_random = count if count is not None else law.count
 
     # NEG entries hunt for a witness: in random mode they sweep several
@@ -277,69 +277,59 @@ def check(
                 ]
                 yield from zip(repeat(1), zip(*streams))
 
+    # a fast sweep, reduced or by rows, runs only where the law is expected
+    # to pass, so that one which fails is the rare case
     claim, guard = terms.at(carriers)
     names = [s.name for s in law.slots]
-    inner = row = None
-    if mode == "exhaustive" and claim.rows and (guard is None or guard.rows):
-        inner = list(instances(*args[-1]))
-        row = inner and _id_row(inner)
+    group = row = None
+    if mode == "exhaustive" and law.expected == "pass":
+        group = _symmetries(terms, resolved, spaces)
+        if claim.rows and (guard is None or guard.rows):
+            inner = list(instances(*args[-1]))
+            row = inner and _id_row(inner)
 
-    def sweep(group: list | None, rows: bytes | None = None) -> LawReport | None:
+    def sweep(group: list | None, rows: bytes | None) -> LawReport | None:
         """The report of a check whose first slot runs over ``group``'s
         orbits, or over every value without one, and whose last slot runs
-        over ``rows`` at once where they are given; None if a reduced sweep
-        fails, or one that is reduced or by rows hits a cap, so that the
-        plain sweep reports it."""
-        reduced = group is not None
+        over ``rows`` at once where they are given.  Such a fast sweep only
+        counts: it gives None where a tuple fails or a cap is hit, and the
+        plain sweep, with neither, reports."""
+        fast = bool(group or rows)
         env = {}
         checked = 0
         skipped = 0
         failures: list[dict] = []
-
-        def failed(tup: tuple) -> bool:
-            """Records the witness ``tup``, shrunk; whether it is the last."""
-            small = shrink(law, carriers, dict(zip(names, tup)), terms)
-            failures.append(_counterexample_json(*small))
-            return len(failures) >= collect
-
         try:
             for weight, tup in tuples(group, len(names) - bool(rows)):
                 env.update(zip(names, tup))
                 if rows:
                     env[names[-1]] = rows
                     held, ok = _cells(guard, env, len(rows)), _cells(claim, env, len(rows))
-                    if guard is not None:
-                        ok = bytes(map(operator.ge, ok, held))  # 0 where the claim fails
-                    end, at = len(rows), ok.find(0)
-                    while 0 <= at < end:  # the last witness ends the count at its place
-                        if reduced:
-                            return None
-                        end = at + 1 if failed((*tup, inner[at])) else end
-                        at = ok.find(0, at + 1)
-                    taken = held.count(1, 0, end)
+                    if any(map(operator.gt, held, ok)):  # the claim fails where the guard holds
+                        return None
+                    taken = held.count(1)
                     checked += weight * taken
-                    skipped += weight * (end - taken)
-                    if failures and len(failures) >= collect:
-                        break
+                    skipped += weight * (len(rows) - taken)
                 elif guard is not None and not eval_term(guard, env):
                     skipped += weight
                 else:
                     checked += weight
                     if not eval_term(claim, env):
-                        if reduced:
+                        if fast:
                             return None
-                        if failed(tup):
+                        small = shrink(law, carriers, dict(zip(names, tup)), terms)
+                        failures.append(_counterexample_json(*small))
+                        if len(failures) >= collect:
                             break
         except CapExceeded as e:
-            if reduced or rows:
+            if fast:
                 return None
             return finish(mode, checked, skipped, "skipped", str(e), [])
         failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
         verdict = "fail" if failures else "pass"
         return finish(mode, checked, skipped, verdict, None, failures)
 
-    group = _symmetries(terms, resolved, spaces) if mode == "exhaustive" else None
-    return (group and sweep(group, row)) or (row and sweep(None, row)) or sweep(None)
+    return ((group or row) and sweep(group, row)) or sweep(None, None)
 
 
 def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
@@ -355,8 +345,6 @@ def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list
     None, for the plain sweep, unless all of these hold, each of them
     observable from the law:
 
-    - it is expected to pass, so a reduced sweep that fails is the rare
-      case, and its report comes from the plain sweep;
     - it has two or more slots, and the other slots have at least as many
       tuples as the group has elements, so that finding the orbits costs
       no more than the sweep they save;
@@ -374,7 +362,7 @@ def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list
     slot's stream onto itself, since its filters are row tests.  So each
     first value's tuples count as often as the values of its orbit."""
     law = terms.law
-    if law.expected != "pass" or len(law.slots) < 2 or terms.roles_given:
+    if len(law.slots) < 2 or terms.roles_given:
         return None
     first = law.slots[0]
     group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)

@@ -282,6 +282,20 @@ class TestFindCex:
         )
         assert total <= 2  # no larger than the pinned single-pair example
 
+    # the sha256 of the witness each prints at 2,2
+    @pytest.mark.parametrize("lhs,rhs,digest", [
+        ("a(R * S)", "a(R) ; a(S)",
+         "a643c8d434770e8b21320aed0815e932b7e31a7cfcb56f7dda9e2287c7cc8ab2"),
+        ("1 @ R", "R", "f33ed2c03c745e02ae25915def24cad1e660bc865763d33c86fba349341604f3"),
+        ("icup(R, R)", "R", "8face4022572a7c516ab47146f3d4cc12e8720ecb1f8434ef7da872785970477"),
+        ("down(R * S)", "down(R) * down(S)",
+         "5a4f58215345246e45350791c426c94347fd8bb34ae2597b1cfe5674977a94c3"),
+    ])
+    def test_witness_bytes_are_pinned(self, capsys, lhs, rhs, digest):
+        rc = main(["find-cex", "--lhs", lhs, "--rhs", rhs, "--rel", "==", "--sizes", "2,2"])
+        assert rc == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_no_counterexample_for_theorem(self, capsys):
         rc = main(
             [

@@ -373,7 +373,7 @@ def test_kernel_calls_fall_but_do_not_vanish(monkeypatch):
     monkeypatch.setattr(peleg, "peleg_compose", lambda r, s: calls.append((r, s)) or compose(r, s))
     law = law_by_id("L3.4-fission-subdistributive")
     # the claim evaluated without tables: two Peleg compositions per tuple
-    typed = _typecheck(law.parsed_claim(), {"X": 2, "Y": 2, "Z": 2, "R": Sig("mrel", 2, 2),
+    typed = _typecheck(parse(law.claim), {"X": 2, "Y": 2, "Z": 2, "R": Sig("mrel", 2, 2),
                                             "S": Sig("mrel", 2, 2)}, None)
     values = _values("mrel", (2, 2))
     for r, s in product(values[::16], values):
