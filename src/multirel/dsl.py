@@ -819,10 +819,11 @@ def _settle(consts: list[_Node]) -> None:
 def _typecheck(t: Term, types: Mapping, tables: dict | None) -> Typed:
     """``typecheck``, where the evaluator of a checked term keeps what it
     can when ``tables`` is given (see ``_compile``): sub-terms that read no
-    name are computed once, and other nodes over small shapes look their
+    name are evaluated here, so this raises CapExceeded where one of them
+    is too large to build, and other nodes over small shapes look their
     values up in operator tables kept in ``tables`` (see ``_table``).  The
     caller owns ``tables`` and decides how long they live; with None,
-    nothing is kept."""
+    nothing is kept and nothing is evaluated."""
     _require_depth(t)
     consts: list[_Node] = []
     root = _walk(t, types, consts, t)
@@ -1037,18 +1038,6 @@ def _equal_rows(x, y):
 # Evaluation
 
 
-def _once(f: Callable[[dict], Value]) -> Callable[[dict], Value]:
-    """``f``, called at the first evaluation only, so that a cap error it
-    raises is reported there; later evaluations return the same value."""
-    kept = []
-
-    def run(b):
-        if not kept:
-            kept.append(f(b))
-        return kept[0]
-    return run
-
-
 # Conversions between the two views of an arrow src <-> P(dst), as unary
 # operations that keep the relation-view carriers.
 _TO_REL = _spec("~m a b -> rel a pb", lambda m: _mrel.mrel_to_rel(m))
@@ -1068,8 +1057,8 @@ def _operand(kid: _Node, view: str) -> _Node:
 
 # A compiled node: its evaluator, whether it reads a value name, the shape of
 # its values where that is small and tables are used, and the evaluator of its
-# value's id or row of ids (see ``Typed``) where it has one: a name, a node
-# that reads no name, or a table node.
+# value's id or row of ids (see ``Typed``) where it has one: a name, a
+# constant, or a table node.
 _Code = namedtuple("_Code", "run reads shape ids")
 
 
@@ -1088,16 +1077,17 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
     """Each node is compiled one way, chosen here from its types alone.
     Where ``tables`` is given, a node is
 
-    - computed once if it reads no name: a constant, a constant sub-term,
-      or a conversion of one;
+    - a constant if it reads no name: a constant of the language, a
+      constant sub-term, or a conversion of one.  It is evaluated here, so
+      a cap error it raises is raised here, and then gives that value;
     - else a table node if its value is of a small shape (see ``_small``)
-      and each of its operands has an id evaluator: a name, a constant
-      sub-term or a table node;
+      and each of its operands has an id evaluator: a name, a constant or a
+      table node;
     - else plain, computed at every evaluation.
 
-    Without ``tables``, every node is plain.  Only a name, a node computed
-    once and a table node have an id evaluator, and each of them takes rows
-    (see ``Typed``)."""
+    Without ``tables``, every node is plain.  Only a name, a constant and a
+    table node have an id evaluator, and each of them takes rows (see
+    ``Typed``)."""
     t, spec = node.term, node.spec
     sort = _find(node.sort)
     shape = None if tables is None else _small(sort, node.src, node.dst)
@@ -1126,9 +1116,8 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
         run = lambda b: impl(f(b), g(b))
     if tables is None or reads:
         return _Code(run, reads, shape, None)
-    run = _once(run)
-    get = shape and shape.id
-    return _Code(run, False, shape, get and (lambda b: get(run(b))))
+    value = run({})
+    return _Code(lambda b: value, False, shape, shape and (lambda b, i=shape.id(value): i))
 
 
 def eval_term(t: Term | Typed, env: Mapping):

@@ -39,10 +39,10 @@ and once for all rows otherwise.
 
 Exhaustive streams use numeric encoding order.  For a subset draw with
 ``n`` candidates, instance ``i`` takes candidate ``j`` into row ``a``
-exactly when bit ``a * n + j`` of ``i`` is set.  Pick draws follow
-``itertools.product`` order over the rows.  A filtered exhaustive stream
-drops the rows that fail first and enumerates the rest in the same order.
-So ``space_size``, the product over source elements of the number of rows
+exactly when bit ``a * n + j`` of ``i`` is set, so row 0 varies fastest.
+Pick draws follow ``itertools.product`` order over the rows, so row 0
+varies slowest.  A filtered exhaustive stream drops the rows that fail
+first and enumerates the rest in the same order.  So ``space_size``, the product over source elements of the number of rows
 that pass, is the exact length of every exhaustive stream.  The cap of
 2^EXHAUSTIVE_BITS bounds both the candidate rows a stream tests and its
 length.

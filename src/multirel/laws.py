@@ -5,22 +5,23 @@ A law's claim (and optional guard) are boolean terms over named slots;
 slots are filled from the instance generators, honoring per-slot property
 requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
-byte-identical JSON.  An exhaustive check of a law expected to pass may
-run a fast sweep: its first slot over orbit representatives under
-permutations of its carrier roles (see ``_symmetries``), and its last slot
-a whole row at a time where claim and guard evaluate over rows (see
-``dsl.Typed``).  A fast sweep only counts; where it meets a failing tuple or
-a cap, the plain per-tuple sweep runs, and it alone shrinks and collects
+byte-identical JSON.  ``_plan`` settles how a law is swept before its
+first tuple, fast sweeps and caps met on the way included.  A fast sweep
+runs the first slot over orbit representatives, the last slot a row at a
+time, or both; it only counts, and where it meets a failing tuple or a
+cap, the plain per-tuple sweep runs, which alone shrinks and collects
 witnesses and reports caps.  So every report is the plain sweep's.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 import time
 from dataclasses import dataclass, replace
 from itertools import product, repeat
 from math import prod
+from collections import namedtuple
 from typing import Iterator, Mapping, Sequence
 
 from .dsl import (
@@ -82,8 +83,8 @@ class _Terms:
     ``roles_given`` tells whether a slot of the law as written gave a role.
 
     Sub-terms over values of small shapes look their values up in operator
-    tables over value ids, and sub-terms that read no slot are computed
-    once (see ``dsl._compile``).  The tables are this object's, shared by
+    tables over value ids, and sub-terms that read no slot are evaluated
+    as they are typed (see ``dsl._compile``).  The tables are this object's, shared by
     claim, guard and every carrier size, so they last one check, shrinking
     included.  A law with no slots keeps nothing and has no tables: it is
     evaluated once."""
@@ -98,20 +99,26 @@ class _Terms:
             slots = tuple(Slot(s.name, *end, s.needs) for s, end in zip(law.slots, ends))
             law = replace(law, slots=slots, roles=roles)
         self.law = law
-        self.typed: dict[tuple[int, ...], tuple | None] = {}
+        self.typed: dict[tuple[int, ...], tuple | Exception] = {}
         self.tables: dict | None = {} if law.slots else None
 
     def at(self, carriers: Mapping[str, Carrier]) -> tuple[Typed, Typed | None]:
-        """Raises ShapeMismatch where the sizes make the claim ill-shaped."""
+        """Raises ShapeMismatch where the sizes make the claim ill-shaped, and
+        CapExceeded where a constant of claim or guard is too large to build;
+        a kept error is raised as a fresh copy, so that no traceback grows."""
         key = tuple(carriers[r].size for r in self.law.roles)
         if key not in self.typed:
-            self.typed[key] = None  # stays None if typing raises
+            # kept if typing raises ShapeMismatch
+            self.typed[key] = ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
-            guard = self.guard and self.boolean("guard", types, self.tables)
-            self.typed[key] = (self.boolean("claim", types, self.tables), guard)
-        if self.typed[key] is None:
-            raise ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
+            try:
+                guard = self.guard and self.boolean("guard", types, self.tables)
+                self.typed[key] = (self.boolean("claim", types, self.tables), guard)
+            except CapExceeded as e:  # a constant too large to build
+                self.typed[key] = e.with_traceback(None)
+        if isinstance(self.typed[key], Exception):
+            raise copy.copy(self.typed[key])
         return self.typed[key]
 
     def boolean(self, what: str, types: Mapping, tables: dict | None = None) -> Typed:
@@ -221,45 +228,31 @@ def check(
 
     if law.kind == "regression":
         env = env_from_json(law.pinned or {})
-        resolved = {
-            name: value.size
-            for name, value in env.items()
-            if isinstance(value, Carrier)
-        }
+        resolved = {name: value.size for name, value in env.items() if isinstance(value, Carrier)}
         claim = terms.boolean("claim", env_types(env))
         try:
             ok = eval_term(claim, env)
         except CapExceeded as e:
             return finish("pinned", 0, 0, "skipped", str(e), [])
-        verdict = "pass" if ok else "fail"
-        cex = []
-        if not ok:
-            cex = [_pinned_json(law.pinned or {})]
-        return finish("pinned", 1, 0, verdict, None, cex)
+        cex = [] if ok else [_pinned_json(law.pinned or {})]
+        return finish("pinned", 1, 0, "pass" if ok else "fail", None, cex)
 
     carriers = {role: Carrier(resolved[role]) for role in law.roles}
-
-    # choose exhaustive vs seeded-random by the size of the tuple space
-    args = [_stream_args(s, resolved) for s in law.slots]
-    try:
-        spaces = [space_size(*a) for a in args]
-    except CapExceeded as e:
-        return finish("exhaustive", 0, 0, "skipped", str(e), [])
-    mode = "exhaustive" if prod(spaces) <= BUDGET else "random"
+    mode, args, group, row, capped = _plan(terms, resolved, carriers)
+    if capped is not None:
+        return finish(mode, 0, 0, "skipped", capped, [])
     n_random = count if count is not None else law.count
 
     # NEG entries hunt for a witness: in random mode they sweep several
     # densities (deterministically) before reporting none found
-    if mode == "random" and law.kind == "neg":
-        densities = [density] + [d for d in (0.15, 0.5, 0.75) if d != density]
-    else:
-        densities = [density]
+    hunt = mode == "random" and law.kind == "neg"
+    densities = [density] + [d for d in (0.15, 0.5, 0.75) if hunt and d != density]
 
     def tuples(group: list | None, slots: int) -> Iterator[tuple[int, tuple]]:
         """Each tuple of the first ``slots`` slots to check and the number of
         tuples it stands for: with a ``group``, the first slot runs over the
         values first in their orbits under it, each standing for its orbit
-        (see ``_symmetries``)."""
+        (see ``_plan``)."""
         if mode == "exhaustive" and group is None:
             yield from zip(repeat(1), product(*(instances(*a) for a in args[:slots])))
         elif mode == "exhaustive":
@@ -277,16 +270,8 @@ def check(
                 ]
                 yield from zip(repeat(1), zip(*streams))
 
-    # a fast sweep, reduced or by rows, runs only where the law is expected
-    # to pass, so that one which fails is the rare case
     claim, guard = terms.at(carriers)
     names = [s.name for s in law.slots]
-    group = row = None
-    if mode == "exhaustive" and law.expected == "pass":
-        group = _symmetries(terms, resolved, spaces)
-        if claim.rows and (guard is None or guard.rows):
-            inner = list(instances(*args[-1]))
-            row = inner and _id_row(inner)
 
     def sweep(group: list | None, rows: bytes | None) -> LawReport | None:
         """The report of a check whose first slot runs over ``group``'s
@@ -339,11 +324,24 @@ def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
     return held if type(held) is bytes else bytes([held]) * n
 
 
-def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list | None:
-    """The permutations of the first slot's roles that an exhaustive check
-    of ``terms.law`` may reduce that slot by (see ``generate._group``);
-    None, for the plain sweep, unless all of these hold, each of them
-    observable from the law:
+_Plan = namedtuple("_Plan", "mode args group row capped")
+
+
+def _plan(terms: _Terms, sizes: dict[str, int], carriers: dict[str, Carrier]) -> _Plan:
+    """How ``check`` sweeps ``terms.law`` at ``sizes``.  The ``mode`` is
+    "exhaustive" where the slots' streams, from their ``(kind, spec)`` in
+    ``args``, have at most BUDGET tuples, else "random".  ``capped`` is the
+    message of a cap met here, by a stream that cannot be sized or a
+    constant too large to build (see ``_Terms.at``), under the mode chosen
+    by then.  Raises ShapeMismatch where the claim is ill-shaped.
+
+    A fast sweep runs only for an exhaustive law expected to pass, so that
+    one which fails is the rare case.  Its last slot runs by ``row``, the
+    ids of that slot's whole stream, where claim and guard evaluate over
+    rows (see ``dsl.Typed``) and its values are of a small shape.  Its first
+    slot runs over the orbits of ``group``, the permutations of that slot's
+    roles (see ``generate._group``), only where all of these hold, each of
+    them observable from the law:
 
     - it has two or more slots, and the other slots have at least as many
       tuples as the group has elements, so that finding the orbits costs
@@ -362,15 +360,26 @@ def _symmetries(terms: _Terms, sizes: dict[str, int], spaces: list[int]) -> list
     slot's stream onto itself, since its filters are row tests.  So each
     first value's tuples count as often as the values of its orbit."""
     law = terms.law
-    if len(law.slots) < 2 or terms.roles_given:
-        return None
-    first = law.slots[0]
-    group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
-    if len(group) > prod(spaces[1:]):
-        return None
-    if any("test" in s.needs and s.src != s.dst for s in law.slots):
-        return None
-    return group
+    args = [_stream_args(s, sizes) for s in law.slots]
+    mode = "exhaustive"
+    try:
+        spaces = [space_size(*a) for a in args]
+        mode = "exhaustive" if prod(spaces) <= BUDGET else "random"
+        claim, guard = terms.at(carriers)
+    except CapExceeded as e:
+        return _Plan(mode, args, None, None, str(e))
+    if mode == "random" or law.expected != "pass":
+        return _Plan(mode, args, None, None, None)
+    row = group = None
+    if claim.rows and (guard is None or guard.rows):
+        inner = list(instances(*args[-1]))
+        row = _id_row(inner) if inner else None
+    if len(law.slots) >= 2 and not terms.roles_given and not any(
+            "test" in s.needs and s.src != s.dst for s in law.slots):
+        first = law.slots[0]
+        group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
+        group = group if len(group) <= prod(spaces[1:]) else None
+    return _Plan(mode, args, group, row, None)
 
 
 def _stable_key(cex: dict) -> str:

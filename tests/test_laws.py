@@ -14,7 +14,7 @@ import pytest
 
 from multirel import GenSpec, instances, mrel, power, rel
 from multirel.dsl import Sig, _typecheck, env_from_json, eval_term, parse, typecheck
-from multirel.errors import ShapeMismatch
+from multirel.errors import PowersetTooLarge, ShapeMismatch
 from multirel.laws import Law, Slot, _resolve_sizes, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
@@ -238,6 +238,30 @@ class TestCheck:
                   (Slot("R", "mrel", "X", "Y", ("inner_totl",)),))
         with pytest.raises(ValueError, match="^unknown mrel flag 'inner_totl'$"):
             check(law, sizes=(2, 2))
+
+    @pytest.mark.parametrize("guard", [None, "(R & -R) == U(X, X)"])
+    def test_a_capped_constant_is_skipped_before_the_first_tuple(self, guard):
+        # mu(pw(X)) at X of 3 elements needs the powerset of P(X), past the
+        # cap; the constant is built as the claim is typed, so nothing is
+        # counted, also where the guard holds nowhere
+        law = Law("dev-capped-constant", "theorem", "", "(R == R) == (mu(pw(X)) == mu(pw(X)))",
+                  (Slot("R", "rel"),), guard=guard)
+        rep = check(law, sizes=(3, 3))
+        assert (rep.mode, rep.verdict, rep.checked, rep.skipped_by_condition) == (
+            "exhaustive", "skipped", 0, 0)
+        assert rep.reason == "cannot materialize powerset of carrier of size 256 (cap 16)"
+
+    def test_a_capped_constant_is_no_shape_error(self):
+        # typing at those sizes raises the cap each time, a fresh error each time
+        law = Law("dev-capped-constant", "theorem", "", "mu(pw(X)) == mu(pw(X))", (Slot("R"),))
+        terms = _Terms(law)
+        carriers = {role: Carrier(3) for role in terms.law.roles}
+        raised = []
+        for _ in range(2):
+            with pytest.raises(PowersetTooLarge, match="of size 256") as info:
+                terms.at(carriers)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
 
     def test_law_seed_is_stable(self):
         assert law_seed(7, "some-law") == law_seed(7, "some-law")

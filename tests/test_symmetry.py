@@ -19,7 +19,7 @@ from multirel import GenSpec, instances, laws, mrel
 from multirel.dsl import _CONSTS, _OPS
 from multirel.errors import CapExceeded, ShapeMismatch
 from multirel.generate import _group, _orbits, space_size
-from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _symmetries, _Terms, check
+from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
 from multirel.mrel import MREL_ROW_FLAGS
 from multirel.registry import law_by_id, registry
 from multirel.rel import REL_ROW_FLAGS, Carrier, pow_carrier
@@ -177,19 +177,19 @@ def test_orbits_partition_the_stream():
 
 def group_of(law: Law, sizes) -> tuple[list | None, int]:
     """The group ``check`` reduces ``law``'s first slot by at ``sizes``, or
-    None where it runs the plain sweep, and the size of its tuple space: a
-    law is reduced only where it is exhaustive and expected to pass."""
+    None where it runs the plain sweep, and the size of its tuple space
+    (see ``laws._plan``)."""
     terms = _Terms(law)
     resolved = _resolve_sizes(terms.law, sizes)
-    spaces = [space_size(*_stream_args(s, resolved)) for s in terms.law.slots]
-    if prod(spaces) > laws.BUDGET or law.expected != "pass":
-        return None, prod(spaces)
-    return _symmetries(terms, resolved, spaces), prod(spaces)
+    plan = laws._plan(terms, resolved, {role: Carrier(n) for role, n in resolved.items()})
+    return plan.group, prod(space_size(*a) for a in plan.args)
 
 
 def plain_check(law: Law, sizes) -> dict:
+    """The report of ``check`` with no symmetry reduction."""
+    plan = laws._plan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "_symmetries", lambda *args: None)
+        mp.setattr(laws, "_plan", lambda *args: plan(*args)._replace(group=None))
         return check(law, sizes=sizes, seed=7).to_json()
 
 
