@@ -26,7 +26,8 @@ a sort (relation, multirelation or boolean) and carriers, by unification
 over one table of operator signatures.  It infers the carriers of constants
 given without arguments, and errors name the offending sub-term.
 ``infer_slots`` runs the same inference over a law's claim and guard to
-find the sort and carrier roles of each of its slots.
+find the sort and carrier roles of each of its slots, and the role, if
+any, that they read only row by row.
 """
 
 from __future__ import annotations
@@ -1152,9 +1153,32 @@ class _Roles(dict):
         return name
 
 
-def infer_slots(terms, slots, names=()) -> tuple[tuple[str, ...], list[tuple[str, str, str]]]:
-    """The roles of a law, and each slot's (sort, src, dst), from the terms
-    that use the slots: a claim and its guard, None for no guard.
+def _row_local(roots: list[_Node], sigs: list[Sig]):
+    """The carrier that is the source of every slot of ``sigs`` and that
+    ``roots`` read only row by row, else None: it is the target of no node
+    and occurs under no ``pw``, every operand with it as source is read by
+    row (a ``~`` mark), and no boolean is an operand.  Then each row of a
+    node that reads a slot depends on that row of the slots alone, since
+    the constants of that source let through (``0``, ``U``, ``At``, ...;
+    not ``Id``, ``eta`` or ``mem``) have one row at every element."""
+    x = _find(sigs[0].src) if sigs else None
+    ok = x is not None and not isinstance(x, Pw)
+    ok = ok and all(_find(s.src) is x and not _occurs(x, s.dst) for s in sigs)
+    nodes = list(roots)
+    while ok and nodes:
+        node = nodes.pop()
+        if _find(node.sort) != "bool":
+            ok = not _occurs(x, node.dst) and (_find(node.src) is x or not _occurs(x, node.src))
+        for kid, by_row in zip(node.kids, node.spec.by_row if node.kids else ()):
+            ok = ok and _find(kid.sort) != "bool" and (by_row or _find(kid.src) is not x)
+        nodes.extend(node.kids)
+    return x if ok else None
+
+
+def infer_slots(terms, slots, names=()) -> tuple[tuple[str, ...], list[tuple[str, str, str]], str | None]:
+    """The roles of a law, each slot's (sort, src, dst), and its row-local
+    role (see ``_row_local``) or None, from the terms that use the slots: a
+    claim and its guard, None for no guard.
 
     ``slots`` gives each slot as (name, sort, src, dst), with None where it
     is to be inferred; a given sort is fixed, a given src or dst is that
@@ -1171,9 +1195,10 @@ def infer_slots(terms, slots, names=()) -> tuple[tuple[str, ...], list[tuple[str
     over a powerset carrier."""
     types = _Roles((name, Sig(sort or _Var(), _Var(), _Var())) for name, sort, *_ in slots)
     consts: list[_Node] = []
+    roots = []
     for t in filter(None, terms):
         _require_depth(t)
-        _walk(t, types, consts, t)
+        roots.append(_walk(t, types, consts, t))
     sigs = [types[name] for name, *_ in slots]
     # where a slot's sort is open, its Sig's dst is its relation view's target
     for sig in sigs:
@@ -1210,4 +1235,6 @@ def infer_slots(terms, slots, names=()) -> tuple[tuple[str, ...], list[tuple[str
                 taken.add(named[c])
             roles.append(given or named.get(c, c))
         out.append((sort, *roles))
-    return tuple(dict.fromkeys([r for _, *pair in out for r in pair] + written)), out
+    local = _row_local(roots, sigs)
+    roles = tuple(dict.fromkeys([r for _, *pair in out for r in pair] + written))
+    return roles, out, named.get(local, local)

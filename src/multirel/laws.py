@@ -8,9 +8,12 @@ are canonical: given the same law, sizes and seed, two runs produce
 byte-identical JSON.  ``_plan`` settles how a law is swept before its
 first tuple, fast sweeps and caps met on the way included.  A fast sweep
 runs the first slot over orbit representatives, the last slot a row at a
-time, or both; it only counts, and where it meets a failing tuple or a
-cap, the plain per-tuple sweep runs, which alone shrinks and collects
-witnesses and reports caps.  So every report is the plain sweep's.
+time, or both; or, where claim and guard read a role of the slots' source
+row by row, it is factored: the law is swept at one element of that role,
+and its counts are raised to the power of the role's size.  A fast sweep
+only counts, and where it meets a failing tuple or a cap, the plain
+per-tuple sweep runs, which alone shrinks and collects witnesses and
+reports caps.  So every report is the plain sweep's.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ class Law:
 class _Terms:
     """A law's claim and guard, parsed once and typed once per carrier sizes,
     and the law with its slots' sorts and roles inferred from them (``law``).
-    ``roles_given`` tells whether a slot of the law as written gave a role.
+    ``roles_given`` tells whether a slot of the law as written gave a role,
+    and ``local`` names the law's row-local role (see ``dsl._row_local``)
+    where none did and no slot needs ``test``, which reads the row index.
 
     Sub-terms over values of small shapes look their values up in operator
     tables over value ids, and sub-terms that read no slot are evaluated
@@ -93,9 +98,12 @@ class _Terms:
         self.claim = parse(law.claim)
         self.guard = parse(law.guard) if law.guard else None
         self.roles_given = any(s.src or s.dst for s in law.slots)
+        self.local = None
         if law.kind != "regression":  # a pinned law has no slots and no roles
             given = [(s.name, s.sort, s.src, s.dst) for s in law.slots]
-            roles, ends = infer_slots((self.claim, self.guard), given, law.roles)
+            roles, ends, local = infer_slots((self.claim, self.guard), given, law.roles)
+            if not self.roles_given and not any("test" in s.needs for s in law.slots):
+                self.local = local
             slots = tuple(Slot(s.name, *end, s.needs) for s, end in zip(law.slots, ends))
             law = replace(law, slots=slots, roles=roles)
         self.law = law
@@ -238,26 +246,26 @@ def check(
         return finish("pinned", 1, 0, "pass" if ok else "fail", None, cex)
 
     carriers = {role: Carrier(resolved[role]) for role in law.roles}
-    mode, args, group, row, capped = _plan(terms, resolved, carriers)
-    if capped is not None:
-        return finish(mode, 0, 0, "skipped", capped, [])
+    plan = _plan(terms, resolved, carriers)
+    if plan.capped is not None:
+        return finish(plan.mode, 0, 0, "skipped", plan.capped, [])
     n_random = count if count is not None else law.count
 
     # NEG entries hunt for a witness: in random mode they sweep several
     # densities (deterministically) before reporting none found
-    hunt = mode == "random" and law.kind == "neg"
+    hunt = plan.mode == "random" and law.kind == "neg"
     densities = [density] + [d for d in (0.15, 0.5, 0.75) if hunt and d != density]
 
-    def tuples(group: list | None, slots: int) -> Iterator[tuple[int, tuple]]:
+    def tuples(plan: _Plan, group: list | None, slots: int) -> Iterator[tuple[int, tuple]]:
         """Each tuple of the first ``slots`` slots to check and the number of
         tuples it stands for: with a ``group``, the first slot runs over the
         values first in their orbits under it, each standing for its orbit
         (see ``_plan``)."""
-        if mode == "exhaustive" and group is None:
-            yield from zip(repeat(1), product(*(instances(*a) for a in args[:slots])))
-        elif mode == "exhaustive":
-            others = [tuple(instances(*a)) for a in args[1:slots]]
-            for first, weight in _orbits(instances(*args[0]), group):
+        if plan.mode == "exhaustive" and group is None:
+            yield from zip(repeat(1), product(*(instances(*a) for a in plan.args[:slots])))
+        elif plan.mode == "exhaustive":
+            others = [tuple(instances(*a)) for a in plan.args[1:slots]]
+            for first, weight in _orbits(instances(*plan.args[0]), group):
                 yield from zip(repeat(weight), product((first,), *others))
         else:
             for phase, d in enumerate(densities):
@@ -270,22 +278,24 @@ def check(
                 ]
                 yield from zip(repeat(1), zip(*streams))
 
-    claim, guard = terms.at(carriers)
     names = [s.name for s in law.slots]
 
-    def sweep(group: list | None, rows: bytes | None) -> LawReport | None:
-        """The report of a check whose first slot runs over ``group``'s
-        orbits, or over every value without one, and whose last slot runs
-        over ``rows`` at once where they are given.  Such a fast sweep only
-        counts: it gives None where a tuple fails or a cap is hit, and the
-        plain sweep, with neither, reports."""
-        fast = bool(group or rows)
+    def sweep(plan: _Plan, carriers: dict, fast: bool, power: int = 1) -> LawReport | None:
+        """The report of a check at ``carriers`` by ``plan``: with ``fast``,
+        its first slot runs over the orbits of ``plan.group`` and its last
+        slot over ``plan.row`` at once, where they are given.  A fast sweep
+        only counts: it gives None where a tuple fails or a cap is hit, and
+        the plain sweep reports.  Each count, of g of c tuples checked, is
+        reported to the ``power``: ``checked`` g^power and
+        ``skipped_by_condition`` c^power - g^power."""
+        group, rows = (plan.group, plan.row) if fast else (None, None)
         env = {}
         checked = 0
         skipped = 0
         failures: list[dict] = []
         try:
-            for weight, tup in tuples(group, len(names) - bool(rows)):
+            claim, guard = terms.at(carriers)
+            for weight, tup in tuples(plan, group, len(names) - bool(rows)):
                 env.update(zip(names, tup))
                 if rows:
                     env[names[-1]] = rows
@@ -309,12 +319,20 @@ def check(
         except CapExceeded as e:
             if fast:
                 return None
-            return finish(mode, checked, skipped, "skipped", str(e), [])
+            return finish(plan.mode, checked, skipped, "skipped", str(e), [])
         failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
         verdict = "fail" if failures else "pass"
-        return finish(mode, checked, skipped, verdict, None, failures)
+        checked, skipped = checked**power, (checked + skipped)**power - checked**power
+        return finish(plan.mode, checked, skipped, verdict, None, failures)
 
-    return ((group or row) and sweep(group, row)) or sweep(None, None)
+    report = None
+    if plan.local:  # by its plan at one element of the role, counts raised
+        ones = {**carriers, plan.local: Carrier(1)}
+        one = _plan(terms, {**resolved, plan.local: 1}, ones)
+        report = one.capped is None and sweep(one, ones, True, resolved[plan.local])
+    elif plan.group or plan.row:
+        report = sweep(plan, carriers, True)
+    return report or sweep(plan, carriers, False)
 
 
 def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
@@ -324,7 +342,7 @@ def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
     return held if type(held) is bytes else bytes([held]) * n
 
 
-_Plan = namedtuple("_Plan", "mode args group row capped")
+_Plan = namedtuple("_Plan", "mode args group row capped local", defaults=(None,))
 
 
 def _plan(terms: _Terms, sizes: dict[str, int], carriers: dict[str, Carrier]) -> _Plan:
@@ -358,13 +376,24 @@ def _plan(terms: _Terms, sizes: dict[str, int], carriers: dict[str, Carrier]) ->
     elements' sets alone, so then claim and guard give the same verdict on
     a tuple and on its image under the group; and a permutation maps each
     slot's stream onto itself, since its filters are row tests.  So each
-    first value's tuples count as often as the values of its orbit."""
+    first value's tuples count as often as the values of its orbit.
+
+    Before any of that, a law expected to pass whose row-local role X
+    (``_Terms.local``) has n > 1 elements is factored: ``local`` names X,
+    and ``check`` sweeps the law by its plan at |X| = 1, so that its terms
+    are typed at n only if that sweep gives up.  Each slot's stream at n is
+    the product of n copies of its stream at 1, as its filters are row
+    tests, and claim and guard hold on a tuple exactly when they hold on
+    each row.  So where g of c tuples pass the guard at 1, g^n of c^n do at
+    n, and a row value u that fails gives the failing tuple (u, ..., u)."""
     law = terms.law
     args = [_stream_args(s, sizes) for s in law.slots]
     mode = "exhaustive"
     try:
         spaces = [space_size(*a) for a in args]
         mode = "exhaustive" if prod(spaces) <= BUDGET else "random"
+        if mode == "exhaustive" and law.expected == "pass" and sizes.get(terms.local, 1) > 1:
+            return _Plan(mode, args, None, None, None, terms.local)
         claim, guard = terms.at(carriers)
     except CapExceeded as e:
         return _Plan(mode, args, None, None, str(e))

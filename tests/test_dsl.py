@@ -395,7 +395,7 @@ def infer(claim, guard=None, names=(), **given):
     slots = list(dict.fromkeys(n for t in filter(None, terms) for n in value_names(t)))
     fields = [given.get(n, (None, None, None)) for n in slots]
     fields = [(f, None, None) if isinstance(f, str) else f for f in fields]
-    roles, ends = infer_slots(terms, [(n, *f) for n, f in zip(slots, fields)], names)
+    roles, ends, _ = infer_slots(terms, [(n, *f) for n, f in zip(slots, fields)], names)
     return roles, dict(zip(slots, ends))
 
 

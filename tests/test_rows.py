@@ -7,9 +7,9 @@ whole stream per tuple of the other slots.  The row sweep only counts: at
 a place where the claim fails, or at a cap, it gives up and the per-tuple
 sweep reports.  So its report must be the per-tuple sweep's, byte for
 byte: the same counts, each weighted by its orbit.  These tests compare the
-two sweeps on every registry law checked by rows at 2,2, 3,2 and 2,3, and
-on laws built for the cases the registry meets seldom; ``per_tuple`` turns
-the row sweep off."""
+two sweeps on every registry law checked by rows at 2,2, 3,2 and 2,3 where
+it is not factored, and on laws built for the cases the registry meets
+seldom; ``report_by`` with no sweep named turns every fast sweep off."""
 
 from __future__ import annotations
 
@@ -25,35 +25,27 @@ from multirel.generate import _group, _orbits, space_size
 from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
-
-
-def per_tuple(law: Law, sizes, **kw) -> dict:
-    """The report of ``check`` with no row sweep."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "_id_row", lambda values: None)
-        return check(law, sizes=sizes, seed=7, **kw).to_json()
+from conftest import plan_of, report_by
 
 
 def by_rows(law: Law, sizes, **kw) -> dict:
-    """The report of ``check``, which must have swept by rows."""
+    """The report of ``check`` with no factored sweep, which must have swept
+    by rows."""
     made = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_id_row", lambda values: made.append(_id_row(values)) or made[-1])
-        report = check(law, sizes=sizes, seed=7, **kw).to_json()
+        report = report_by(law, sizes, "group", "row", **kw)
     assert made and made[-1], law.id
     return report
 
 
 def swept_by_rows(law: Law, sizes) -> bool:
-    """Whether ``check`` sweeps ``law`` by rows at ``sizes`` (see
-    ``laws._plan``)."""
-    terms = _Terms(law)
-    resolved = _resolve_sizes(terms.law, sizes)
+    """Whether ``check`` sweeps ``law`` by rows at ``sizes`` where it does
+    not factor it (see ``laws._plan``)."""
     try:
-        plan = laws._plan(terms, resolved, {role: Carrier(n) for role, n in resolved.items()})
+        return plan_of(law, sizes, factored=False).row is not None
     except ShapeMismatch:
         return False
-    return plan.row is not None
 
 
 def by_rows_evaluable(law: Law, sizes) -> bool:
@@ -95,7 +87,7 @@ def test_row_sweeps_equal_per_tuple_sweeps(sizes, count, monkeypatch):
     terms = laws._Terms
     monkeypatch.setattr(laws, "_Terms", lambda law: kept.setdefault(law.id, terms(law)))
     for law in chosen:
-        assert by_rows(law, sizes) == per_tuple(law, sizes), law.id
+        assert by_rows(law, sizes) == report_by(law, sizes), law.id
         del kept[law.id]
 
 
@@ -133,7 +125,7 @@ def test_a_law_expected_to_fail_is_checked_per_tuple(law_id, collect, monkeypatc
     # its claim evaluates over rows, but only the per-tuple sweep shrinks
     # and collects witnesses, so no row of ids is ever built for it
     law = law_by_id(law_id)
-    want = per_tuple(law, (2, 2), collect=collect)
+    want = report_by(law, (2, 2), collect=collect)
 
     def refused(values):
         raise AssertionError(f"{law_id} is swept by rows")
@@ -166,7 +158,7 @@ def test_a_guarded_law(claim):
     # S = {(0,{})}), so the fast sweep gives up and the plain sweep reports
     law = Law("dev-guarded", "theorem", "", claim, (Slot("R"), Slot("S")), guard="R <= up(S)")
     report = by_rows(law, (2, 2))
-    assert report == per_tuple(law, (2, 2))
+    assert report == report_by(law, (2, 2))
     assert report["verdict"] == GUARDED[claim]
     assert report["checked"] and report["skipped_by_condition"]
     if GUARDED[claim] == "pass":
@@ -181,7 +173,7 @@ def test_an_inner_slot_with_a_filter(claim, verdict):
     needs = frozenset({"inner_deterministic"})
     law = Law("dev-filtered", "theorem", "", claim, (Slot("R"), Slot("S", needs=tuple(needs))))
     report = by_rows(law, (2, 2))
-    assert report == per_tuple(law, (2, 2))
+    assert report == report_by(law, (2, 2))
     assert report["verdict"] == verdict
     if verdict == "pass":
         assert report["checked"] == 256 * space_size("mrel", GenSpec((2, 2), where=needs))
@@ -212,4 +204,4 @@ def test_a_cap_in_a_row_sweep_gives_the_per_tuple_report(monkeypatch):
     monkeypatch.setattr(mrel, "inner_bool", capped)
     report = by_rows(law, (2, 2))
     assert report["verdict"] == "skipped" and hits
-    assert report == per_tuple(law, (2, 2))
+    assert report == report_by(law, (2, 2))

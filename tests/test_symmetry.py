@@ -15,14 +15,15 @@ from math import prod
 
 import pytest
 
-from multirel import GenSpec, instances, laws, mrel
+from multirel import GenSpec, instances, mrel
 from multirel.dsl import _CONSTS, _OPS
 from multirel.errors import CapExceeded, ShapeMismatch
 from multirel.generate import _group, _orbits, space_size
-from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
+from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms
 from multirel.mrel import MREL_ROW_FLAGS
 from multirel.registry import law_by_id, registry
 from multirel.rel import REL_ROW_FLAGS, Carrier, pow_carrier
+from conftest import plan_of, report_by
 
 SIZES = [(2, 2), (2, 3), (3, 3)]
 
@@ -176,21 +177,16 @@ def test_orbits_partition_the_stream():
 
 
 def group_of(law: Law, sizes) -> tuple[list | None, int]:
-    """The group ``check`` reduces ``law``'s first slot by at ``sizes``, or
-    None where it runs the plain sweep, and the size of its tuple space
-    (see ``laws._plan``)."""
-    terms = _Terms(law)
-    resolved = _resolve_sizes(terms.law, sizes)
-    plan = laws._plan(terms, resolved, {role: Carrier(n) for role, n in resolved.items()})
+    """The group ``check`` reduces ``law``'s first slot by at ``sizes`` where
+    it does not factor it, or None where it runs the plain sweep, and the
+    size of its tuple space (see ``laws._plan``)."""
+    plan = plan_of(law, sizes, factored=False)
     return plan.group, prod(space_size(*a) for a in plan.args)
 
 
-def plain_check(law: Law, sizes) -> dict:
-    """The report of ``check`` with no symmetry reduction."""
-    plan = laws._plan
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "_plan", lambda *args: plan(*args)._replace(group=None))
-        return check(law, sizes=sizes, seed=7).to_json()
+def reduced_check(law: Law, sizes) -> dict:
+    """The report of ``check`` with no factored sweep."""
+    return report_by(law, sizes, "group", "row")
 
 
 def reduced(sizes) -> list[Law]:
@@ -208,7 +204,7 @@ def test_reduced_reports_equal_plain_ones(sizes):
     chosen = reduced(sizes)
     assert len(chosen) >= 20
     for law in chosen:
-        assert check(law, sizes=sizes, seed=7).to_json() == plain_check(law, sizes), law.id
+        assert reduced_check(law, sizes) == report_by(law, sizes), law.id
 
 
 @pytest.mark.parametrize("law_id, sizes", [("L2.2-icap-comm", (2, 2)),
@@ -216,16 +212,16 @@ def test_reduced_reports_equal_plain_ones(sizes):
 def test_large_reduced_sweeps_equal_plain_ones(law_id, sizes):
     law = law_by_id(law_id)
     assert len(group_of(law, sizes)[0]) > 1
-    assert check(law, sizes=sizes, seed=7).to_json() == plain_check(law, sizes)
+    assert reduced_check(law, sizes) == report_by(law, sizes)
 
 
 def test_a_failing_reduced_sweep_gives_the_plain_report():
     law = Law("dev-peleg-kleisli", "theorem", "R*S = R@S (it does not hold)",
               "(R * S) == (R @ S)", (Slot("R"), Slot("S")))
     assert len(group_of(law, (2, 2))[0]) == 4
-    report = check(law, sizes=(2, 2), seed=7).to_json()
+    report = reduced_check(law, (2, 2))
     assert report["verdict"] == "fail" and report["counterexamples"]
-    assert report == plain_check(law, (2, 2))
+    assert report == report_by(law, (2, 2))
 
 
 def test_a_cap_error_in_a_reduced_sweep_gives_the_plain_report(monkeypatch):
@@ -253,9 +249,9 @@ def test_a_cap_error_in_a_reduced_sweep_gives_the_plain_report(monkeypatch):
         return inner_bool(op, r, s)
 
     monkeypatch.setattr(mrel, "inner_bool", capped)
-    report = check(law, sizes=(2, 2), seed=7).to_json()
+    report = reduced_check(law, (2, 2))
     assert report["verdict"] == "skipped" and hits
-    assert report == plain_check(law, (2, 2))
+    assert report == report_by(law, (2, 2))
 
 
 def test_roles_given_equal_sizes_are_not_reduced():
@@ -264,7 +260,7 @@ def test_roles_given_equal_sizes_are_not_reduced():
     law = Law("dev-given-roles", "theorem", "R;S <= R;S where R;S = S;R",
               "(R ; S) <= (R ; S)", slots, guard="(R ; S) == (S ; R)")
     assert group_of(law, (2, 2))[0] is None
-    assert check(law, sizes=(2, 2), seed=7).to_json() == plain_check(law, (2, 2))
+    assert reduced_check(law, (2, 2)) == report_by(law, (2, 2))
 
 
 def test_a_slot_from_a_role_to_itself_gets_the_diagonal_group():
@@ -272,7 +268,7 @@ def test_a_slot_from_a_role_to_itself_gets_the_diagonal_group():
               "((R & Id(X)) ; S) <= S", (Slot("R"), Slot("S")), guard="(R ; R) <= R")
     group, _ = group_of(law, (2, 2))
     assert sorted(group) == [((0, 1), (0, 1)), ((1, 0), (1, 0))]
-    assert check(law, sizes=(2, 2), seed=7).to_json() == plain_check(law, (2, 2))
+    assert reduced_check(law, (2, 2)) == report_by(law, (2, 2))
 
 
 def test_consistent_given_roles_are_not_reduced():
@@ -280,7 +276,7 @@ def test_consistent_given_roles_are_not_reduced():
     slots = (Slot("R", "rel", "X", "Y"), Slot("S", "rel", "Y", "Z"))
     law = Law("dev-given-chain", "theorem", "R;S <= U", "(R ; S) <= U(X, Z)", slots)
     assert group_of(law, (2, 2))[0] is None
-    assert check(law, sizes=(2, 2), seed=7).to_json() == plain_check(law, (2, 2))
+    assert reduced_check(law, (2, 2)) == report_by(law, (2, 2))
 
 
 def test_a_test_slot_between_two_roles_is_not_reduced():
