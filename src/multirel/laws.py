@@ -6,12 +6,13 @@ slots are filled from the instance generators, honoring per-slot property
 requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
 byte-identical JSON.  ``_plan`` settles how a law is swept before its
-first tuple, fast sweeps and caps met on the way included.  A fast sweep
-runs the first slot over orbit representatives, the last slot a row at a
-time, or both; or, where claim and guard read a role of the slots' source
-row by row, it is factored: the law is swept at one element of that role,
-and its counts are raised to the power of the role's size.  A fast sweep
-only counts, and where it meets a failing tuple or a cap, the plain
+first tuple, and returns the sweeps that ``check`` runs: a fast one, if
+any, and the plain one, with any cap met on the way.  A fast sweep runs
+the first slot over orbit representatives, the last slot a row at a time,
+or both; or, where claim and guard read a role of the slots' source row
+by row, it is factored: the law is swept at one element of that role, and
+its counts are raised to the power of the role's size.  A fast sweep only
+counts, and where it meets a failing tuple or a cap, the plain
 per-tuple sweep runs, which alone shrinks and collects witnesses and
 reports caps.  So every report is the plain sweep's.
 """
@@ -84,8 +85,8 @@ class _Terms:
     """A law's claim and guard, parsed once and typed once per carrier sizes,
     and the law with its slots' sorts and roles inferred from them (``law``).
     ``roles_given`` tells whether a slot of the law as written gave a role,
-    and ``local`` names the law's row-local role (see ``dsl._row_local``)
-    where none did and no slot needs ``test``, which reads the row index.
+    and ``local`` names the law's row-local role (see ``dsl._row_local``),
+    or is None.
 
     Sub-terms over values of small shapes look their values up in operator
     tables over value ids, and sub-terms that read no slot are evaluated
@@ -101,9 +102,7 @@ class _Terms:
         self.local = None
         if law.kind != "regression":  # a pinned law has no slots and no roles
             given = [(s.name, s.sort, s.src, s.dst) for s in law.slots]
-            roles, ends, local = infer_slots((self.claim, self.guard), given, law.roles)
-            if not self.roles_given and not any("test" in s.needs for s in law.slots):
-                self.local = local
+            roles, ends, self.local = infer_slots((self.claim, self.guard), given, law.roles)
             slots = tuple(Slot(s.name, *end, s.needs) for s, end in zip(law.slots, ends))
             law = replace(law, slots=slots, roles=roles)
         self.law = law
@@ -245,8 +244,7 @@ def check(
         cex = [] if ok else [_pinned_json(law.pinned or {})]
         return finish("pinned", 1, 0, "pass" if ok else "fail", None, cex)
 
-    carriers = {role: Carrier(resolved[role]) for role in law.roles}
-    plan = _plan(terms, resolved, carriers)
+    plan = _plan(terms, resolved)
     if plan.capped is not None:
         return finish(plan.mode, 0, 0, "skipped", plan.capped, [])
     n_random = count if count is not None else law.count
@@ -256,16 +254,16 @@ def check(
     hunt = plan.mode == "random" and law.kind == "neg"
     densities = [density] + [d for d in (0.15, 0.5, 0.75) if hunt and d != density]
 
-    def tuples(plan: _Plan, group: list | None, slots: int) -> Iterator[tuple[int, tuple]]:
+    def tuples(run: _Sweep, slots: int) -> Iterator[tuple[int, tuple]]:
         """Each tuple of the first ``slots`` slots to check and the number of
-        tuples it stands for: with a ``group``, the first slot runs over the
-        values first in their orbits under it, each standing for its orbit
-        (see ``_plan``)."""
-        if plan.mode == "exhaustive" and group is None:
-            yield from zip(repeat(1), product(*(instances(*a) for a in plan.args[:slots])))
+        tuples it stands for: with a ``run.group``, the first slot runs over
+        the values first in their orbits under it, each standing for its
+        orbit."""
+        if plan.mode == "exhaustive" and run.group is None:
+            yield from zip(repeat(1), product(*(instances(*a) for a in run.args[:slots])))
         elif plan.mode == "exhaustive":
-            others = [tuple(instances(*a)) for a in plan.args[1:slots]]
-            for first, weight in _orbits(instances(*plan.args[0]), group):
+            others = [tuple(instances(*a)) for a in run.args[1:slots]]
+            for first, weight in _orbits(instances(*run.args[0]), run.group):
                 yield from zip(repeat(weight), product((first,), *others))
         else:
             for phase, d in enumerate(densities):
@@ -280,22 +278,21 @@ def check(
 
     names = [s.name for s in law.slots]
 
-    def sweep(plan: _Plan, carriers: dict, fast: bool, power: int = 1) -> LawReport | None:
-        """The report of a check at ``carriers`` by ``plan``: with ``fast``,
-        its first slot runs over the orbits of ``plan.group`` and its last
-        slot over ``plan.row`` at once, where they are given.  A fast sweep
-        only counts: it gives None where a tuple fails or a cap is hit, and
-        the plain sweep reports.  Each count, of g of c tuples checked, is
-        reported to the ``power``: ``checked`` g^power and
+    def sweep(run: _Sweep) -> LawReport | None:
+        """The report of ``run``.  A fast sweep, any but ``plan.plain``, only
+        counts: it gives None where a tuple fails or a cap is hit, and the
+        plain sweep reports.  Each count, of g of c tuples checked, is
+        reported to ``run.power``: ``checked`` g^power and
         ``skipped_by_condition`` c^power - g^power."""
-        group, rows = (plan.group, plan.row) if fast else (None, None)
+        fast = run is not plan.plain
+        rows, power = run.row, run.power
         env = {}
         checked = 0
         skipped = 0
         failures: list[dict] = []
         try:
-            claim, guard = terms.at(carriers)
-            for weight, tup in tuples(plan, group, len(names) - bool(rows)):
+            claim, guard = terms.at(run.carriers)
+            for weight, tup in tuples(run, len(names) - bool(rows)):
                 env.update(zip(names, tup))
                 if rows:
                     env[names[-1]] = rows
@@ -312,7 +309,7 @@ def check(
                     if not eval_term(claim, env):
                         if fast:
                             return None
-                        small = shrink(law, carriers, dict(zip(names, tup)), terms)
+                        small = shrink(law, run.carriers, dict(zip(names, tup)), terms)
                         failures.append(_counterexample_json(*small))
                         if len(failures) >= collect:
                             break
@@ -325,14 +322,7 @@ def check(
         checked, skipped = checked**power, (checked + skipped)**power - checked**power
         return finish(plan.mode, checked, skipped, verdict, None, failures)
 
-    report = None
-    if plan.local:  # by its plan at one element of the role, counts raised
-        ones = {**carriers, plan.local: Carrier(1)}
-        one = _plan(terms, {**resolved, plan.local: 1}, ones)
-        report = one.capped is None and sweep(one, ones, True, resolved[plan.local])
-    elif plan.group or plan.row:
-        report = sweep(plan, carriers, True)
-    return report or sweep(plan, carriers, False)
+    return (plan.fast and sweep(plan.fast)) or sweep(plan.plain)
 
 
 def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
@@ -342,73 +332,80 @@ def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
     return held if type(held) is bytes else bytes([held]) * n
 
 
-_Plan = namedtuple("_Plan", "mode args group row capped local", defaults=(None,))
+# A sweep: each slot's ``(kind, spec)`` in ``args``, the ``carriers`` it
+# runs at, the symmetry ``group`` of its first slot and the id ``row`` of its
+# last (see ``_plan``), and the ``power`` its counts are raised to.
+_Sweep = namedtuple("_Sweep", "args carriers group row power", defaults=(None, None, 1))
+_Plan = namedtuple("_Plan", "mode capped fast plain")
 
 
-def _plan(terms: _Terms, sizes: dict[str, int], carriers: dict[str, Carrier]) -> _Plan:
-    """How ``check`` sweeps ``terms.law`` at ``sizes``.  The ``mode`` is
-    "exhaustive" where the slots' streams, from their ``(kind, spec)`` in
-    ``args``, have at most BUDGET tuples, else "random".  ``capped`` is the
-    message of a cap met here, by a stream that cannot be sized or a
+def _plan(terms: _Terms, sizes: dict[str, int]) -> _Plan:
+    """How ``check`` sweeps ``terms.law`` at ``sizes``: by the ``fast``
+    sweep, where there is one and it gives a report, else by the ``plain``
+    per-tuple sweep at ``sizes``.  The ``mode`` is "exhaustive" where the
+    slots' streams have at most BUDGET tuples, else "random".  ``capped``
+    is the message of a cap met here, by a stream that cannot be sized or a
     constant too large to build (see ``_Terms.at``), under the mode chosen
     by then.  Raises ShapeMismatch where the claim is ill-shaped.
 
     A fast sweep runs only for an exhaustive law expected to pass, so that
     one which fails is the rare case.  Its last slot runs by ``row``, the
     ids of that slot's whole stream, where claim and guard evaluate over
-    rows (see ``dsl.Typed``) and its values are of a small shape.  Its first
-    slot runs over the orbits of ``group``, the permutations of that slot's
-    roles (see ``generate._group``), only where all of these hold, each of
-    them observable from the law:
+    rows (see ``dsl.Typed``) and its values are of a small shape.  Two
+    reductions need the law's roles to be its own: no slot of the law as
+    written gives a role (``_Terms.roles_given``), so ``dsl.infer_slots``
+    named every role and claim and guard type with each role a carrier of
+    its own (slots given roles may type only because two roles have one
+    size, as ``R * S`` does over two slots X -> Y); and no slot needs
+    ``test``, which reads the row index, between two roles.
 
-    - it has two or more slots, and the other slots have at least as many
-      tuples as the group has elements, so that finding the orbits costs
-      no more than the sweep they save;
-    - no slot of the law as written gives a role (``_Terms.roles_given``),
-      so ``dsl.infer_slots`` named every role, and claim and guard type
-      with each role a carrier of its own: slots given roles may type only
-      because two roles have one size, as ``R * S`` does over two slots
-      X -> Y;
-    - no slot needs ``test`` between two roles, which a permutation of one
-      of them would not keep.
-
-    Every operation and constant of the term language is defined from the
-    elements' sets alone, so then claim and guard give the same verdict on
-    a tuple and on its image under the group; and a permutation maps each
-    slot's stream onto itself, since its filters are row tests.  So each
-    first value's tuples count as often as the values of its orbit.
-
-    Before any of that, a law expected to pass whose row-local role X
-    (``_Terms.local``) has n > 1 elements is factored: ``local`` names X,
-    and ``check`` sweeps the law by its plan at |X| = 1, so that its terms
-    are typed at n only if that sweep gives up.  Each slot's stream at n is
-    the product of n copies of its stream at 1, as its filters are row
-    tests, and claim and guard hold on a tuple exactly when they hold on
-    each row.  So where g of c tuples pass the guard at 1, g^n of c^n do at
-    n, and a row value u that fails gives the failing tuple (u, ..., u)."""
+    - Where the law has a row-local role X (``_Terms.local``) of n > 1
+      elements, it is factored: ``fast`` is its own plan's sweep at |X| = 1
+      with ``power`` n, so that its terms are typed at n only if that sweep
+      gives up.  Each slot's stream at n is the product of n copies of its
+      stream at 1, as its filters are row tests, and claim and guard hold
+      on a tuple exactly when they hold on each row.  So where g of c
+      tuples pass the guard at 1, g^n of c^n do at n, and a row value u
+      that fails gives the failing tuple (u, ..., u).
+    - Otherwise the first slot runs over the orbits of ``group``, the
+      permutations of that slot's roles (see ``generate._group``), where the
+      law has two or more slots and the other slots have at least as many
+      tuples as the group has elements, so that finding the orbits costs no
+      more than the sweep they save.  Every operation and constant of the
+      term language is defined from the elements' sets alone, so claim and
+      guard give the same verdict on a tuple and on its image under the
+      group; and a permutation maps each slot's stream onto itself, since
+      its filters are row tests.  So each first value's tuples count as
+      often as the values of its orbit."""
     law = terms.law
+    carriers = {role: Carrier(n) for role, n in sizes.items()}
     args = [_stream_args(s, sizes) for s in law.slots]
+    plain = _Sweep(args, carriers)
     mode = "exhaustive"
     try:
         spaces = [space_size(*a) for a in args]
         mode = "exhaustive" if prod(spaces) <= BUDGET else "random"
-        if mode == "exhaustive" and law.expected == "pass" and sizes.get(terms.local, 1) > 1:
-            return _Plan(mode, args, None, None, None, terms.local)
+        eligible = mode == "exhaustive" and law.expected == "pass"
+        own = eligible and not terms.roles_given and not any(
+            "test" in s.needs and s.src != s.dst for s in law.slots)
+        if own and sizes.get(terms.local, 1) > 1:
+            one = _plan(terms, {**sizes, terms.local: 1})
+            run = (one.fast or one.plain)._replace(power=sizes[terms.local])
+            return _Plan(mode, None, run if one.capped is None else None, plain)
         claim, guard = terms.at(carriers)
     except CapExceeded as e:
-        return _Plan(mode, args, None, None, str(e))
-    if mode == "random" or law.expected != "pass":
-        return _Plan(mode, args, None, None, None)
+        return _Plan(mode, str(e), None, plain)
+    if not eligible:
+        return _Plan(mode, None, None, plain)
     row = group = None
     if claim.rows and (guard is None or guard.rows):
         inner = list(instances(*args[-1]))
         row = _id_row(inner) if inner else None
-    if len(law.slots) >= 2 and not terms.roles_given and not any(
-            "test" in s.needs and s.src != s.dst for s in law.slots):
+    if len(law.slots) >= 2 and own:
         first = law.slots[0]
         group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
         group = group if len(group) <= prod(spaces[1:]) else None
-    return _Plan(mode, args, group, row, None)
+    return _Plan(mode, None, _Sweep(args, carriers, group, row) if group or row else None, plain)
 
 
 def _stable_key(cex: dict) -> str:

@@ -33,31 +33,29 @@ ENV_DOC = {
 }
 
 
-# The fast sweeps ``laws._plan`` may choose: the symmetry group of the first
-# slot, the row of the last, and the row-local role of a factored sweep.
-SWEEPS = ("group", "row", "local")
-
-
 def plan_of(law, sizes, factored: bool = True):
     """``laws._plan``'s result for ``law`` at ``sizes``; unless ``factored``,
-    as if the law had no row-local role, so that it names the sweeps that
-    ``check`` runs at those sizes where it does not factor."""
+    as if the law had no row-local role, so that its ``fast`` sweep is the
+    one that ``check`` runs at those sizes where it does not factor."""
     terms = laws._Terms(law)
     terms.local = terms.local if factored else None
-    resolved = laws._resolve_sizes(terms.law, sizes)
-    return laws._plan(terms, resolved, {role: C(n) for role, n in resolved.items()})
+    return laws._plan(terms, laws._resolve_sizes(terms.law, sizes))
 
 
-def report_by(law, sizes, *sweeps: str, **kw) -> dict:
-    """The report of ``laws.check`` at seed 7 where ``laws._plan`` chooses
-    only the fast sweeps named in ``sweeps`` (see ``SWEEPS``): with none,
-    every fast-sweep field of its result is cleared, and the plain
+def report_by(law, sizes, *kept: str, **kw) -> dict:
+    """The report of ``laws.check`` at seed 7 where ``laws._plan`` does not
+    factor the law and its fast sweep keeps only the fields named in
+    ``kept``, "group" (the orbits of the first slot) and "row" (the last
+    slot by rows): with neither, there is no fast sweep, and the plain
     per-tuple sweep reports."""
     plan = laws._plan
 
-    def only(terms, *args):
-        terms.local = terms.local if "local" in sweeps else None
-        return plan(terms, *args)._replace(**{f: None for f in SWEEPS if f not in sweeps})
+    def only(terms, at):
+        terms.local = None
+        made = plan(terms, at)
+        fast = made.fast and made.fast._replace(
+            **{f: None for f in ("group", "row") if f not in kept})
+        return made._replace(fast=fast if fast and (fast.group or fast.row) else None)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_plan", only)

@@ -19,7 +19,7 @@ from math import prod
 
 import pytest
 
-from multirel import laws, mrel
+from multirel import mrel
 from multirel.dsl import _CONSTS, infer_slots, parse, value_names
 from multirel.errors import CapExceeded
 from multirel.generate import space_size
@@ -29,9 +29,16 @@ from multirel.rel import Carrier
 from conftest import plan_of, report_by
 
 
+def power(law: Law, sizes) -> int:
+    """The power ``check`` raises the counts of ``law`` to at ``sizes``: the
+    size of its row-local role where it factors it, else 1."""
+    fast = plan_of(law, sizes).fast
+    return fast.power if fast else 1
+
+
 def factored(sizes) -> list[Law]:
     """The registry laws ``check`` factors at ``sizes``."""
-    return [law for law in registry() if law.kind != "regression" and plan_of(law, sizes).local]
+    return [law for law in registry() if law.kind != "regression" and power(law, sizes) > 1]
 
 
 @pytest.mark.parametrize("sizes,count", [((2, 2), 82), ((3, 2), 70), ((2, 3), 71), ((3, 3), 16)])
@@ -53,31 +60,28 @@ def test_a_seeded_handful_of_factored_reports_at_2x3_equal_plain_ones():
     # of the laws whose plain sweep has at most 4,096 tuples, as in
     # test_symmetry: a plain sweep over MRel(2,3) takes up to 4 s
     small = [law for law in factored((2, 3))
-             if prod(space_size(*a) for a in plan_of(law, (2, 3)).args) <= 4096]
+             if prod(space_size(*a) for a in plan_of(law, (2, 3)).plain.args) <= 4096]
     for law in random.Random(7).sample(small, 5):
         assert check(law, sizes=(2, 3), seed=7).to_json() == report_by(law, (2, 3)), law.id
 
 
-def one_element_plans(monkeypatch) -> list[dict]:
-    """The sizes of each ``laws._plan`` that ``check`` makes from now on."""
-    sizes = []
-    plan = laws._plan
-    monkeypatch.setattr(laws, "_plan", lambda terms, at, *a: sizes.append(at) or plan(terms, at, *a))
-    return sizes
+def one_element(law: Law, sizes) -> bool:
+    """Whether ``check`` sweeps ``law`` first at one element of its
+    row-local role X."""
+    fast = plan_of(law, sizes).fast
+    return fast.carriers["X"].size == 1 and fast.power == sizes[0]
 
 
 @pytest.mark.parametrize("claim,slots,sizes", [
     ("icap(R, S) == R", (Slot("R"), Slot("S")), (2, 2)),
     ("up(R) == R", (Slot("R"),), (3, 2)),
 ])
-def test_a_law_that_fails_at_one_element_gives_the_plain_witnesses(claim, slots, sizes,
-                                                                     monkeypatch):
+def test_a_law_that_fails_at_one_element_gives_the_plain_witnesses(claim, slots, sizes):
     # a row value u that fails gives the failing tuple (u, ..., u) at n
     # elements, so the plain sweep, which alone shrinks, finds witnesses
     law = Law("dev-fails", "theorem", "", claim, slots)
-    plans = one_element_plans(monkeypatch)
+    assert one_element(law, sizes)
     report = check(law, sizes=sizes, seed=7).to_json()
-    assert [at["X"] for at in plans] == [sizes[0], 1]
     assert report["verdict"] == "fail" and report["counterexamples"]
     assert report == report_by(law, sizes)
 
@@ -85,7 +89,7 @@ def test_a_law_that_fails_at_one_element_gives_the_plain_witnesses(claim, slots,
 def test_a_guard_that_holds_on_no_row_value_checks_nothing():
     law = Law("dev-never", "theorem", "", "icap(R, S) == icap(S, R)", (Slot("R"), Slot("S")),
               guard="U <= (R & -R)")
-    assert plan_of(law, (2, 2)).local == "X"
+    assert one_element(law, (2, 2))
     report = check(law, sizes=(2, 2), seed=7).to_json()
     assert (report["checked"], report["skipped_by_condition"]) == (0, 65_536)
     assert report == report_by(law, (2, 2))
@@ -99,7 +103,7 @@ def test_a_pick_draw_and_a_filtered_subset_draw(sizes):
     slots = (Slot("R", needs=("outer_deterministic",)),
              Slot("S", needs=("inner_univalent", "union_closed")))
     law = Law("dev-draws", "theorem", "", "icap(R, S) <= down(S)", slots, guard="S <= up(R)")
-    assert plan_of(law, sizes).local == "X"
+    assert one_element(law, sizes)
     report = check(law, sizes=sizes, seed=7).to_json()
     # 4 rows of R by 6 of S, of which 11 pairs pass the guard
     n = sizes[0]
@@ -112,6 +116,7 @@ def test_a_cap_at_one_element_gives_the_plain_skipped_report(monkeypatch):
     # meets; the plain sweep at 2,2 fills its tables from one-row calls, so
     # it meets the pair too and reports the cap
     law = law_by_id("L2.2-icap-comm")
+    assert one_element(law, (2, 2))
     inner_bool = mrel.inner_bool
     hits = []
 
@@ -122,9 +127,8 @@ def test_a_cap_at_one_element_gives_the_plain_skipped_report(monkeypatch):
         return inner_bool(op, r, s)
 
     monkeypatch.setattr(mrel, "inner_bool", capped)
-    plans = one_element_plans(monkeypatch)
     report = check(law, sizes=(2, 2), seed=7).to_json()
-    assert [at["X"] for at in plans] == [2, 1] and hits
+    assert hits
     assert report["verdict"] == "skipped" and report["reason"] == "capped"
     assert report == report_by(law, (2, 2))
 
@@ -170,7 +174,7 @@ def test_refused(claim, guard):
 def test_a_refused_law_is_checked_at_its_own_sizes():
     # -Id(X) <= 0 holds only where X has one element
     law = Law("dev-id", "theorem", "", "R <= U(X, Y)", (Slot("R"),), guard="-Id(X) <= 0")
-    assert plan_of(law, (2, 2)).local is None
+    assert power(law, (2, 2)) == 1
     report = check(law, sizes=(2, 2), seed=7).to_json()
     assert (report["checked"], report["skipped_by_condition"]) == (0, 16)
     assert report == report_by(law, (2, 2))
@@ -180,7 +184,7 @@ def test_a_test_slot_is_not_factored():
     # ``test`` reads the row index, and no arrow between roles of two
     # sizes has it, so its rows are not one list per element
     law = Law("dev-test", "theorem", "", "(R & T) <= R", (Slot("R"), Slot("T", needs=("test",))))
-    assert row_local("(R & T) <= R") == "X" and plan_of(law, (2, 2)).local is None
+    assert row_local("(R & T) <= R") == "X" and power(law, (2, 2)) == 1
     assert check(law, sizes=(2, 2), seed=7).to_json() == report_by(law, (2, 2))
 
 

@@ -18,7 +18,7 @@ from multirel.errors import PowersetTooLarge, ShapeMismatch
 from multirel.laws import Law, Slot, _resolve_sizes, _Terms, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
-from conftest import C, M, R
+from conftest import C, M, R, plan_of
 
 
 def resolved_registry() -> list[Law]:
@@ -165,7 +165,28 @@ class TestRegistry:
         assert done.stdout == "[]\n"
 
 
+def plan_line(law: Law, sizes) -> str:
+    """How ``check`` sweeps ``law`` at ``sizes``: the mode, any cap met in
+    planning, and the fast sweep's sizes, power, group size and row length,
+    or None where only the plain sweep runs."""
+    plan = plan_of(law, sizes)
+    fast = plan.fast and (
+        f"{','.join(str(c.size) for c in plan.fast.carriers.values())} power={plan.fast.power}"
+        f" group={plan.fast.group and len(plan.fast.group)}"
+        f" row={plan.fast.row and len(plan.fast.row)}")
+    return f"{law.id} {sizes} {plan.mode} capped={plan.capped} fast={fast}"
+
+
 class TestCheck:
+    def test_every_plan_is_pinned(self):
+        # one digest over each law's plan at four sizes, so that no law moves
+        # between sweeps unseen, as two that swapped would under the pinned
+        # counts of test_rows and test_factored
+        lines = [plan_line(law, sizes) for sizes in [(2, 2), (3, 2), (2, 3), (3, 3)]
+                 for law in registry() if law.kind != "regression"]
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+        assert digest == (Path(__file__).parent / "data" / "plans.sha256").read_text().strip()
+
     def test_lambda_alpha_exhaustive_counts(self):
         rep = check(law_by_id("L2.1-lambda-alpha-inverse"), sizes=(2, 2))
         assert rep.verdict == "pass"

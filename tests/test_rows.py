@@ -43,7 +43,8 @@ def swept_by_rows(law: Law, sizes) -> bool:
     """Whether ``check`` sweeps ``law`` by rows at ``sizes`` where it does
     not factor it (see ``laws._plan``)."""
     try:
-        return plan_of(law, sizes, factored=False).row is not None
+        fast = plan_of(law, sizes, factored=False).fast
+        return fast is not None and fast.row is not None
     except ShapeMismatch:
         return False
 

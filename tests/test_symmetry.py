@@ -19,7 +19,7 @@ from multirel import GenSpec, instances, mrel
 from multirel.dsl import _CONSTS, _OPS
 from multirel.errors import CapExceeded, ShapeMismatch
 from multirel.generate import _group, _orbits, space_size
-from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms
+from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
 from multirel.mrel import MREL_ROW_FLAGS
 from multirel.registry import law_by_id, registry
 from multirel.rel import REL_ROW_FLAGS, Carrier, pow_carrier
@@ -181,7 +181,7 @@ def group_of(law: Law, sizes) -> tuple[list | None, int]:
     it does not factor it, or None where it runs the plain sweep, and the
     size of its tuple space (see ``laws._plan``)."""
     plan = plan_of(law, sizes, factored=False)
-    return plan.group, prod(space_size(*a) for a in plan.args)
+    return plan.fast and plan.fast.group, prod(space_size(*a) for a in plan.plain.args)
 
 
 def reduced_check(law: Law, sizes) -> dict:
@@ -254,13 +254,29 @@ def test_a_cap_error_in_a_reduced_sweep_gives_the_plain_report(monkeypatch):
     assert report == report_by(law, (2, 2))
 
 
-def test_roles_given_equal_sizes_are_not_reduced():
+# Both reductions, the orbits of the first slot and the factored sweep, need
+# the law's roles to be its own (see ``laws._plan``).  The second law of each
+# pair below has a row-local role, so only that premise keeps it unfactored.
+
+
+def neither_reduced_nor_factored(law: Law, local: str | None) -> None:
+    assert _Terms(law).local == local
+    fast = plan_of(law, (2, 2)).fast
+    assert fast is None or (fast.group is None and fast.power == 1)
+    assert check(law, sizes=(2, 2), seed=7).to_json() == report_by(law, (2, 2))
+
+
+@pytest.mark.parametrize("claim,ends,guard,local", [
     # ``R ; S`` types over two slots X -> Y only where X and Y have one size
-    slots = (Slot("R", "rel", "X", "Y"), Slot("S", "rel", "X", "Y"))
-    law = Law("dev-given-roles", "theorem", "R;S <= R;S where R;S = S;R",
-              "(R ; S) <= (R ; S)", slots, guard="(R ; S) == (S ; R)")
-    assert group_of(law, (2, 2))[0] is None
-    assert reduced_check(law, (2, 2)) == report_by(law, (2, 2))
+    pytest.param("(R ; S) <= (R ; S)", ("XY", "XY"), "(R ; S) == (S ; R)", None,
+                 id="composition"),
+    # ``R <= S`` types over R: X -> Y and S: X -> Z only where Y and Z have one size
+    pytest.param("R <= S", ("XY", "XZ"), None, "X", id="row-local"),
+])
+def test_roles_given_equal_sizes_are_not_reduced(claim, ends, guard, local):
+    slots = (Slot("R", "rel", *ends[0]), Slot("S", "rel", *ends[1]))
+    neither_reduced_nor_factored(Law("dev-given-roles", "theorem", "", claim, slots, guard=guard),
+                                 local)
 
 
 def test_a_slot_from_a_role_to_itself_gets_the_diagonal_group():
@@ -271,18 +287,37 @@ def test_a_slot_from_a_role_to_itself_gets_the_diagonal_group():
     assert reduced_check(law, (2, 2)) == report_by(law, (2, 2))
 
 
-def test_consistent_given_roles_are_not_reduced():
-    # the reduction needs roles that infer_slots named, and these are given
-    slots = (Slot("R", "rel", "X", "Y"), Slot("S", "rel", "Y", "Z"))
-    law = Law("dev-given-chain", "theorem", "R;S <= U", "(R ; S) <= U(X, Z)", slots)
-    assert group_of(law, (2, 2))[0] is None
-    assert reduced_check(law, (2, 2)) == report_by(law, (2, 2))
+@pytest.mark.parametrize("claim,sort,ends,local", [
+    pytest.param("(R ; S) <= U(X, Z)", "rel", ("XY", "YZ"), None, id="composition"),
+    # as perfbench's ad hoc laws give their slots' roles
+    pytest.param("icap(R, S) <= R", "mrel", ("XY", "XY"), "X", id="row-local"),
+])
+def test_consistent_given_roles_are_not_reduced(claim, sort, ends, local):
+    # the reductions need roles that infer_slots named, and these are given
+    slots = (Slot("R", sort, *ends[0]), Slot("S", sort, *ends[1]))
+    neither_reduced_nor_factored(Law("dev-given-chain", "theorem", "", claim, slots), local)
 
 
-def test_a_test_slot_between_two_roles_is_not_reduced():
+TEST_SLOTS = {"R": Slot("R"), "T": Slot("T", needs=("test",))}
+
+
+@pytest.mark.parametrize("claim,order", [pytest.param("(R & T) <= R", "RT", id="R-first"),
+                                         pytest.param("(T & R) <= T", "TR", id="T-first")])
+def test_a_test_slot_between_two_roles_is_not_reduced(claim, order):
     # ``test`` reads the row index, so it survives only a permutation of both ends
-    test = ("test",)
-    law = Law("dev-test", "theorem", "", "(R ; T) <= R", (Slot("R"), Slot("T", needs=test)))
-    assert len(group_of(law, (2, 2))[0]) == 4
-    law = Law("dev-test-roles", "theorem", "", "(R & T) <= R", (Slot("R"), Slot("T", needs=test)))
-    assert group_of(law, (2, 2))[0] is None
+    slots = tuple(TEST_SLOTS[name] for name in order)
+    neither_reduced_nor_factored(Law("dev-test-roles", "theorem", "", claim, slots), "X")
+
+
+@pytest.mark.parametrize("claim,order,size", [
+    # T: Y -> Y, and R: X -> Y gets every permutation of X and Y
+    pytest.param("(R ; T) <= R", "RT", 4, id="Y-to-Y"),
+    pytest.param("(T ; R) <= R", "TR", 2, id="X-to-X"),  # the diagonal group
+])
+def test_a_test_slot_from_a_role_to_itself_is_reduced_and_not_factored(claim, order, size):
+    # the slot's role is its target, which a row-local role never is, so
+    # the premise of both reductions need not refuse every ``test`` slot
+    law = Law("dev-test", "theorem", "", claim, tuple(TEST_SLOTS[name] for name in order))
+    fast = plan_of(law, (2, 2)).fast
+    assert len(fast.group) == size and fast.power == 1
+    assert check(law, sizes=(2, 2), seed=7).to_json() == report_by(law, (2, 2))
