@@ -528,10 +528,12 @@ def env_types(env: Mapping) -> dict:
 # by letters, "p" for a powerset; "m" operands and "mrel" results name
 # (src, base).  An operand marked "~" is read row by row: row i of the value
 # depends only on row i of each such operand and the whole of the others, and
-# a boolean holds when it holds at every row (see ``_table``).  Sort "same" (a
-# multirelation when all operands are) and "?" (0 and U: a multirelation
-# where an "m" operand or a sibling is one, else a relation) pick ``impl``
-# from a (relation, multirelation) pair.  Plain named tuples keep import cheap.
+# a boolean holds when it holds at every row (see ``_table``).  Sort "same" is
+# a multirelation when all operands are, and "?" (0 and U) one where an "m"
+# operand or a sibling is one, else a relation.  An ``impl`` that is a
+# (relation, multirelation) pair takes the second where all operands are
+# multirelations, or, for a constant, where it is one.  Plain named tuples
+# keep import cheap.
 _Spec = namedtuple("_Spec", "views operands sort result letters impl by_row")
 
 
@@ -964,13 +966,9 @@ def _table(impl: Callable, operands: list[tuple], by_row: tuple[bool, ...], out:
     fills only the entries it reads.  A ``_OneRow`` table fills an entry:
     the words of the rows found at their places, or whether all hold.  With
     no operand read by row, the whole value is one row.  Nodes with the same
-    operation and operand shapes share these tables.  ``==`` between values
-    of one shape compares their ids."""
+    operation and operand shapes share these tables, ``==`` included."""
     (f, _), *rest = operands
     shapes = [shape for _, shape in operands]
-    if impl is operator.eq and shapes[0] is shapes[1]:
-        ((g, _),) = rest
-        return lambda b: _equal_rows(f(b), g(b))
     split = [mark and shape is not _BOOLS for mark, shape in zip(by_row, shapes)]
     key = (impl, *shapes)
     if key not in tables:
@@ -1025,14 +1023,6 @@ def _table(impl: Callable, operands: list[tuple], by_row: tuple[bool, ...], out:
             return along(x, y, len(table), n)
         return bytes(map(cell, [u * n + v for u, v in zip(x, y)]))
     return ids
-
-
-def _equal_rows(x, y):
-    """``==`` between ids of one shape, where either may be a row of ids."""
-    if type(x) is bytes and type(y) is bytes:
-        return bytes(map(operator.eq, x, y))
-    x, y = (y, x) if type(y) is bytes else (x, y)
-    return x.translate(bytes(y) + b"\1" + bytes(255 - y)) if type(x) is bytes else x == y
 
 
 # ---------------------------------------------------------------------------
@@ -1095,10 +1085,9 @@ def _compile(node: _Node, tables: dict | None) -> _Code:
     if isinstance(t, Var):
         ids = shape and _name_ids(t.name, shape)
         return _Code(lambda b, name=t.name: b[name], True, shape, ids)
-    impl = spec.impl[sort == "mrel"] if spec.sort == "?" else spec.impl
-    views = spec.views
-    if isinstance(impl, tuple):
-        as_mrel = all(_find(k.sort) == "mrel" for k in node.kids)
+    impl, views = spec.impl, spec.views
+    if isinstance(impl, tuple):  # see ``_Spec``
+        as_mrel = ({_find(k.sort) for k in node.kids} or {sort}) == {"mrel"}
         impl, views = impl[as_mrel], ("m" if as_mrel else "r") * len(node.kids)
     kids = [_compile(_operand(k, v), tables) for k, v in zip(node.kids, views)]
     reads = any(k.reads for k in kids)

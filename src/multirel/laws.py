@@ -7,13 +7,13 @@ requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
 byte-identical JSON.  ``_plan`` settles how a law is swept before its
 first tuple, and returns the sweeps that ``check`` runs: a fast one, if
-any, and the plain one, with any cap met on the way.  A fast sweep runs
-the first slot over orbit representatives, the last slot a row at a time,
-or both; or, where claim and guard read a role of the slots' source row
-by row, it is factored: the law is swept at one element of that role, and
-its counts are raised to the power of the role's size.  A fast sweep only
-counts, and where it meets a failing tuple or a cap, the plain
-per-tuple sweep runs, which alone shrinks and collects witnesses and
+any, and the plain one, with its streams and any cap met on the way.  A
+fast sweep runs the first slot over orbit representatives, the last slot a
+row at a time, or both; or, where claim and guard read a role of the
+slots' source row by row, it is factored: the law is swept at one element
+of that role, and its counts are raised to the power of the role's size.
+A fast sweep only counts, and where it meets a failing tuple or a cap, the
+plain per-tuple sweep runs, which alone shrinks and collects witnesses and
 reports caps.  So every report is the plain sweep's.
 """
 
@@ -90,10 +90,10 @@ class _Terms:
 
     Sub-terms over values of small shapes look their values up in operator
     tables over value ids, and sub-terms that read no slot are evaluated
-    as they are typed (see ``dsl._compile``).  The tables are this object's, shared by
-    claim, guard and every carrier size, so they last one check, shrinking
-    included.  A law with no slots keeps nothing and has no tables: it is
-    evaluated once."""
+    as they are typed (see ``dsl._compile``), by one rule for every law,
+    slot-less and pinned ones included.  The tables are this object's,
+    shared by claim, guard and every carrier size, so they last one check,
+    shrinking included."""
 
     def __init__(self, law: Law):
         self.claim = parse(law.claim)
@@ -107,7 +107,7 @@ class _Terms:
             law = replace(law, slots=slots, roles=roles)
         self.law = law
         self.typed: dict[tuple[int, ...], tuple | Exception] = {}
-        self.tables: dict | None = {} if law.slots else None
+        self.tables: dict = {}
 
     def at(self, carriers: Mapping[str, Carrier]) -> tuple[Typed, Typed | None]:
         """Raises ShapeMismatch where the sizes make the claim ill-shaped, and
@@ -120,18 +120,18 @@ class _Terms:
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
             try:
-                guard = self.guard and self.boolean("guard", types, self.tables)
-                self.typed[key] = (self.boolean("claim", types, self.tables), guard)
+                guard = self.guard and self.boolean("guard", types)
+                self.typed[key] = (self.boolean("claim", types), guard)
             except CapExceeded as e:  # a constant too large to build
                 self.typed[key] = e.with_traceback(None)
         if isinstance(self.typed[key], Exception):
             raise copy.copy(self.typed[key])
         return self.typed[key]
 
-    def boolean(self, what: str, types: Mapping, tables: dict | None = None) -> Typed:
-        """The "claim" or the "guard", typed; raises ShapeMismatch unless
-        it is a boolean."""
-        typed = _typecheck(getattr(self, what), types, tables)
+    def boolean(self, what: str, types: Mapping) -> Typed:
+        """The "claim" or the "guard", typed with this object's tables (see
+        ``at``); raises ShapeMismatch unless it is a boolean."""
+        typed = _typecheck(getattr(self, what), types, self.tables)
         if typed.sort != "bool":
             text = f"the {what} {getattr(self.law, what)}"
             raise ShapeMismatch(f"{self.law.id}: {text} is a {typed.sort}, not a boolean")
@@ -210,11 +210,9 @@ def check(
 ) -> LawReport:
     """Evaluate one law and report; never raises for cap overruns."""
     started = time.monotonic()
-    base_seed = law_seed(seed, law.id)
     terms = _Terms(law)
     law = terms.law
     resolved = _resolve_sizes(law, sizes)
-    density = law.density if density is None else density
 
     def finish(mode, checked, skipped, verdict, reason, cex):
         return LawReport(
@@ -236,46 +234,17 @@ def check(
     if law.kind == "regression":
         env = env_from_json(law.pinned or {})
         resolved = {name: value.size for name, value in env.items() if isinstance(value, Carrier)}
-        claim = terms.boolean("claim", env_types(env))
-        try:
-            ok = eval_term(claim, env)
+        try:  # typing builds the claim's constants
+            ok = eval_term(terms.boolean("claim", env_types(env)), env)
         except CapExceeded as e:
             return finish("pinned", 0, 0, "skipped", str(e), [])
         cex = [] if ok else [_pinned_json(law.pinned or {})]
         return finish("pinned", 1, 0, "pass" if ok else "fail", None, cex)
 
-    plan = _plan(terms, resolved)
+    plan = _plan(terms, resolved, law_seed(seed, law.id), law.count if count is None else count,
+                 law.density if density is None else density)
     if plan.capped is not None:
         return finish(plan.mode, 0, 0, "skipped", plan.capped, [])
-    n_random = count if count is not None else law.count
-
-    # NEG entries hunt for a witness: in random mode they sweep several
-    # densities (deterministically) before reporting none found
-    hunt = plan.mode == "random" and law.kind == "neg"
-    densities = [density] + [d for d in (0.15, 0.5, 0.75) if hunt and d != density]
-
-    def tuples(run: _Sweep, slots: int) -> Iterator[tuple[int, tuple]]:
-        """Each tuple of the first ``slots`` slots to check and the number of
-        tuples it stands for: with a ``run.group``, the first slot runs over
-        the values first in their orbits under it, each standing for its
-        orbit."""
-        if plan.mode == "exhaustive" and run.group is None:
-            yield from zip(repeat(1), product(*(instances(*a) for a in run.args[:slots])))
-        elif plan.mode == "exhaustive":
-            others = [tuple(instances(*a)) for a in run.args[1:slots]]
-            for first, weight in _orbits(instances(*run.args[0]), run.group):
-                yield from zip(repeat(weight), product((first,), *others))
-        else:
-            for phase, d in enumerate(densities):
-                streams = [
-                    instances(*_stream_args(
-                        s, resolved, "random", mix64(base_seed ^ (1000 * phase + i + 1)),
-                        n_random, d,
-                    ))
-                    for i, s in enumerate(law.slots)
-                ]
-                yield from zip(repeat(1), zip(*streams))
-
     names = [s.name for s in law.slots]
 
     def sweep(run: _Sweep) -> LawReport | None:
@@ -292,7 +261,7 @@ def check(
         failures: list[dict] = []
         try:
             claim, guard = terms.at(run.carriers)
-            for weight, tup in tuples(run, len(names) - bool(rows)):
+            for weight, tup in _tuples(run, len(names) - bool(rows)):
                 env.update(zip(names, tup))
                 if rows:
                     env[names[-1]] = rows
@@ -332,32 +301,54 @@ def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
     return held if type(held) is bytes else bytes([held]) * n
 
 
-# A sweep: each slot's ``(kind, spec)`` in ``args``, the ``carriers`` it
-# runs at, the symmetry ``group`` of its first slot and the id ``row`` of its
-# last (see ``_plan``), and the ``power`` its counts are raised to.
-_Sweep = namedtuple("_Sweep", "args carriers group row power", defaults=(None, None, 1))
+# A sweep: ``phases``, lists of each slot's ``(kind, spec)``, the ``carriers``
+# it runs at, the symmetry ``group`` of its first slot and the id ``row`` of
+# its last (see ``_plan``), and the ``power`` its counts are raised to.
+_Sweep = namedtuple("_Sweep", "phases carriers group row power", defaults=(None, None, 1))
 _Plan = namedtuple("_Plan", "mode capped fast plain")
 
 
-def _plan(terms: _Terms, sizes: dict[str, int]) -> _Plan:
+def _tuples(run: _Sweep, slots: int) -> Iterator[tuple[int, tuple]]:
+    """Each tuple of the first ``slots`` slots of ``run`` to check and the
+    number of tuples it stands for, phase by phase: random streams zipped,
+    exhaustive ones by their product.  With a ``run.group``, the first slot
+    runs over the values first in their orbits under it, each standing for
+    its orbit."""
+    for phase in run.phases:
+        args = phase[:slots]
+        if args and args[0][1].mode == "random":
+            yield from zip(repeat(1), zip(*(instances(*a) for a in args)))
+        elif run.group is None:
+            yield from zip(repeat(1), product(*(instances(*a) for a in args)))
+        else:
+            others = [tuple(instances(*a)) for a in args[1:]]
+            for first, weight in _orbits(instances(*args[0]), run.group):
+                yield from zip(repeat(weight), product((first,), *others))
+
+
+def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: float) -> _Plan:
     """How ``check`` sweeps ``terms.law`` at ``sizes``: by the ``fast``
     sweep, where there is one and it gives a report, else by the ``plain``
     per-tuple sweep at ``sizes``.  The ``mode`` is "exhaustive" where the
-    slots' streams have at most BUDGET tuples, else "random".  ``capped``
-    is the message of a cap met here, by a stream that cannot be sized or a
-    constant too large to build (see ``_Terms.at``), under the mode chosen
-    by then.  Raises ShapeMismatch where the claim is ill-shaped.
+    slots' streams have at most BUDGET tuples, swept as one phase.  Else it
+    is "random": a phase of ``count`` tuples at ``density``, slot i of phase
+    p drawn from the sub-seed ``mix64(seed ^ (1000 * p + i + 1))``; a NEG
+    entry hunts for a witness in one more phase at each of 0.15, 0.5 and
+    0.75 that is not ``density``.  ``capped`` is the message of a cap met
+    here, by a stream that cannot be sized or a constant too large to build
+    (see ``_Terms.at``), under the mode chosen by then.  Raises
+    ShapeMismatch where the claim is ill-shaped.
 
     A fast sweep runs only for an exhaustive law expected to pass, so that
-    one which fails is the rare case.  Its last slot runs by ``row``, the
-    ids of that slot's whole stream, where claim and guard evaluate over
-    rows (see ``dsl.Typed``) and its values are of a small shape.  Two
-    reductions need the law's roles to be its own: no slot of the law as
-    written gives a role (``_Terms.roles_given``), so ``dsl.infer_slots``
-    named every role and claim and guard type with each role a carrier of
-    its own (slots given roles may type only because two roles have one
-    size, as ``R * S`` does over two slots X -> Y); and no slot needs
-    ``test``, which reads the row index, between two roles.
+    one which fails is the rare case.  Its last slot, where it has one,
+    runs by ``row``, the ids of that slot's whole stream, where claim and
+    guard evaluate over rows (see ``dsl.Typed``) and its values are of a
+    small shape.  Two reductions need the law's roles to be its own: no
+    slot of the law as written gives a role (``_Terms.roles_given``), so
+    ``dsl.infer_slots`` named every role and claim and guard type with each
+    role a carrier of its own (slots given roles may type only because two
+    roles have one size, as ``R * S`` does over two slots X -> Y); and no
+    slot needs ``test``, which reads the row index, between two roles.
 
     - Where the law has a row-local role X (``_Terms.local``) of n > 1
       elements, it is factored: ``fast`` is its own plan's sweep at |X| = 1
@@ -380,16 +371,20 @@ def _plan(terms: _Terms, sizes: dict[str, int]) -> _Plan:
     law = terms.law
     carriers = {role: Carrier(n) for role, n in sizes.items()}
     args = [_stream_args(s, sizes) for s in law.slots]
-    plain = _Sweep(args, carriers)
+    plain = _Sweep([args], carriers)
     mode = "exhaustive"
     try:
         spaces = [space_size(*a) for a in args]
-        mode = "exhaustive" if prod(spaces) <= BUDGET else "random"
+        if prod(spaces) > BUDGET:
+            hunt = [d for d in (0.15, 0.5, 0.75) if law.kind == "neg" and d != density]
+            mode, plain = "random", plain._replace(phases=[
+                [_stream_args(s, sizes, "random", mix64(seed ^ (1000 * p + i + 1)), count, d)
+                 for i, s in enumerate(law.slots)] for p, d in enumerate([density, *hunt])])
         eligible = mode == "exhaustive" and law.expected == "pass"
         own = eligible and not terms.roles_given and not any(
             "test" in s.needs and s.src != s.dst for s in law.slots)
         if own and sizes.get(terms.local, 1) > 1:
-            one = _plan(terms, {**sizes, terms.local: 1})
+            one = _plan(terms, {**sizes, terms.local: 1}, seed, count, density)
             run = (one.fast or one.plain)._replace(power=sizes[terms.local])
             return _Plan(mode, None, run if one.capped is None else None, plain)
         claim, guard = terms.at(carriers)
@@ -398,14 +393,15 @@ def _plan(terms: _Terms, sizes: dict[str, int]) -> _Plan:
     if not eligible:
         return _Plan(mode, None, None, plain)
     row = group = None
-    if claim.rows and (guard is None or guard.rows):
+    if args and claim.rows and (guard is None or guard.rows):
         inner = list(instances(*args[-1]))
         row = _id_row(inner) if inner else None
     if len(law.slots) >= 2 and own:
         first = law.slots[0]
         group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
         group = group if len(group) <= prod(spaces[1:]) else None
-    return _Plan(mode, None, _Sweep(args, carriers, group, row) if group or row else None, plain)
+    fast = _Sweep([args], carriers, group, row) if group or row else None
+    return _Plan(mode, None, fast, plain)
 
 
 def _stable_key(cex: dict) -> str:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from multirel import Carrier, MRel, Rel, laws
+from multirel import Carrier, GenSpec, MRel, Rel, instances, laws
 
 
 def C(n: int) -> Carrier:
@@ -25,6 +25,21 @@ def M(ns: int, nd: int, pairs) -> MRel:
     return MRel.from_pairs(C(ns), C(nd), [(a, mask(*elems)) for a, elems in pairs])
 
 
+def every(kind: str, ns: int, nd: int) -> list:
+    """Every value of ``kind`` from ``ns`` to ``nd`` elements, in the order
+    of the exhaustive stream."""
+    return list(instances(kind, GenSpec((ns, nd))))
+
+
+def seeded(kind: str, ns: int, nd: int, *, count: int, seed: int, density: float,
+           where=()) -> list:
+    """The ``count`` values of ``kind`` from ``ns`` to ``nd`` elements that
+    the random stream draws from ``seed`` at ``density``, each passing the
+    flags ``where``."""
+    spec = GenSpec((ns, nd), "random", count, density, seed, frozenset(where))
+    return list(instances(kind, spec))
+
+
 # The environment file that the CLI tests load; `convert` leaves it as it is.
 ENV_DOC = {
     "carriers": {"X": 2, "Y": 2},
@@ -39,7 +54,9 @@ def plan_of(law, sizes, factored: bool = True):
     one that ``check`` runs at those sizes where it does not factor."""
     terms = laws._Terms(law)
     terms.local = terms.local if factored else None
-    return laws._plan(terms, laws._resolve_sizes(terms.law, sizes))
+    law = terms.law
+    sizes = laws._resolve_sizes(law, sizes)
+    return laws._plan(terms, sizes, laws.law_seed(7, law.id), law.count, law.density)
 
 
 def report_by(law, sizes, *kept: str, **kw) -> dict:
@@ -50,9 +67,9 @@ def report_by(law, sizes, *kept: str, **kw) -> dict:
     per-tuple sweep reports."""
     plan = laws._plan
 
-    def only(terms, at):
+    def only(terms, *args):
         terms.local = None
-        made = plan(terms, at)
+        made = plan(terms, *args)
         fast = made.fast and made.fast._replace(
             **{f: None for f in ("group", "row") if f not in kept})
         return made._replace(fast=fast if fast and (fast.group or fast.row) else None)

@@ -40,7 +40,7 @@ from multirel import (
 )
 from multirel.laws import check
 from multirel.registry import law_by_id, registry
-from conftest import C, M, R, mask
+from conftest import C, M, R, every, mask
 from peleg_oracle import peleg_compose_oracle
 
 
@@ -57,14 +57,6 @@ def criterion(number, description):
         print(f"[criterion {number}] PASS: {description} ({elapsed:.1f}s)")
 
 
-def all_rels(ns, nd):
-    return instances("rel", GenSpec((ns, nd)))
-
-
-def all_mrels(ns, nd):
-    return list(instances("mrel", GenSpec((ns, nd))))
-
-
 def test_criterion_1_round_trip_bijections():
     with criterion(1, "round-trip bijections under 1s"):
         started = time.monotonic()
@@ -72,7 +64,7 @@ def test_criterion_1_round_trip_bijections():
         # (512 relations at 3x3 alone)
         for ns in (1, 2, 3):
             for nd in (1, 2, 3):
-                for r in all_rels(ns, nd):
+                for r in every("rel", ns, nd):
                     assert alpha(power_transpose(r)) == r
         # transpose after alpha fixes the 16 outer deterministic arrows at 2x2
         dets = list(
@@ -86,9 +78,9 @@ def test_criterion_1_round_trip_bijections():
         for ns in (1, 2):
             for nd in (1, 2):
                 inner_one = mrel_to_rel(eta(C(nd)))
-                for r in all_rels(ns, nd):
+                for r in every("rel", ns, nd):
                     assert alpha(rel_to_mrel(rel_compose(r, inner_one))) == r
-        idets = [m for m in all_mrels(2, 2) if classify_mrel(m).inner_deterministic]
+        idets = [m for m in every("mrel", 2, 2) if classify_mrel(m).inner_deterministic]
         assert len(idets) == 16
         for m in idets:
             assert rel_to_mrel(rel_compose(alpha(m), one)) == m
@@ -98,7 +90,7 @@ def test_criterion_1_round_trip_bijections():
 def test_criterion_2_peleg_oracle_equivalence():
     with criterion(2, "direct Peleg composition equals the decomposition oracle under 60s"):
         started = time.monotonic()
-        ms = all_mrels(2, 2)
+        ms = every("mrel", 2, 2)
         for r in ms:
             for s in ms:
                 assert peleg_compose(r, s) == peleg_compose_oracle(r, s)
@@ -186,8 +178,8 @@ def test_criterion_3_pinned_witnesses():
 def test_criterion_4_galois_connection_suite():
     with criterion(4, "downward-order Galois suite exhaustive at 2,2 under 30s"):
         started = time.monotonic()
-        mrels = all_mrels(2, 2)
-        rels = list(all_rels(2, 2))
+        mrels = every("mrel", 2, 2)
+        rels = every("rel", 2, 2)
         eta2 = mrel_to_rel(eta(C(2)))
         # item 1: the three Galois equivalences
         for m in mrels:
@@ -303,7 +295,7 @@ def test_criterion_6_fixpoint_suites():
                 assert (fusion(m) == m) == flags.outer_deterministic
                 assert (fission(m) == m) == flags.inner_deterministic
         # pre/postfixpoint refinements, exhaustive at (2,2)
-        for m in all_mrels(2, 2):
+        for m in every("mrel", 2, 2):
             flags = classify_mrel(m)
             fo, fi = fusion(m), fission(m)
             assert is_submrel(m, fo) == flags.outer_univalent
@@ -351,8 +343,8 @@ def test_criterion_7_basis_concordance():
                 assert rel_bool("minus", r, s) == rel_bool(
                     "inter", r, rel_bool("complement", s)
                 )
-        for m in all_mrels(1, 2):
-            for s in all_mrels(1, 2):
+        for m in every("mrel", 1, 2):
+            for s in every("mrel", 1, 2):
                 assert mrel_bool("minus", m, s) == mrel_bool(
                     "inter", m, mrel_bool("complement", s)
                 )

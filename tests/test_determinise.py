@@ -23,15 +23,7 @@ from multirel import (
     rel_compose,
     split_terminal,
 )
-from conftest import C, M, mask
-
-
-def every_mrel(ns, nd):
-    return instances("mrel", GenSpec((ns, nd)))
-
-
-def some_mrels(ns, nd, count, seed):
-    return instances("mrel", GenSpec((ns, nd), "random", count=count, seed=seed))
+from conftest import C, M, every, mask, seeded
 
 
 class TestFusionFission:
@@ -52,13 +44,13 @@ class TestFusionFission:
         assert got == M(1, 2, [(0, [0, 1])])
 
     def test_match_set_model(self):
-        for r in some_mrels(2, 3, 20, seed=1):
+        for r in seeded("mrel", 2, 3, count=20, seed=1, density=0.5):
             m = setmodel.mrel_sets(r)
             assert setmodel.mrel_sets(fusion(r)) == setmodel.fusion(m, 2)
             assert setmodel.mrel_sets(fission(r)) == setmodel.fission(m, 2)
 
     def test_compositional_definitions(self):
-        for r in some_mrels(2, 3, 20, seed=2):
+        for r in seeded("mrel", 2, 3, count=20, seed=2, density=0.5):
             assert fusion(r) == power_transpose(alpha(r))
             assert mrel_to_rel(fission(r)) == rel_compose(
                 alpha(r), mrel_to_rel(eta(C(3)))
@@ -67,17 +59,17 @@ class TestFusionFission:
             assert cofission(r) == inner_bool("icomp", fission(inner_bool("icomp", r)))
 
     def test_cofission_is_upclosure_meet_coatoms(self):
-        for r in some_mrels(2, 2, 20, seed=3):
+        for r in seeded("mrel", 2, 2, count=20, seed=3, density=0.5):
             rhs = mrel_bool("inter", closure("up", r), mrel_const("coatoms", C(2), C(2)))
             assert cofission(r) == rhs
 
     def test_fission_is_downclosure_meet_atoms(self):
-        for r in some_mrels(2, 2, 20, seed=4):
+        for r in seeded("mrel", 2, 2, count=20, seed=4, density=0.5):
             rhs = mrel_bool("inter", closure("down", r), mrel_const("atoms", C(2), C(2)))
             assert fission(r) == rhs
 
     def test_idempotence_square(self):
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             assert fusion(fusion(r)) == fusion(r)
             assert fission(fission(r)) == fission(r)
             assert fission(fusion(r)) == fission(r)
@@ -90,7 +82,7 @@ class TestExplicitFormulas:
         # the atoms missing from the down-closure
         for nd in (1, 2, 3):
             at = mrel_const("atoms", C(1), C(nd))
-            for r in some_mrels(1, nd, 15, seed=5):
+            for r in seeded("mrel", 1, nd, count=15, seed=5, density=0.5):
                 lhs = closure("down", fusion(r))
                 inner = mrel_bool("inter", mrel_bool("complement", closure("down", r)), at)
                 rhs = mrel_bool("complement", closure("up", inner))
@@ -99,7 +91,7 @@ class TestExplicitFormulas:
     def test_up_of_fusion(self):
         for nd in (1, 2, 3):
             coat = mrel_const("coatoms", C(1), C(nd))
-            for r in some_mrels(1, nd, 15, seed=6):
+            for r in seeded("mrel", 1, nd, count=15, seed=6, density=0.5):
                 lhs = closure("up", fusion(r))
                 inner = mrel_bool("inter", inner_bool("icomp", closure("down", r)), coat)
                 rhs = mrel_bool("complement", closure("down", inner))
@@ -109,7 +101,7 @@ class TestExplicitFormulas:
         for nd in (1, 2):
             at = mrel_const("atoms", C(1), C(nd))
             coat = mrel_const("coatoms", C(1), C(nd))
-            for r in some_mrels(1, nd, 15, seed=7):
+            for r in seeded("mrel", 1, nd, count=15, seed=7, density=0.5):
                 lowered = closure("down", r)
                 outside = mrel_bool("inter", mrel_bool("complement", lowered), at)
                 first = mrel_bool("complement", closure("up", outside))
@@ -121,7 +113,7 @@ class TestExplicitFormulas:
 class TestGalois:
     def test_downward_galois_exhaustive(self):
         rels = list(instances("rel", GenSpec((2, 2))))
-        mrels = list(every_mrel(2, 2))
+        mrels = every("mrel", 2, 2)
         for r in mrels:
             ar = alpha(r)
             for t in rels:
@@ -139,24 +131,24 @@ class TestGalois:
                 assert lhs == rhs
 
     def test_fission_fusion_galois_exhaustive(self):
-        mrels = list(every_mrel(2, 2))
+        mrels = every("mrel", 2, 2)
         for r in mrels:
             fr = fission(r)
             for s in mrels:
                 assert preorder("hoare", fr, s) == preorder("hoare", r, fusion(s))
 
     def test_closure_and_interior(self):
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             assert preorder("hoare", r, fusion(r))
             assert preorder("hoare", fission(r), r)
-        rs = list(some_mrels(2, 2, 30, seed=8))
+        rs = seeded("mrel", 2, 2, count=30, seed=8, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             if preorder("hoare", r, s):
                 assert preorder("hoare", fusion(r), fusion(s))
                 assert preorder("hoare", fission(r), fission(s))
 
     def test_least_and_greatest(self):
-        mrels = list(every_mrel(2, 2))
+        mrels = every("mrel", 2, 2)
         for r in mrels:
             fo = fusion(r)
             fi = fission(r)
@@ -170,21 +162,21 @@ class TestGalois:
 
 class TestClosedRepresentations:
     def test_fusion_recovered_from_down_repr(self):
-        for r in some_mrels(2, 2, 20, seed=9):
+        for r in seeded("mrel", 2, 2, count=20, seed=9, density=0.5):
             assert fusion(closure("down", fusion(r))) == fusion(r)
 
     def test_fission_inside_down_repr(self):
         at = mrel_const("atoms", C(2), C(2))
-        for r in some_mrels(2, 2, 20, seed=10):
+        for r in seeded("mrel", 2, 2, count=20, seed=10, density=0.5):
             assert fission(r) == mrel_bool("inter", closure("down", fusion(r)), at)
 
     def test_fusion_recovered_from_up_repr_by_cofusion(self):
-        for r in some_mrels(2, 2, 20, seed=11):
+        for r in seeded("mrel", 2, 2, count=20, seed=11, density=0.5):
             assert cofusion(closure("up", fusion(r))) == fusion(r)
 
     def test_cofission_of_fusion_inside_up_repr(self):
         coat = mrel_const("coatoms", C(2), C(2))
-        for r in some_mrels(2, 2, 20, seed=12):
+        for r in seeded("mrel", 2, 2, count=20, seed=12, density=0.5):
             lhs = cofission(fusion(r))
             assert lhs == mrel_bool("inter", closure("up", fusion(r)), coat)
 
@@ -199,13 +191,13 @@ class TestNuTau:
     def test_alpha_kills_terminal_part(self):
         from multirel import Rel
 
-        for r in some_mrels(2, 2, 15, seed=13):
+        for r in seeded("mrel", 2, 2, count=15, seed=13, density=0.5):
             n, t = split_terminal(r)
             assert alpha(t) == Rel.from_pairs(C(2), C(2), [])
             assert alpha(n) == alpha(r)
 
     def test_fission_is_nonterminal(self):
-        for r in some_mrels(2, 2, 15, seed=14):
+        for r in seeded("mrel", 2, 2, count=15, seed=14, density=0.5):
             fi = fission(r)
             n, t = split_terminal(fi)
             assert n == fi
@@ -213,7 +205,7 @@ class TestNuTau:
             assert t == mrel_const("empty", C(2), C(2))
 
     def test_fusion_ignores_terminal_part(self):
-        for r in some_mrels(2, 2, 15, seed=15):
+        for r in seeded("mrel", 2, 2, count=15, seed=15, density=0.5):
             assert fusion(split_terminal(r)[0]) == fusion(r)
 
     def test_nu_fusion_regression(self):
@@ -226,7 +218,7 @@ class TestNuTau:
         assert split_terminal(fo)[0] != fo
 
     def test_peleg_through_terminal_split(self):
-        rs = list(some_mrels(2, 2, 30, seed=16))
+        rs = seeded("mrel", 2, 2, count=30, seed=16, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             n, t = split_terminal(r)
             assert peleg_compose(r, s) == mrel_bool("union", peleg_compose(n, s), t)
@@ -242,7 +234,7 @@ class TestInnerUnivalent:
         at = mrel_const("atoms", C(2), C(2))
         lo = mrel_const("inner_unit", C(2), C(2))
         at_or_lo = mrel_bool("union", at, lo)
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             iu = classify_mrel(r).inner_univalent
             n, t = split_terminal(r)
             assert iu == is_submrel(n, at)
@@ -255,30 +247,30 @@ class TestInnerUnivalent:
         # fission(r) * s is relational precomposition with alpha(r)
         from multirel import rel_to_mrel
 
-        rs = list(some_mrels(2, 2, 30, seed=17))
+        rs = seeded("mrel", 2, 2, count=30, seed=17, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             lhs = peleg_compose(fission(r), s)
             rhs = rel_to_mrel(rel_compose(alpha(r), mrel_to_rel(s)))
             assert lhs == rhs
 
     def test_alpha_multiplicative_on_inner_univalent(self):
-        uni = [r for r in every_mrel(2, 2) if classify_mrel(r).inner_univalent]
+        uni = [r for r in every("mrel", 2, 2) if classify_mrel(r).inner_univalent]
         for r in uni[:32]:
-            for s in some_mrels(2, 2, 6, seed=18):
+            for s in seeded("mrel", 2, 2, count=6, seed=18, density=0.5):
                 lhs = alpha(peleg_compose(r, s))
                 rhs = rel_compose(alpha(r), alpha(s))
                 assert lhs == rhs
 
     def test_closure_and_associativity(self):
-        uni = [r for r in every_mrel(2, 2) if classify_mrel(r).inner_univalent]
+        uni = [r for r in every("mrel", 2, 2) if classify_mrel(r).inner_univalent]
         assert len(uni) == 64
         for r in uni[:16]:
             for s in uni[:16]:
                 assert classify_mrel(peleg_compose(r, s)).inner_univalent
 
     def test_second_argument_nonempty_sups(self):
-        uni = [r for r in every_mrel(2, 2) if classify_mrel(r).inner_univalent]
-        rs = list(some_mrels(2, 2, 20, seed=19))
+        uni = [r for r in every("mrel", 2, 2) if classify_mrel(r).inner_univalent]
+        rs = seeded("mrel", 2, 2, count=20, seed=19, density=0.5)
         for r in uni[:10]:
             for s1, s2 in zip(rs[::2], rs[1::2]):
                 lhs = peleg_compose(r, mrel_bool("union", s1, s2))
@@ -292,14 +284,14 @@ class TestAlphaInteraction:
     def test_alpha_subdistributes_always(self):
         from multirel import is_subrel
 
-        rs = list(some_mrels(2, 2, 30, seed=20))
+        rs = seeded("mrel", 2, 2, count=30, seed=20, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             lhs = alpha(peleg_compose(r, s))
             rhs = rel_compose(alpha(r), alpha(s))
             assert is_subrel(lhs, rhs)
 
     def test_alpha_multiplicative_on_outer_total(self):
-        total = [r for r in every_mrel(2, 2) if classify_mrel(r).outer_total]
+        total = [r for r in every("mrel", 2, 2) if classify_mrel(r).outer_total]
         for r in total[:30]:
             for s in total[:30]:
                 lhs = alpha(peleg_compose(r, s))
@@ -307,7 +299,7 @@ class TestAlphaInteraction:
                 assert lhs == rhs
 
     def test_alpha_of_down_closure(self):
-        for r in some_mrels(2, 3, 15, seed=21):
+        for r in seeded("mrel", 2, 3, count=15, seed=21, density=0.5):
             assert alpha(closure("down", r)) == alpha(r)
 
     def test_outer_total_determinisation_failure_pinned(self):
@@ -339,13 +331,13 @@ class TestFixpointClass:
         assert is_submrel(lo, fusion(lo))
 
     def test_fixpoints_agree_with_classification(self):
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             flags = classify_mrel(r)
             assert (fusion(r) == r) == flags.outer_deterministic
             assert (fission(r) == r) == flags.inner_deterministic
 
     def test_refinements_exhaustive(self):
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             flags = classify_mrel(r)
             fo, fi = fusion(r), fission(r)
             # outer univalent <=> below fusion <=> fusion Smyth-prefixes it

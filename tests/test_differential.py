@@ -14,11 +14,9 @@ import pytest
 
 import setmodel
 from multirel import (
-    GenSpec,
     closure,
     image_functor,
     inner_dual,
-    instances,
     kleisli_lift,
     mu,
     odot,
@@ -26,23 +24,16 @@ from multirel import (
     peleg_lift,
 )
 from multirel.dsl import _OPS
-from conftest import C
+from conftest import C, every, seeded
 from peleg_oracle import peleg_compose_oracle
 
 SMALL = [(1, 1), (1, 2), (2, 1), (2, 2)]
 SEEDED = [(3, 3), (2, 4), (4, 3)]
 
 
-def every(kind, ns, nd):
-    return list(instances(kind, GenSpec((ns, nd))))
-
-
-def seeded(kind, ns, nd, count=30, seed=13):
-    return list(instances(kind, GenSpec((ns, nd), "random", count=count, seed=seed, density=0.3)))
-
-
 def seeded_values(kind):
-    return [v for seed, (ns, nd) in enumerate(SEEDED) for v in seeded(kind, ns, nd, seed=seed)]
+    return [v for seed, (ns, nd) in enumerate(SEEDED)
+            for v in seeded(kind, ns, nd, count=30, seed=seed, density=0.3)]
 
 
 def values(kind):
@@ -51,7 +42,8 @@ def values(kind):
 
 
 def seeded_pairs(x, y, z):
-    return list(zip(seeded("mrel", x, y, seed=x), seeded("mrel", y, z, seed=z + 10)))
+    return list(zip(seeded("mrel", x, y, count=30, seed=x, density=0.3),
+                    seeded("mrel", y, z, count=30, seed=z + 10, density=0.3)))
 
 
 COMPOSED = [(3, 3, 3), (2, 4, 3), (4, 3, 3), (2, 4, 4)]

@@ -60,7 +60,7 @@ def test_a_seeded_handful_of_factored_reports_at_2x3_equal_plain_ones():
     # of the laws whose plain sweep has at most 4,096 tuples, as in
     # test_symmetry: a plain sweep over MRel(2,3) takes up to 4 s
     small = [law for law in factored((2, 3))
-             if prod(space_size(*a) for a in plan_of(law, (2, 3)).plain.args) <= 4096]
+             if prod(space_size(*a) for a in plan_of(law, (2, 3)).plain.phases[0]) <= 4096]
     for law in random.Random(7).sample(small, 5):
         assert check(law, sizes=(2, 3), seed=7).to_json() == report_by(law, (2, 3)), law.id
 

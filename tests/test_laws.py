@@ -15,7 +15,7 @@ import pytest
 from multirel import GenSpec, instances, mrel, power, rel
 from multirel.dsl import Sig, _typecheck, env_from_json, eval_term, parse, typecheck
 from multirel.errors import PowersetTooLarge, ShapeMismatch
-from multirel.laws import Law, Slot, _resolve_sizes, _Terms, check, law_seed, shrink
+from multirel.laws import Law, Slot, _resolve_sizes, _Terms, _tuples, check, law_seed, shrink
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
 from conftest import C, M, R, plan_of
@@ -34,11 +34,9 @@ def types_over_distinct_roles(terms: _Terms) -> bool:
     types: dict = {r: r for r in terms.law.roles}
     types.update((s.name, Sig(s.sort, s.src, s.dst)) for s in terms.law.slots)
     try:
-        for what in ("claim", "guard") if terms.guard else ("claim",):
-            terms.boolean(what, types)
+        return all(typecheck(t, types).sort == "bool" for t in (terms.claim, terms.guard) if t)
     except ShapeMismatch:
         return False
-    return True
 
 
 class TestRegistry:
@@ -272,6 +270,47 @@ class TestCheck:
             "exhaustive", "skipped", 0, 0)
         assert rep.reason == "cannot materialize powerset of carrier of size 256 (cap 16)"
 
+    @pytest.mark.parametrize("claim,slots", [
+        ("mu(pw(pw(X))) == mu(pw(pw(X)))", ()),
+        ("(R <= R) == (mu(pw(pw(X))) == mu(pw(pw(X))))", (Slot("R"),)),
+    ], ids=["no-slots", "one-slot"])
+    def test_a_capped_constant_is_skipped_with_or_without_slots(self, claim, slots):
+        # a law with no slots keeps values by the rule every law does: its
+        # constant is built as its claim is typed, so nothing is counted
+        rep = check(Law("dev-capped", "theorem", "", claim, slots, roles=("X",)), sizes=(3, 3))
+        assert (rep.mode, rep.verdict, rep.checked, rep.skipped_by_condition) == (
+            "exhaustive", "skipped", 0, 0)
+        assert rep.reason == "cannot materialize powerset of carrier of size 256 (cap 16)"
+
+    def test_sampled_plans_name_every_phase(self):
+        # a NEG entry hunts over the densities [density, 0.15, 0.5, 0.75]
+        # without repeats, a theorem draws at its density alone, and every
+        # phase draws the law's count from a sub-seed of its own per slot
+        cases = [(law, (3, 3)) for law in registry() if law.kind != "regression"]
+        cases.append((law_by_id("NEG-peleg-assoc-general"), (2, 2)))
+        sampled = 0
+        for law, sizes in cases:
+            plan = plan_of(law, sizes)
+            if plan.mode != "random":
+                continue
+            sampled += 1
+            hunt = (0.15, 0.5, 0.75) if law.kind == "neg" else ()
+            densities = list(dict.fromkeys([law.density, *hunt]))
+            phases = plan.plain.phases
+            assert [{spec.density for _, spec in phase} for phase in phases] == [
+                {d} for d in densities], law.id
+            specs = [spec for phase in phases for _, spec in phase]
+            assert all(len(phase) == len(law.slots) for phase in phases), law.id
+            assert {(spec.mode, spec.count) for spec in specs} == {("random", law.count)}, law.id
+            assert len({spec.seed for spec in specs}) == len(specs), law.id
+        assert sampled == 160  # 159 at 3,3, and the NEG entry at 2,2
+
+    def test_a_sampled_sweep_draws_count_tuples_per_phase(self):
+        law = law_by_id("NEG-peleg-assoc-general")  # at densities 0.3, 0.15, 0.5, 0.75
+        plan = plan_of(law, (2, 2))
+        assert len(plan.plain.phases) == 4 and law.count == 400
+        assert sum(w for w, _ in _tuples(plan.plain, 3)) == 4 * 400
+
     def test_a_capped_constant_is_no_shape_error(self):
         # typing at those sizes raises the cap each time, a fresh error each time
         law = Law("dev-capped-constant", "theorem", "", "mu(pw(X)) == mu(pw(X))", (Slot("R"),))
@@ -450,12 +489,12 @@ class TestKeptSubterms:
         for _ in range(2):
             assert eval_term(typed, env)
         assert len(calls) == 4
-        # nor does a law with no slots
+        # a law with no slots builds it once, as it is typed
         law = Law("dev-mu", "theorem", "mu is union-flattening", claim, roles=("X",))
         typed, _ = _Terms(law).at({"X": C(2)})
         for _ in range(2):
             assert eval_term(typed, {})
-        assert len(calls) == 6
+        assert len(calls) == 5
         # a law with slots builds it once, however many tuples it checks
         r, s = Slot("R", "mrel", "X", "Y"), Slot("S", "mrel", "Y", "Y")
         for law, sizes in (

@@ -32,17 +32,7 @@ from multirel import (
     rel_to_mrel,
     split_terminal,
 )
-from conftest import C, M, mask
-
-
-def every_mrel(ns, nd):
-    return instances("mrel", GenSpec((ns, nd)))
-
-
-def some_mrels(ns, nd, count, seed, density=0.5):
-    return instances(
-        "mrel", GenSpec((ns, nd), "random", count=count, seed=seed, density=density)
-    )
+from conftest import C, M, every, mask, seeded
 
 
 class TestConstants:
@@ -69,7 +59,7 @@ class TestInnerBool:
 
     def test_icup_unit(self):
         unit = mrel_const("inner_unit", C(2), C(2))
-        for r in some_mrels(2, 2, 12, seed=1):
+        for r in seeded("mrel", 2, 2, count=12, seed=1, density=0.5):
             assert inner_bool("icup", r, unit) == r
             assert inner_bool("icup", unit, r) == r
 
@@ -82,18 +72,18 @@ class TestInnerBool:
         assert got == M(1, 2, [(0, [0]), (0, [1]), (0, [0, 1])])
 
     def test_icup_idempotent_on_outer_univalent(self):
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             if classify_mrel(r).outer_univalent:
                 assert inner_bool("icup", r, r) == r
 
     def test_icap_formula(self):
-        for r in some_mrels(1, 3, 10, seed=3):
-            for s in some_mrels(1, 3, 6, seed=4):
+        for r in seeded("mrel", 1, 3, count=10, seed=3, density=0.5):
+            for s in seeded("mrel", 1, 3, count=6, seed=4, density=0.5):
                 dual = inner_bool("icup", inner_bool("icomp", r), inner_bool("icomp", s))
                 assert inner_bool("icap", r, s) == inner_bool("icomp", dual)
 
     def test_associative_commutative_exhaustive_small(self):
-        rs = list(every_mrel(1, 2))
+        rs = every("mrel", 1, 2)
         for op in ("icup", "icap"):
             for r in rs:
                 for s in rs:
@@ -105,7 +95,7 @@ class TestInnerBool:
                         assert lhs == inner_bool(op, r, inner_bool(op, s, t))
 
     def test_associative_sampled(self):
-        rs = list(some_mrels(2, 3, 30, seed=5))
+        rs = seeded("mrel", 2, 3, count=30, seed=5, density=0.5)
         for r, s, t in zip(rs[::3], rs[1::3], rs[2::3]):
             for op in ("icup", "icap"):
                 lhs = inner_bool(op, inner_bool(op, r, s), t)
@@ -149,24 +139,24 @@ class TestClosures:
 
     def test_up_is_omega_postcomposition(self):
         for nd in (1, 2, 3):
-            for r in some_mrels(1, nd, 10, seed=6):
+            for r in seeded("mrel", 1, nd, count=10, seed=6, density=0.5):
                 lhs = mrel_to_rel(closure("up", r))
                 rhs = rel_compose(mrel_to_rel(r), omega(C(nd)))
                 assert lhs == rhs
 
     def test_down_is_omega_converse_postcomposition(self):
         for nd in (1, 2, 3):
-            for r in some_mrels(1, nd, 10, seed=7):
+            for r in seeded("mrel", 1, nd, count=10, seed=7, density=0.5):
                 lhs = mrel_to_rel(closure("down", r))
                 rhs = rel_compose(mrel_to_rel(r), rel_converse(omega(C(nd))))
                 assert lhs == rhs
 
     def test_convex_is_meet_of_closures(self):
-        for r in some_mrels(2, 2, 10, seed=8):
+        for r in seeded("mrel", 2, 2, count=10, seed=8, density=0.5):
             assert closure("convex", r) == mrel_bool("inter", closure("up", r), closure("down", r))
 
     def test_closures_are_closures(self):
-        for r in some_mrels(2, 2, 10, seed=9):
+        for r in seeded("mrel", 2, 2, count=10, seed=9, density=0.5):
             assert closure("up", closure("up", r)) == closure("up", r)
             assert closure("down", closure("down", r)) == closure("down", r)
             assert is_submrel(r, closure("up", r)) and is_submrel(r, closure("down", r))
@@ -184,7 +174,7 @@ def test_unknown_modes_are_rejected(fn, operands, ns):
 
 class TestPreorders:
     def test_reflexive(self):
-        for r in some_mrels(2, 2, 8, seed=10):
+        for r in seeded("mrel", 2, 2, count=8, seed=10, density=0.5):
             for mode in ("smyth", "hoare", "egli_milner"):
                 assert preorder(mode, r, r)
 
@@ -192,8 +182,8 @@ class TestPreorders:
         assert preorder("hoare", M(1, 2, [(0, [0])]), M(1, 2, [(0, [0, 1])]))
 
     def test_smyth_via_up_closure(self):
-        for r in some_mrels(2, 2, 8, seed=11):
-            for s in some_mrels(2, 2, 6, seed=12):
+        for r in seeded("mrel", 2, 2, count=8, seed=11, density=0.5):
+            for s in seeded("mrel", 2, 2, count=6, seed=12, density=0.5):
                 assert preorder("smyth", r, s) == is_submrel(s, closure("up", r))
                 assert preorder("hoare", r, s) == is_submrel(r, closure("down", s))
 
@@ -223,7 +213,7 @@ class TestClassify:
         # inner univalent / total / deterministic agree with their
         # intersection-with-constants fixpoint forms
         for ns in (1, 2):
-            for r in every_mrel(ns, 2):
+            for r in every("mrel", ns, 2):
                 flags = classify_mrel(r)
                 at = mrel_const("atoms", C(ns), C(2))
                 lo = mrel_const("inner_unit", C(ns), C(2))
@@ -237,7 +227,7 @@ class TestClassify:
                 assert flags.inner_deterministic == (via == mrel_to_rel(r))
 
     def test_closed_flags_match_closures(self):
-        for r in some_mrels(2, 3, 20, seed=13):
+        for r in seeded("mrel", 2, 3, count=20, seed=13, density=0.5):
             flags = classify_mrel(r)
             assert flags.up_closed == (closure("up", r) == r)
             assert flags.down_closed == (closure("down", r) == r)
@@ -255,7 +245,7 @@ class TestTerminalSplit:
         assert t == M(2, 1, [(0, [])])
 
     def test_partition_property(self):
-        for r in some_mrels(2, 2, 15, seed=14):
+        for r in seeded("mrel", 2, 2, count=15, seed=14, density=0.5):
             n, t = split_terminal(r)
             assert mrel_bool("union", n, t) == r
             assert mrel_bool("inter", n, t) == mrel_const("empty", C(2), C(2))
@@ -263,18 +253,18 @@ class TestTerminalSplit:
     def test_fission_has_no_terminal_part(self):
         from multirel import fission
 
-        for r in some_mrels(2, 2, 15, seed=15):
+        for r in seeded("mrel", 2, 2, count=15, seed=15, density=0.5):
             assert split_terminal(fission(r))[1] == mrel_const("empty", C(2), C(2))
 
     def test_down_closure_is_peleg_with_lowered_unit(self):
         lowered = closure("down", eta(C(2)))
-        for r in some_mrels(2, 2, 15, seed=16):
+        for r in seeded("mrel", 2, 2, count=15, seed=16, density=0.5):
             assert closure("down", r) == peleg_compose(r, lowered)
 
 
 class TestDualAndOdot:
     def test_dual_involutive(self):
-        for r in some_mrels(2, 2, 10, seed=17):
+        for r in seeded("mrel", 2, 2, count=10, seed=17, density=0.5):
             assert inner_dual(inner_dual(r)) == r
 
     def test_dual_swaps_extremes(self):
@@ -286,14 +276,14 @@ class TestDualAndOdot:
     def test_odot_formula(self):
         from multirel import odot
 
-        rs = list(some_mrels(2, 2, 6, seed=18))
+        rs = seeded("mrel", 2, 2, count=6, seed=18, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             assert odot(r, s) == inner_bool("icomp", peleg_compose(r, inner_bool("icomp", s)))
 
 
 class TestViews:
     def test_round_trip(self):
-        for r in some_mrels(2, 3, 10, seed=19):
+        for r in seeded("mrel", 2, 3, count=10, seed=19, density=0.5):
             assert rel_to_mrel(mrel_to_rel(r)) == r
 
     def test_rel_to_mrel_needs_powerset_tag(self):

@@ -35,18 +35,8 @@ from multirel import (
     rel_to_mrel,
     split_terminal,
 )
-from conftest import C, M, R, mask
+from conftest import C, M, R, every, mask, seeded
 from peleg_oracle import peleg_compose_oracle
-
-
-def every_mrel(ns, nd):
-    return instances("mrel", GenSpec((ns, nd)))
-
-
-def some_mrels(ns, nd, count, seed, density=0.5):
-    return instances(
-        "mrel", GenSpec((ns, nd), "random", count=count, seed=seed, density=density)
-    )
 
 
 class TestDSubrelations:
@@ -60,7 +50,7 @@ class TestDSubrelations:
         assert list(d_subrelations(r)) == [r]
 
     def test_union_recovers_original(self):
-        for r in some_mrels(2, 2, 20, seed=1):
+        for r in seeded("mrel", 2, 2, count=20, seed=1, density=0.5):
             parts = list(d_subrelations(r))
             acc = mrel_const("empty", C(2), C(2))
             for p in parts:
@@ -91,13 +81,13 @@ class TestKleisliLift:
             assert got.rows[a_mask] == 1 << image
 
     def test_factors_through_image_functor_and_mu(self):
-        for r in some_mrels(2, 2, 25, seed=2):
+        for r in seeded("mrel", 2, 2, count=25, seed=2, density=0.5):
             lhs = kleisli_lift(r)
             rhs = rel_compose(image_functor(mrel_to_rel(r)), mu(C(2)))
             assert lhs == rhs
 
     def test_deterministic(self):
-        for r in some_mrels(2, 3, 10, seed=3):
+        for r in seeded("mrel", 2, 3, count=10, seed=3, density=0.5):
             assert classify_rel(kleisli_lift(r)).deterministic
 
 
@@ -117,7 +107,7 @@ class TestPelegLift:
         assert sorted(got.pairs()) == [(0, 0), (1, 1)]  # only {} and {a} reachable
 
     def test_empty_to_empty_always_present(self):
-        for r in some_mrels(2, 2, 10, seed=4):
+        for r in seeded("mrel", 2, 2, count=10, seed=4, density=0.5):
             assert peleg_lift(r).has(0, 0)
 
     def test_univalent_factorization(self):
@@ -141,7 +131,7 @@ class TestPelegCompose:
 
     def test_unit_laws_exhaustive(self):
         one = eta(C(2))
-        for r in every_mrel(2, 2):
+        for r in every("mrel", 2, 2):
             assert peleg_compose(one, r) == r
             assert peleg_compose(r, one) == r
 
@@ -159,25 +149,25 @@ class TestPelegCompose:
 
     def test_empty_second_factor_is_terminal_part(self):
         empty = mrel_const("empty", C(2), C(2))
-        for r in some_mrels(2, 2, 20, seed=5):
+        for r in seeded("mrel", 2, 2, count=20, seed=5, density=0.5):
             assert peleg_compose(r, empty) == split_terminal(r)[1]
 
     def test_matches_set_model(self):
-        rs = list(some_mrels(2, 2, 30, seed=6))
+        rs = seeded("mrel", 2, 2, count=30, seed=6, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             got = setmodel.mrel_sets(peleg_compose(r, s))
             expected = setmodel.peleg(setmodel.mrel_sets(r), setmodel.mrel_sets(s))
             assert got == expected
 
     def test_subassociativity(self):
-        rs = list(some_mrels(3, 3, 45, seed=7))
+        rs = seeded("mrel", 3, 3, count=45, seed=7, density=0.5)
         for r, s, t in zip(rs[::3], rs[1::3], rs[2::3]):
             left = peleg_compose(peleg_compose(r, s), t)
             right = peleg_compose(r, peleg_compose(s, t))
             assert is_submrel(left, right)
 
     def test_first_argument_union_distribution(self):
-        rs = list(some_mrels(2, 2, 30, seed=8))
+        rs = seeded("mrel", 2, 2, count=30, seed=8, density=0.5)
         for r, s, t in zip(rs[::3], rs[1::3], rs[2::3]):
             lhs = peleg_compose(mrel_bool("union", r, s), t)
             rhs = mrel_bool("union", peleg_compose(r, t), peleg_compose(s, t))
@@ -197,8 +187,8 @@ class TestPelegCompose:
             peleg_compose(M(1, 2, [(0, [0, 1])]), wide)
 
     def test_agrees_with_oracle_on_wider_carriers(self):
-        rs = list(some_mrels(2, 4, 20, seed=21, density=0.3))
-        ss = list(some_mrels(4, 3, 20, seed=22, density=0.3))
+        rs = seeded("mrel", 2, 4, count=20, seed=21, density=0.3)
+        ss = seeded("mrel", 4, 3, count=20, seed=22, density=0.3)
         for r, s in zip(rs, ss):
             assert peleg_compose(r, s) == peleg_compose_oracle(r, s)
 
@@ -285,7 +275,7 @@ class TestUnivalentLaws:
             instances("mrel", GenSpec((2, 2), where=frozenset(["outer_univalent"])))
         )
         for f in fs:
-            for s in some_mrels(2, 2, 6, seed=9):
+            for s in seeded("mrel", 2, 2, count=6, seed=9, density=0.5):
                 lhs = peleg_lift(peleg_compose(s, f))
                 rhs = rel_compose(peleg_lift(s), peleg_lift(f))
                 assert lhs == rhs
@@ -298,7 +288,7 @@ class TestUnivalentLaws:
         fs = list(
             instances("mrel", GenSpec((2, 2), where=frozenset(["outer_univalent"])))
         )
-        rs = list(some_mrels(2, 2, 16, seed=10))
+        rs = seeded("mrel", 2, 2, count=16, seed=10, density=0.5)
         for f in fs:
             for r, s in zip(rs[::2], rs[1::2]):
                 lhs = peleg_compose(peleg_compose(r, s), f)
@@ -319,11 +309,11 @@ class TestUnivalentLaws:
                 assert classify_mrel(peleg_compose(r, s)).outer_deterministic
 
     def test_inner_and_outer_total_closure(self):
-        total = [r for r in every_mrel(2, 2) if classify_mrel(r).outer_total]
+        total = [r for r in every("mrel", 2, 2) if classify_mrel(r).outer_total]
         for r in total[:24]:
             for s in total[:24]:
                 assert classify_mrel(peleg_compose(r, s)).outer_total
-        inner_total = [r for r in every_mrel(2, 2) if classify_mrel(r).inner_total]
+        inner_total = [r for r in every("mrel", 2, 2) if classify_mrel(r).inner_total]
         for r in inner_total[:24]:
             for s in inner_total[:24]:
                 assert classify_mrel(peleg_compose(r, s)).inner_total
@@ -331,7 +321,7 @@ class TestUnivalentLaws:
 
 class TestOracle:
     def test_agreement_seeded_3x3(self):
-        rs = list(some_mrels(3, 3, 40, seed=11, density=0.3))
+        rs = seeded("mrel", 3, 3, count=40, seed=11, density=0.3)
         for r, s in zip(rs[::2], rs[1::2]):
             assert peleg_compose(r, s) == peleg_compose_oracle(r, s)
 
@@ -344,21 +334,21 @@ class TestOracle:
 
     def test_terminal_projection(self):
         empty = mrel_const("empty", C(2), C(2))
-        for r in some_mrels(2, 2, 10, seed=12):
+        for r in seeded("mrel", 2, 2, count=10, seed=12, density=0.5):
             got = peleg_compose_oracle(r, empty)
             assert got == mrel_bool("inter", r, mrel_const("inner_unit", C(2), C(2)))
 
 
 class TestKleisliCompose:
     def test_associative_on_arbitrary(self):
-        rs = list(some_mrels(3, 3, 30, seed=13))
+        rs = seeded("mrel", 3, 3, count=30, seed=13, density=0.5)
         for r, s, t in zip(rs[::3], rs[1::3], rs[2::3]):
             lhs = kleisli_compose(kleisli_compose(r, s), t)
             rhs = kleisli_compose(r, kleisli_compose(s, t))
             assert lhs == rhs
 
     def test_right_unit(self):
-        for r in some_mrels(2, 2, 15, seed=14):
+        for r in seeded("mrel", 2, 2, count=15, seed=14, density=0.5):
             assert kleisli_compose(r, eta(C(2))) == r
 
     def test_left_unit_only_on_outer_deterministic(self):
@@ -371,14 +361,14 @@ class TestKleisliCompose:
             assert kleisli_compose(eta(C(2)), r) == r
 
     def test_matches_lift_composition(self):
-        for r in some_mrels(2, 2, 16, seed=15):
-            for s in some_mrels(2, 2, 4, seed=16):
+        for r in seeded("mrel", 2, 2, count=16, seed=15, density=0.5):
+            for s in seeded("mrel", 2, 2, count=4, seed=16, density=0.5):
                 lhs = mrel_to_rel(kleisli_compose(r, s))
                 rhs = rel_compose(mrel_to_rel(r), kleisli_lift(s))
                 assert lhs == rhs
 
     def test_matches_set_model(self):
-        rs = list(some_mrels(2, 2, 20, seed=17))
+        rs = seeded("mrel", 2, 2, count=20, seed=17, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             got = setmodel.mrel_sets(kleisli_compose(r, s))
             assert got == setmodel.kleisli(
@@ -394,7 +384,7 @@ class TestBasisPelegLift:
 
         for n in (1, 2):
             x = C(n)
-            for r in some_mrels(n, n, 12, seed=18):
+            for r in seeded("mrel", n, n, count=12, seed=18, density=0.5):
                 boxed = rel_compose(
                     rel_converse(mrel_to_rel(eta(x))), mrel_to_rel(r)
                 )

@@ -25,19 +25,7 @@ from multirel import (
     rel_const,
     rel_converse,
 )
-from conftest import C, M, R, mask
-
-
-def every_rel(ns, nd):
-    return instances("rel", GenSpec((ns, nd)))
-
-
-def some_rels(ns, nd, count, seed):
-    return instances("rel", GenSpec((ns, nd), "random", count=count, seed=seed))
-
-
-def every_mrel(ns, nd):
-    return instances("mrel", GenSpec((ns, nd)))
+from conftest import C, M, R, every, mask, seeded
 
 
 class TestMemberRel:
@@ -72,7 +60,7 @@ class TestPowerTranspose:
         )
 
     def test_outer_deterministic(self):
-        for r in some_rels(2, 3, 10, seed=2):
+        for r in seeded("rel", 2, 3, count=10, seed=2, density=0.5):
             assert classify_mrel(power_transpose(r)).outer_deterministic
 
     def test_cap(self):
@@ -93,11 +81,11 @@ class TestAlpha:
     def test_round_trip_with_transpose(self):
         for ns in (1, 2, 3):
             for nd in (1, 2, 3):
-                for r in every_rel(ns, nd):
+                for r in every("rel", ns, nd):
                     assert alpha(power_transpose(r)) == r
 
     def test_matches_set_model(self):
-        for m in every_mrel(2, 2):
+        for m in every("mrel", 2, 2):
             got = set(alpha(m).pairs())
             assert got == setmodel.alpha(setmodel.mrel_sets(m))
 
@@ -113,7 +101,7 @@ class TestImageFunctor:
         assert sorted(got.pairs()) == [(0, 0), (1, 1)]
 
     def test_functorial(self):
-        rs = list(some_rels(2, 2, 10, seed=7))
+        rs = seeded("rel", 2, 2, count=10, seed=7, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             lhs = image_functor(rel_compose(r, s))
             rhs = rel_compose(image_functor(r), image_functor(s))
@@ -149,7 +137,7 @@ class TestLambdaAlphaLaws:
     def test_lambda_alpha_inverse_exhaustive(self):
         for ns in (1, 2, 3):
             for nd in (1, 2, 3):
-                for r in every_rel(ns, nd):
+                for r in every("rel", ns, nd):
                     assert alpha(power_transpose(r)) == r
 
     def test_alpha_lambda_on_outer_deterministic(self):
@@ -162,8 +150,8 @@ class TestLambdaAlphaLaws:
 
     def test_lambda_compose_law(self):
         # transpose of a composition factors through the image functor
-        for r in some_rels(2, 2, 8, seed=4):
-            for s in some_rels(2, 2, 4, seed=5):
+        for r in seeded("rel", 2, 2, count=8, seed=4, density=0.5):
+            for s in seeded("rel", 2, 2, count=4, seed=5, density=0.5):
                 lhs = mrel_to_rel(power_transpose(rel_compose(r, s)))
                 rhs = rel_compose(mrel_to_rel(power_transpose(r)), image_functor(s))
                 assert lhs == rhs
@@ -171,13 +159,13 @@ class TestLambdaAlphaLaws:
     def test_lambda_complement_conjugation(self):
         # postcomposing the transpose with set complementation is the
         # transpose of the complement
-        for r in every_rel(2, 2):
+        for r in every("rel", 2, 2):
             lhs = rel_compose(mrel_to_rel(power_transpose(r)), ccomp(C(2)))
             rhs = mrel_to_rel(power_transpose(rel_bool("complement", r)))
             assert lhs == rhs
 
     def test_lambda_omega_gives_residual(self):
-        for r in every_rel(2, 2):
+        for r in every("rel", 2, 2):
             lhs = rel_compose(mrel_to_rel(power_transpose(r)), omega(C(2)))
             from multirel import residual
 
@@ -202,7 +190,7 @@ class TestMonadAxioms:
             assert lhs == rhs
 
     def test_naturality(self):
-        for f_rel in every_rel(2, 2):
+        for f_rel in every("rel", 2, 2):
             from multirel import classify_rel
 
             if not classify_rel(f_rel).deterministic:

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from multirel import (
     Carrier,
-    GenSpec,
     IdentityShapeMismatch,
     Rel,
     ShapeMismatch,
     classify_rel,
     domain,
-    instances,
     is_subrel,
     rel_bool,
     rel_compose,
@@ -23,7 +21,7 @@ from multirel import (
     residual,
     symmetric_quotient,
 )
-from conftest import C, R
+from conftest import C, R, every, seeded
 
 
 def brute_compose(r: Rel, s: Rel) -> Rel:
@@ -54,14 +52,6 @@ def brute_right_residual(t: Rel, s: Rel) -> Rel:
         if all(not t.has(z, x) or s.has(z, y) for z in range(t.src.size))
     ]
     return Rel.from_pairs(t.dst, s.dst, pairs)
-
-
-def every_rel(ns, nd):
-    return instances("rel", GenSpec((ns, nd)))
-
-
-def some_rels(ns, nd, count, seed):
-    return instances("rel", GenSpec((ns, nd), "random", count=count, seed=seed))
 
 
 class TestConstants:
@@ -108,7 +98,7 @@ class TestCompose:
         assert rel_compose(R(2, 2, [(0, 1)]), R(2, 2, [(1, 0)])) == R(2, 2, [(0, 0)])
 
     def test_matches_brute_force(self):
-        rs = list(some_rels(3, 3, 12, seed=5))
+        rs = seeded("rel", 3, 3, count=12, seed=5, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             assert rel_compose(r, s) == brute_compose(r, s)
 
@@ -126,7 +116,7 @@ class TestConverse:
         assert rel_converse(i) == i
 
     def test_contravariant_over_composition(self):
-        rs = list(some_rels(2, 2, 10, seed=9))
+        rs = seeded("rel", 2, 2, count=10, seed=9, density=0.5)
         for r, s in zip(rs[::2], rs[1::2]):
             lhs = rel_converse(rel_compose(r, s))
             rhs = rel_compose(rel_converse(s), rel_converse(r))
@@ -136,7 +126,7 @@ class TestConverse:
 class TestResiduals:
     def test_left_top_absorbs(self):
         u = rel_const("universal", C(2), C(3))
-        for s in every_rel(2, 3):
+        for s in every("rel", 2, 3):
             assert residual("left", u, s) == rel_const("universal", C(2), C(2))
 
     def test_identity_from_eta(self):
@@ -152,21 +142,21 @@ class TestResiduals:
         assert residual("right", mem, mem) == omega(C(2))
 
     def test_left_matches_brute_force(self):
-        rs = list(some_rels(2, 3, 8, seed=3))
+        rs = seeded("rel", 2, 3, count=8, seed=3, density=0.5)
         for t in rs:
-            for s in some_rels(2, 3, 4, seed=17):
+            for s in seeded("rel", 2, 3, count=4, seed=17, density=0.5):
                 got = residual("left", t, s)
                 assert got == brute_left_residual(t, s)
 
     def test_right_matches_brute_force(self):
-        for t in some_rels(3, 2, 6, seed=4):
-            for s in some_rels(3, 2, 4, seed=21):
+        for t in seeded("rel", 3, 2, count=6, seed=4, density=0.5):
+            for s in seeded("rel", 3, 2, count=4, seed=21, density=0.5):
                 assert residual("right", t, s) == brute_right_residual(t, s)
 
     def test_complement_formulas(self):
         # t/s = -(-t ; s~)  and  t\s = -(t~ ; -s)
-        for t in some_rels(2, 2, 6, seed=11):
-            for s in some_rels(2, 2, 4, seed=12):
+        for t in seeded("rel", 2, 2, count=6, seed=11, density=0.5):
+            for s in seeded("rel", 2, 2, count=4, seed=12, density=0.5):
                 left = residual("left", t, s)
                 via = rel_bool(
                     "complement",
@@ -181,15 +171,15 @@ class TestResiduals:
                 assert right == via
 
     def test_residuation_galois_exhaustive(self):
-        for r in every_rel(2, 2):
-            for s in every_rel(2, 2):
-                for t in every_rel(2, 2):
+        for r in every("rel", 2, 2):
+            for s in every("rel", 2, 2):
+                for t in every("rel", 2, 2):
                     left = is_subrel(rel_compose(r, s), t)
                     assert left == is_subrel(r, residual("left", t, s))
                     assert left == is_subrel(s, residual("right", r, t))
 
     def test_residuation_galois_sampled_3(self):
-        rs = list(some_rels(3, 3, 30, seed=42))
+        rs = seeded("rel", 3, 3, count=30, seed=42, density=0.5)
         for r, s, t in zip(rs[::3], rs[1::3], rs[2::3]):
             left = is_subrel(rel_compose(r, s), t)
             assert left == is_subrel(r, residual("left", t, s))
@@ -197,8 +187,8 @@ class TestResiduals:
 
     def test_residual_conjugation(self):
         # t\s = (s~/t~)~ for all generated pairs
-        for t in some_rels(2, 3, 8, seed=13):
-            for s in some_rels(2, 3, 5, seed=14):
+        for t in seeded("rel", 2, 3, count=8, seed=13, density=0.5):
+            for s in seeded("rel", 2, 3, count=5, seed=14, density=0.5):
                 lhs = residual("right", t, s)
                 rhs = rel_converse(
                     residual("left", rel_converse(s), rel_converse(t))
@@ -208,9 +198,9 @@ class TestResiduals:
 
 class TestModularLaw:
     def test_exhaustive_2(self):
-        for r in every_rel(2, 2):
-            for s in every_rel(2, 2):
-                for t in every_rel(2, 2):
+        for r in every("rel", 2, 2):
+            for s in every("rel", 2, 2):
+                for t in every("rel", 2, 2):
                     lhs = rel_bool("inter", rel_compose(r, s), t)
                     rhs = rel_compose(
                         rel_bool("inter", r, rel_compose(t, rel_converse(s))), s
@@ -219,11 +209,11 @@ class TestModularLaw:
 
     def test_univalent_exchange(self):
         # p;q & s == (p & s;q~) ; q whenever q is univalent
-        for q in every_rel(2, 2):
+        for q in every("rel", 2, 2):
             if not classify_rel(q).univalent:
                 continue
-            for p in every_rel(2, 2):
-                for s in every_rel(2, 2):
+            for p in every("rel", 2, 2):
+                for s in every("rel", 2, 2):
                     lhs = rel_bool("inter", rel_compose(p, q), s)
                     rhs = rel_compose(
                         rel_bool("inter", p, rel_compose(s, rel_converse(q))), q
@@ -262,8 +252,8 @@ class TestSymmetricQuotient:
 
     def test_formula_equivalence(self):
         # syq(t,s) == (t\s) & (t~/s~) on random operands
-        for t in some_rels(2, 2, 8, seed=31):
-            for s in some_rels(2, 3, 5, seed=32):
+        for t in seeded("rel", 2, 2, count=8, seed=31, density=0.5):
+            for s in seeded("rel", 2, 3, count=5, seed=32, density=0.5):
                 lhs = symmetric_quotient(t, s)
                 rhs = rel_bool(
                     "inter",
@@ -286,7 +276,7 @@ class TestDomain:
         assert domain(R(2, 2, [(0, 1)])) == R(2, 2, [(0, 0)])
 
     def test_formula(self):
-        for r in every_rel(2, 3):
+        for r in every("rel", 2, 3):
             via = rel_bool(
                 "inter",
                 rel_const("identity", C(2), C(2)),

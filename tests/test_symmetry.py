@@ -23,7 +23,7 @@ from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
 from multirel.mrel import MREL_ROW_FLAGS
 from multirel.registry import law_by_id, registry
 from multirel.rel import REL_ROW_FLAGS, Carrier, pow_carrier
-from conftest import plan_of, report_by
+from conftest import plan_of, report_by, seeded
 
 SIZES = [(2, 2), (2, 3), (3, 3)]
 
@@ -68,11 +68,6 @@ def implementations(spec):
         yield spec.impl, spec.views.replace("s", "r").replace("*", "r"), spec.sort
 
 
-def seeded(kind, shape, count, seed, where=()):
-    spec = GenSpec(shape, "random", count=count, seed=seed, density=0.4, where=frozenset(where))
-    return list(instances(kind, spec))
-
-
 def permuted(value, cs: Carriers, src: str, dst: str):
     return value._permuted(cs.permutation(src), cs.permutation(dst))
 
@@ -92,7 +87,8 @@ def test_every_operation_commutes_with_permuting_carriers(table, name, sizes):
                 for view, (_, src, dst) in zip(views, spec.operands):
                     kind = "mrel" if view == "m" else "rel"
                     shape = (cs.carrier(src).size, cs.carrier(dst).size)
-                    value = seeded(kind, shape, 1, rng.randrange(1 << 30))[0]
+                    seed = rng.randrange(1 << 30)
+                    value = seeded(kind, *shape, count=1, seed=seed, density=0.4)[0]
                     operands.append(value)
                     images.append(permuted(value, cs, src, dst))
             value = impl(*operands)
@@ -119,8 +115,9 @@ def test_claim_and_guard_verdicts_commute_with_permuting_roles(sizes):
         carriers = {role: Carrier(n) for role, n in resolved.items()}
         try:
             claim, guard = terms.at(carriers)
-            streams = [seeded(s.sort, _stream_args(s, resolved)[1].shape, 5,
-                              rng.randrange(1 << 30), s.needs) for s in law.slots]
+            streams = [seeded(s.sort, *_stream_args(s, resolved)[1].shape, count=5,
+                              seed=rng.randrange(1 << 30), density=0.4, where=s.needs)
+                       for s in law.slots]
         except (ShapeMismatch, CapExceeded):
             continue
         for tup in zip(*streams):
@@ -141,7 +138,7 @@ def test_claim_and_guard_verdicts_commute_with_permuting_roles(sizes):
 def test_flags_commute_with_permuting_carriers(kind, flags):
     rng = random.Random(kind)
     for ns, nd in SIZES + [(3, 2)]:
-        values = seeded(kind, (ns, nd), 20, 5)
+        values = seeded(kind, ns, nd, count=20, seed=5, density=0.4)
         for flag in flags:
             spec = GenSpec((ns, nd), where=frozenset([flag]))
             if space_size(kind, spec) == 0:
@@ -181,7 +178,7 @@ def group_of(law: Law, sizes) -> tuple[list | None, int]:
     it does not factor it, or None where it runs the plain sweep, and the
     size of its tuple space (see ``laws._plan``)."""
     plan = plan_of(law, sizes, factored=False)
-    return plan.fast and plan.fast.group, prod(space_size(*a) for a in plan.plain.args)
+    return plan.fast and plan.fast.group, prod(space_size(*a) for a in plan.plain.phases[0])
 
 
 def reduced_check(law: Law, sizes) -> dict:

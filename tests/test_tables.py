@@ -3,11 +3,10 @@
 Where a law is checked, each term node whose operands and value are of
 small shapes looks its value up by operand ids instead of calling the
 kernel, and fills a missing entry from one-row values where the operation
-reads an operand row by row; ``==`` between values of one shape compares
-their ids.  These tests hold the table path to direct kernel calls, for
-every operation at every small shape it types at, check the row-by-row
-marks, that ids are bit codes, and that the tables live for one check
-only."""
+reads an operand row by row; ``==`` is a table node like any other.
+These tests hold the table path to direct kernel calls, for every
+operation at every small shape it types at, check the row-by-row marks,
+that ids are bit codes, and that the tables live for one check only."""
 
 from __future__ import annotations
 
@@ -176,11 +175,9 @@ def test_ids_are_bit_codes(sig, values):
 
 @pytest.mark.parametrize("sig,values", SMALL_SHAPES, ids=SHAPE_IDS)
 def test_eq_on_ids_equals_operator_eq(sig, values):
-    # == between values of one small shape compares ids and takes no table,
-    # over single values and over rows of ids
-    tables: dict = {}
-    typed = _typecheck(parse("R == S"), {"R": sig, "S": sig}, tables)
-    assert tables == {}
+    # == between values of one small shape, over single values and over
+    # rows of ids
+    typed = _typecheck(parse("R == S"), {"R": sig, "S": sig}, {})
     pairs = _operand_tuples([values, values], len(values)) + [(v, v) for v in values]
     for r, s in pairs:
         assert typed.run({"R": r, "S": s}) == operator.eq(r, s), (r, s)
@@ -198,7 +195,7 @@ def test_eq_on_ids_over_booleans():
     rel = Sig("rel", 1, 2)
     tables: dict = {}
     typed = _typecheck(parse("(R <= S) == (S <= R)"), {"R": rel, "S": rel}, tables)
-    assert [key[0] for key in tables] == [_OPS["<="].impl[0]]  # no table for ==
+    assert [key[0] for key in tables] == [_OPS["<="].impl[0], operator.eq]
     below = _OPS["<="].impl[0]
     met = set()
     values = _values("rel", (1, 2))
@@ -353,13 +350,13 @@ def test_tables_last_one_check(monkeypatch):
     rep = check(law_by_id("L2.2-icap-comm"), sizes=(2, 2))
     assert rep.verdict == "pass" and rep.checked == 65536
     (owner,) = made
-    # icap(R, S) and icap(S, R) share one table, with its flags of filled
-    # entries and its one-row table beside it; == compares ids and has none
-    assert len(owner.tables) == 1
+    # icap(R, S) and icap(S, R) share one table, and == has one beside it,
+    # each with its flags of filled entries and its one-row table
+    assert [key[0] for key in owner.tables] == [_OPS["icap"].impl, operator.eq]
     tables = [t for triple in owner.tables.values() for t in triple]
-    assert sorted(map(type, tables), key=str) == [bytearray, bytearray, _OneRow]
-    _, known, one_row = tables
-    assert one_row and any(known)  # entries were filled
+    assert sorted(map(type, tables), key=str) == [bytearray] * 4 + [_OneRow] * 2
+    for _, known, one_row in owner.tables.values():
+        assert one_row and any(known)  # entries were filled
     made.clear()
     del owner
     gc.collect()
