@@ -706,6 +706,9 @@ def _lookup(types: Mapping, name: str, t: Term, value: bool):
         raise UnboundVariable(f"unbound name {name!r}") from None
     if isinstance(ty, Sig) != value:
         what = "names a carrier, not a value" if value else "is not a carrier"
+        if value and isinstance(types, _Roles):  # a name that is no slot was taken for a role
+            slots = ", ".join(repr(n) for n, sig in types.items() if isinstance(sig, Sig))
+            what = f"is not a slot of the law (its slots: {slots or 'none'})"
         raise _located(f"{name!r} {what}", t)
     return ty
 

@@ -6,15 +6,14 @@ slots are filled from the instance generators, honoring per-slot property
 requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
 byte-identical JSON.  ``_plan`` settles how a law is swept before its
-first tuple, and returns the sweeps that ``check`` runs: a fast one, if
-any, and the plain one, with its streams and any cap met on the way.  A
-fast sweep runs the first slot over orbit representatives, the last slot a
-row at a time, or both; or, where claim and guard read a role of the
-slots' source row by row, it is factored: the law is swept at one element
-of that role, and its counts are raised to the power of the role's size.
-A fast sweep only counts, and where it meets a failing tuple or a cap, the
-plain per-tuple sweep runs, which alone shrinks and collects witnesses and
-reports caps.  So every report is the plain sweep's.
+first tuple: by a fast sweep, where there is one, else by the plain
+per-tuple sweep, with its streams and any cap met on the way.  A fast
+sweep runs the first slot over orbit representatives, the last slot a row
+at a time, or both; or, where claim and guard read a role of the slots'
+source row by row, it is factored: the law is swept at one element of
+that role, and its counts are raised to the power of the role's size.
+``check`` runs that one sweep, which shrinks and collects its own
+witnesses and reports its own caps.
 """
 
 from __future__ import annotations
@@ -247,51 +246,52 @@ def check(
         return finish(plan.mode, 0, 0, "skipped", plan.capped, [])
     names = [s.name for s in law.slots]
 
-    def sweep(run: _Sweep) -> LawReport | None:
-        """The report of ``run``.  A fast sweep, any but ``plan.plain``, only
-        counts: it gives None where a tuple fails or a cap is hit, and the
-        plain sweep reports.  Each count, of g of c tuples checked, is
-        reported to ``run.power``: ``checked`` g^power and
-        ``skipped_by_condition`` c^power - g^power."""
-        fast = run is not plan.plain
+    def sweep(run: _Sweep) -> LawReport:
+        """The report of ``run`` up to its ``collect``-th witness or first
+        cap.  A row sweep counts a row whose claim holds wherever its guard
+        does, and checks any other place by place.  Each count, of g of c
+        tuples checked, is reported to ``run.power``: ``checked`` g^power
+        and ``skipped_by_condition`` c^power - g^power."""
         rows, power = run.row, run.power
         env = {}
-        checked = 0
-        skipped = 0
+        checked = skipped = 0
         failures: list[dict] = []
+        capped = None
         try:
             claim, guard = terms.at(run.carriers)
             for weight, tup in _tuples(run, len(names) - bool(rows)):
-                env.update(zip(names, tup))
+                tups = (tup,)
                 if rows:
+                    env.update(zip(names, tup))
                     env[names[-1]] = rows
                     held, ok = _cells(guard, env, len(rows)), _cells(claim, env, len(rows))
                     if any(map(operator.gt, held, ok)):  # the claim fails where the guard holds
-                        return None
-                    taken = held.count(1)
-                    checked += weight * taken
-                    skipped += weight * (len(rows) - taken)
-                elif guard is not None and not eval_term(guard, env):
-                    skipped += weight
-                else:
+                        tups = [(*tup, last) for last in instances(*run.phases[0][-1])]
+                    else:
+                        checked += weight * held.count(1)
+                        skipped += weight * held.count(0)
+                        continue
+                for tup in tups:
+                    env.update(zip(names, tup))
+                    if guard is not None and not eval_term(guard, env):
+                        skipped += weight
+                        continue
                     checked += weight
                     if not eval_term(claim, env):
-                        if fast:
-                            return None
                         small = shrink(law, run.carriers, dict(zip(names, tup)), terms)
                         failures.append(_counterexample_json(*small))
                         if len(failures) >= collect:
                             break
+                if len(failures) >= collect:
+                    break
         except CapExceeded as e:
-            if fast:
-                return None
-            return finish(plan.mode, checked, skipped, "skipped", str(e), [])
+            capped, failures = str(e), []
         failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
-        verdict = "fail" if failures else "pass"
+        verdict = "skipped" if capped is not None else "fail" if failures else "pass"
         checked, skipped = checked**power, (checked + skipped)**power - checked**power
-        return finish(plan.mode, checked, skipped, verdict, None, failures)
+        return finish(plan.mode, checked, skipped, verdict, capped, failures)
 
-    return (plan.fast and sweep(plan.fast)) or sweep(plan.plain)
+    return sweep(plan.fast or plan.plain)
 
 
 def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
@@ -328,46 +328,47 @@ def _tuples(run: _Sweep, slots: int) -> Iterator[tuple[int, tuple]]:
 
 def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: float) -> _Plan:
     """How ``check`` sweeps ``terms.law`` at ``sizes``: by the ``fast``
-    sweep, where there is one and it gives a report, else by the ``plain``
-    per-tuple sweep at ``sizes``.  The ``mode`` is "exhaustive" where the
-    slots' streams have at most BUDGET tuples, swept as one phase.  Else it
-    is "random": a phase of ``count`` tuples at ``density``, slot i of phase
-    p drawn from the sub-seed ``mix64(seed ^ (1000 * p + i + 1))``; a NEG
-    entry hunts for a witness in one more phase at each of 0.15, 0.5 and
-    0.75 that is not ``density``.  ``capped`` is the message of a cap met
-    here, by a stream that cannot be sized or a constant too large to build
-    (see ``_Terms.at``), under the mode chosen by then.  Raises
-    ShapeMismatch where the claim is ill-shaped.
+    sweep where there is one, else by the ``plain`` per-tuple sweep.  The
+    ``mode`` is "exhaustive" where the slots' streams have at most BUDGET
+    tuples, swept as one phase.  Else it is "random": a phase of ``count``
+    tuples at ``density``, slot i of phase p drawn from the sub-seed
+    ``mix64(seed ^ (1000 * p + i + 1))``; a NEG entry hunts for a witness
+    in one more phase at each of 0.15, 0.5 and 0.75 that is not
+    ``density``.  ``capped`` is the message of a cap met here, by a stream
+    that cannot be sized or a constant too large to build (see
+    ``_Terms.at``), under the mode chosen by then.  Raises ShapeMismatch
+    where the claim is ill-shaped.
 
-    A fast sweep runs only for an exhaustive law expected to pass, so that
-    one which fails is the rare case.  Its last slot, where it has one,
-    runs by ``row``, the ids of that slot's whole stream, where claim and
-    guard evaluate over rows (see ``dsl.Typed``) and its values are of a
-    small shape.  Two reductions need the law's roles to be its own: no
-    slot of the law as written gives a role (``_Terms.roles_given``), so
-    ``dsl.infer_slots`` named every role and claim and guard type with each
-    role a carrier of its own (slots given roles may type only because two
-    roles have one size, as ``R * S`` does over two slots X -> Y); and no
-    slot needs ``test``, which reads the row index, between two roles.
+    A fast sweep runs only for an exhaustive law expected to pass: a law
+    expected to fail stops at its last witness, which the per-tuple sweep
+    meets without first filling the tables of a whole row.  Its last slot,
+    where it has one, runs by ``row``, the ids of that slot's whole stream,
+    where claim and guard evaluate over rows (see ``dsl.Typed``) and its
+    values are of a small shape.  Two reductions need the law's roles to
+    be its own: no slot of the law as written gives a role
+    (``_Terms.roles_given``), so ``dsl.infer_slots`` named every role and
+    claim and guard type with each role a carrier of its own (slots given
+    roles may type only because two roles have one size, as ``R * S`` does
+    over two slots X -> Y); and no slot needs ``test``, which reads the row
+    index, between two roles.
 
     - Where the law has a row-local role X (``_Terms.local``) of n > 1
       elements, it is factored: ``fast`` is its own plan's sweep at |X| = 1
-      with ``power`` n, so that its terms are typed at n only if that sweep
-      gives up.  Each slot's stream at n is the product of n copies of its
-      stream at 1, as its filters are row tests, and claim and guard hold
-      on a tuple exactly when they hold on each row.  So where g of c
-      tuples pass the guard at 1, g^n of c^n do at n, and a row value u
-      that fails gives the failing tuple (u, ..., u).
+      with ``power`` n, so that its terms are never typed at n.  Each
+      slot's stream at n is the product of n copies of its stream at 1, as
+      its filters are row tests, and claim and guard hold on a tuple
+      exactly when they hold on each row.  So where g of c tuples pass the
+      guard at 1, g^n of c^n do at n, and a row value u that fails gives
+      the failing tuple (u, ..., u): the sweep reports u, shrunk at 1.
     - Otherwise the first slot runs over the orbits of ``group``, the
       permutations of that slot's roles (see ``generate._group``), where the
-      law has two or more slots and the other slots have at least as many
-      tuples as the group has elements, so that finding the orbits costs no
-      more than the sweep they save.  Every operation and constant of the
-      term language is defined from the elements' sets alone, so claim and
-      guard give the same verdict on a tuple and on its image under the
-      group; and a permutation maps each slot's stream onto itself, since
-      its filters are row tests.  So each first value's tuples count as
-      often as the values of its orbit."""
+      law has two or more slots.  Every operation and constant of the term
+      language is defined from the elements' sets alone, so claim and guard
+      give the same verdict on a tuple and on its image under the group;
+      and a permutation maps each slot's stream onto itself, since its
+      filters are row tests.  So each first value's tuples count as often
+      as the values of its orbit, and the first witness is the plain
+      sweep's: the first value with a failing tuple is first in its orbit."""
     law = terms.law
     carriers = {role: Carrier(n) for role, n in sizes.items()}
     args = [_stream_args(s, sizes) for s in law.slots]
@@ -386,7 +387,7 @@ def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: 
         if own and sizes.get(terms.local, 1) > 1:
             one = _plan(terms, {**sizes, terms.local: 1}, seed, count, density)
             run = (one.fast or one.plain)._replace(power=sizes[terms.local])
-            return _Plan(mode, None, run if one.capped is None else None, plain)
+            return _Plan(mode, one.capped, run, plain)
         claim, guard = terms.at(carriers)
     except CapExceeded as e:
         return _Plan(mode, str(e), None, plain)
@@ -399,7 +400,6 @@ def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: 
     if len(law.slots) >= 2 and own:
         first = law.slots[0]
         group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
-        group = group if len(group) <= prod(spaces[1:]) else None
     fast = _Sweep([args], carriers, group, row) if group or row else None
     return _Plan(mode, None, fast, plain)
 

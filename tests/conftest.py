@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from multirel import Carrier, GenSpec, MRel, Rel, instances, laws
+from multirel.dsl import eval_term
 
 
 def C(n: int) -> Carrier:
@@ -77,3 +78,33 @@ def report_by(law, sizes, *kept: str, **kw) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_plan", only)
         return laws.check(law, sizes=sizes, seed=7, **kw).to_json()
+
+
+def counts(report: dict) -> tuple[int, int]:
+    return report["checked"], report["skipped_by_condition"]
+
+
+def but_counts(report: dict) -> dict:
+    """``report`` without ``checked`` and ``skipped_by_condition``."""
+    return {k: v for k, v in report.items() if k not in ("checked", "skipped_by_condition")}
+
+
+def counted_to_stop(law, sizes, collect: int = 3) -> tuple[int, int]:
+    """``checked`` and ``skipped_by_condition`` of ``law`` at ``sizes``, its
+    first slot over the orbits that ``check`` reduces it by where it does
+    not factor it: each tuple up to the ``collect``-th that fails, claim
+    and guard evaluated on it alone, counts as often as its first value's
+    orbit is large."""
+    run = plan_of(law, sizes, factored=False).fast._replace(row=None)
+    terms = laws._Terms(law)
+    claim, guard = terms.at(run.carriers)
+    names = [s.name for s in terms.law.slots]
+    counted, failed = [0, 0], 0
+    for weight, tup in laws._tuples(run, len(names)):
+        env = dict(zip(names, tup))
+        held = guard is None or eval_term(guard, env)
+        counted[not held] += weight
+        failed += held and not eval_term(claim, env)
+        if failed == collect:
+            break
+    return tuple(counted)

@@ -5,12 +5,14 @@ only row by row (``dsl._row_local``), each exhaustive stream is the product
 of one list of rows per element of X, and claim and guard hold on a tuple
 exactly when they hold on each of its rows.  So ``laws.check`` of a law
 expected to pass sweeps it at |X| = 1, and where that sweep checks g of c
-tuples, it reports g^n checked and c^n - g^n skipped at |X| = n.  It only
-counts: where a tuple fails or a cap is met at |X| = 1, the plain per-tuple
-sweep runs at the law's sizes.  So its report must be the plain sweep's,
-byte for byte.  These tests compare the two on every registry law factored
-at 2,2 and 3,2, on a seeded handful at 2,3, and on laws built for the cases
-the registry meets seldom, and they pin the rule itself."""
+tuples, it reports g^n checked and c^n - g^n skipped at |X| = n.  Where a
+tuple fails or a cap is met at |X| = 1, it reports that too, with the
+witnesses it shrank at |X| = 1 and its counts up to there, and the law is
+never typed at |X| = n.  So where the law passes, its report must be the
+plain sweep's, byte for byte.  These tests compare the two on every
+registry law factored at 2,2 and 3,2, on a seeded handful at 2,3, and on
+laws built for the cases the registry meets seldom, and they pin the rule
+itself."""
 
 from __future__ import annotations
 
@@ -19,14 +21,14 @@ from math import prod
 
 import pytest
 
-from multirel import mrel
+from multirel import laws, mrel
 from multirel.dsl import _CONSTS, infer_slots, parse, value_names
 from multirel.errors import CapExceeded
 from multirel.generate import space_size
 from multirel.laws import Law, Slot, check
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
-from conftest import plan_of, report_by
+from conftest import but_counts, counts, plan_of, report_by
 
 
 def power(law: Law, sizes) -> int:
@@ -72,18 +74,45 @@ def one_element(law: Law, sizes) -> bool:
     return fast.carriers["X"].size == 1 and fast.power == sizes[0]
 
 
+def raised(report: dict, n: int) -> tuple[int, int]:
+    """The counts of ``report`` at one element, of g of c tuples checked,
+    raised to the power ``n``: g^n checked and c^n - g^n skipped."""
+    checked, skipped = counts(report)
+    return checked**n, (checked + skipped)**n - checked**n
+
+
 @pytest.mark.parametrize("claim,slots,sizes", [
     ("icap(R, S) == R", (Slot("R"), Slot("S")), (2, 2)),
     ("up(R) == R", (Slot("R"),), (3, 2)),
 ])
 def test_a_law_that_fails_at_one_element_gives_the_plain_witnesses(claim, slots, sizes):
     # a row value u that fails gives the failing tuple (u, ..., u) at n
-    # elements, so the plain sweep, which alone shrinks, finds witnesses
+    # elements; the sweep shrinks u at one element, where the plain sweep's
+    # witnesses shrink to here, and raises its counts up to there to the
+    # power n
     law = Law("dev-fails", "theorem", "", claim, slots)
     assert one_element(law, sizes)
     report = check(law, sizes=sizes, seed=7).to_json()
     assert report["verdict"] == "fail" and report["counterexamples"]
-    assert report == report_by(law, sizes)
+    assert but_counts(report) == but_counts(report_by(law, sizes))
+    at_one = check(law, sizes=(1, sizes[1]), seed=7).to_json()
+    assert report["counterexamples"] == at_one["counterexamples"]
+    assert counts(report) == raised(at_one, sizes[0])
+
+
+def test_a_failing_law_is_never_typed_at_its_sizes(monkeypatch):
+    # do(R) == R fails at one element, and neither plan nor sweep types it
+    # at three: a failing factored law costs no sweep of its plain space
+    law = Law("dev-do", "theorem", "", "do(R) == R", (Slot("R"),))
+    assert one_element(law, (3, 2))
+    at = laws._Terms.at
+    typed = []
+    monkeypatch.setattr(laws._Terms, "at", lambda terms, carriers: typed.append(
+        carriers["X"].size) or at(terms, carriers))
+    report = check(law, sizes=(3, 2), seed=7).to_json()
+    assert report["verdict"] == "fail" and report["counterexamples"]
+    assert typed and set(typed) == {1}
+    assert all(cex["carriers"]["X"] == 1 for cex in report["counterexamples"])
 
 
 def test_a_guard_that_holds_on_no_row_value_checks_nothing():
@@ -113,8 +142,9 @@ def test_a_pick_draw_and_a_filtered_subset_draw(sizes):
 
 def test_a_cap_at_one_element_gives_the_plain_skipped_report(monkeypatch):
     # icap is capped at one one-row pair, which the sweep at one element
-    # meets; the plain sweep at 2,2 fills its tables from one-row calls, so
-    # it meets the pair too and reports the cap
+    # meets and reports, with its counts up to there raised to the power 2;
+    # the plain sweep at 2,2 fills its tables from one-row calls, so it
+    # meets the pair too and reports the same cap
     law = law_by_id("L2.2-icap-comm")
     assert one_element(law, (2, 2))
     inner_bool = mrel.inner_bool
@@ -130,7 +160,8 @@ def test_a_cap_at_one_element_gives_the_plain_skipped_report(monkeypatch):
     report = check(law, sizes=(2, 2), seed=7).to_json()
     assert hits
     assert report["verdict"] == "skipped" and report["reason"] == "capped"
-    assert report == report_by(law, (2, 2))
+    assert but_counts(report) == but_counts(report_by(law, (2, 2)))
+    assert counts(report) == raised(check(law, sizes=(1, 2), seed=7).to_json(), 2)
 
 
 # ---------------------------------------------------------------------------

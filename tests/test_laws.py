@@ -15,10 +15,13 @@ import pytest
 from multirel import GenSpec, instances, mrel, power, rel
 from multirel.dsl import Sig, _typecheck, env_from_json, eval_term, parse, typecheck
 from multirel.errors import PowersetTooLarge, ShapeMismatch
-from multirel.laws import Law, Slot, _resolve_sizes, _Terms, _tuples, check, law_seed, shrink
+from multirel.laws import (
+    Law, Slot, _resolve_sizes, _still_fails, _Terms, _tuples, check, law_seed, shrink,
+)
+from multirel.mrel import MRel
 from multirel.registry import law_by_id, registry
-from multirel.rel import Carrier
-from conftest import C, M, R, plan_of
+from multirel.rel import Carrier, Rel
+from conftest import C, M, R, plan_of, report_by
 
 
 def resolved_registry() -> list[Law]:
@@ -258,6 +261,21 @@ class TestCheck:
         with pytest.raises(ValueError, match="^unknown mrel flag 'inner_totl'$"):
             check(law, sizes=(2, 2))
 
+    @pytest.mark.parametrize("claim,slots,named", [
+        ("(R <= R) == (mu(pw(pw(X))) == mu(pw(pw(X))))", (), "none"),
+        ("(R <= S) == (U(R, R) <= U(R, R))", (Slot("S"), Slot("T", "rel")), "'S', 'T'"),
+    ], ids=["no-slots", "two-slots"])
+    def test_an_undeclared_slot_is_named_as_one(self, claim, slots, named):
+        # a name that is no slot is taken for a carrier role, also where the
+        # claim uses it as a value, so it is named as no slot of the law
+        law = Law("dev-undeclared", "theorem", "", claim, slots, roles=("X",))
+        message = f"'R' is not a slot of the law (its slots: {named}) [in sub-term: R]"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            check(law, sizes=(2, 2))
+        # where a carrier's name is given as one, it still names a carrier
+        with pytest.raises(ShapeMismatch, match="^'X' names a carrier, not a value"):
+            typecheck(parse("X <= X"), {"X": 2})
+
     @pytest.mark.parametrize("guard", [None, "(R & -R) == U(X, X)"])
     def test_a_capped_constant_is_skipped_before_the_first_tuple(self, guard):
         # mu(pw(X)) at X of 3 elements needs the powerset of P(X), past the
@@ -429,6 +447,36 @@ class TestShrink:
             "carriers": {k: c.size for k, c in carriers.items()},
             "slots": {k: v.to_json() for k, v in values.items()},
         } == _SHRUNK[name]
+
+
+    @pytest.mark.parametrize("law,sizes,kept", [
+        pytest.param("NEG-kleisli-left-unit", (2, 2), ("row",), id="rows"),
+        pytest.param("NEG-alpha-peleg-multiplicative", (2, 2), ("group",), id="reduced"),
+        pytest.param("NEG-down-peleg-chain", (2, 2), ("group", "row"), id="both"),
+        pytest.param("NEG-icup-idempotent", (3, 2), None, id="factored"),
+        pytest.param("do(R) == R", (3, 2), None, id="factored-dev"),
+    ])
+    def test_every_witness_of_a_failing_fast_sweep_still_fails(self, law, sizes, kept):
+        # a NEG entry stated as a theorem takes the fast sweeps ``kept``, or
+        # where None is kept, the factored sweep, which shrinks at |X| = 1
+        if law.startswith("NEG"):
+            law = replace(law_by_id(law), kind="theorem", expected="pass")
+        else:
+            law = Law("dev-fast", "theorem", "", law, (Slot("R"),))
+        fast = plan_of(law, sizes, factored=kept is None).fast
+        if kept is None:
+            assert fast.power == sizes[0]
+            report = check(law, sizes=sizes, seed=7, collect=5).to_json()
+        else:
+            assert fast.power == 1 and all(getattr(fast, f) for f in kept)
+            report = report_by(law, sizes, *kept, collect=5)
+        assert report["verdict"] == "fail" and report["counterexamples"]
+        terms = _Terms(law)
+        for cex in report["counterexamples"]:
+            carriers = {role: Carrier(n) for role, n in cex["carriers"].items()}
+            values = {name: (MRel if "rows" in data else Rel).from_json(data)
+                      for name, data in cex["slots"].items()}
+            assert _still_fails(terms.law, terms, carriers, values), (law.id, cex)
 
 
 class TestKeptSubterms:

@@ -3,13 +3,15 @@
 Where every node of a law's claim and guard that reads a slot is a table
 node, ``dsl.Typed.rows`` evaluates them for every value of one slot at
 once, and ``laws.check`` of a law expected to pass sweeps the last slot's
-whole stream per tuple of the other slots.  The row sweep only counts: at
-a place where the claim fails, or at a cap, it gives up and the per-tuple
-sweep reports.  So its report must be the per-tuple sweep's, byte for
-byte: the same counts, each weighted by its orbit.  These tests compare the
-two sweeps on every registry law checked by rows at 2,2, 3,2 and 2,3 where
-it is not factored, and on laws built for the cases the registry meets
-seldom; ``report_by`` with no sweep named turns every fast sweep off."""
+whole stream per tuple of the other slots.  A row where the claim holds
+wherever the guard does is counted at once; any other row is checked place
+by place, as the per-tuple sweep checks it.  So the row sweep's report
+must be the per-tuple sweep's, byte for byte, and so must that of a row
+sweep whose first slot is reduced too, where the law passes.  These tests
+compare the two sweeps on every registry law checked by rows at 2,2, 3,2
+and 2,3 where it is not factored, and on laws built for the cases the
+registry meets seldom; ``report_by`` with no sweep named turns every fast
+sweep off."""
 
 from __future__ import annotations
 
@@ -25,16 +27,16 @@ from multirel.generate import _group, _orbits, space_size
 from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
 from multirel.registry import law_by_id, registry
 from multirel.rel import Carrier
-from conftest import plan_of, report_by
+from conftest import but_counts, counted_to_stop, counts, plan_of, report_by
 
 
-def by_rows(law: Law, sizes, **kw) -> dict:
-    """The report of ``check`` with no factored sweep, which must have swept
-    by rows."""
+def by_rows(law: Law, sizes, group: bool = True, **kw) -> dict:
+    """The report of ``check`` with no factored sweep, and with no reduced
+    first slot unless ``group``, which must have swept by rows."""
     made = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_id_row", lambda values: made.append(_id_row(values)) or made[-1])
-        report = report_by(law, sizes, "group", "row", **kw)
+        report = report_by(law, sizes, *["group"] * group, "row", **kw)
     assert made and made[-1], law.id
     return report
 
@@ -154,16 +156,23 @@ GUARDED = {"icap(R, S) <= down(S)": "pass", "icap(R, S) <= R": "fail", "icap(R, 
 
 @pytest.mark.parametrize("claim", GUARDED)
 def test_a_guarded_law(claim):
-    # the first holds wherever the guard does, so the fast sweep reports;
-    # the others fail where it holds (the second at R = {(0,{0})} and
-    # S = {(0,{})}), so the fast sweep gives up and the plain sweep reports
+    # the first holds wherever the guard does; the others fail where it
+    # holds (the second at R = {(0,{0})} and S = {(0,{})}), and the row
+    # sweep checks those rows place by place: by rows alone it gives the
+    # per-tuple report, and with the first slot reduced too, the per-tuple
+    # witnesses, counted by orbit up to the last of them
     law = Law("dev-guarded", "theorem", "", claim, (Slot("R"), Slot("S")), guard="R <= up(S)")
+    plain = report_by(law, (2, 2))
+    assert by_rows(law, (2, 2), group=False) == plain
     report = by_rows(law, (2, 2))
-    assert report == report_by(law, (2, 2))
     assert report["verdict"] == GUARDED[claim]
     assert report["checked"] and report["skipped_by_condition"]
     if GUARDED[claim] == "pass":
-        assert (report["checked"], report["skipped_by_condition"]) == (26_569, 38_967)
+        assert report == plain
+        assert counts(report) == (26_569, 38_967)
+    else:
+        assert but_counts(report) == but_counts(plain)
+        assert counts(report) == counted_to_stop(law, (2, 2)) == (528, 264)
 
 
 @pytest.mark.parametrize("claim,verdict", [("icup(R, S) == icup(S, R)", "pass"),
@@ -173,25 +182,33 @@ def test_an_inner_slot_with_a_filter(claim, verdict):
     # names a value of that stream
     needs = frozenset({"inner_deterministic"})
     law = Law("dev-filtered", "theorem", "", claim, (Slot("R"), Slot("S", needs=tuple(needs))))
+    plain = report_by(law, (2, 2))
+    assert by_rows(law, (2, 2), group=False) == plain
     report = by_rows(law, (2, 2))
-    assert report == report_by(law, (2, 2))
     assert report["verdict"] == verdict
     if verdict == "pass":
+        assert report == plain
         assert report["checked"] == 256 * space_size("mrel", GenSpec((2, 2), where=needs))
+    else:
+        assert but_counts(report) == but_counts(plain)
+        assert counts(report) == counted_to_stop(law, (2, 2)) == (22, 0)
 
 
 def test_a_cap_in_a_row_sweep_gives_the_per_tuple_report(monkeypatch):
     # as in test_symmetry: a cap at a one-row pair (x, x) for icap, met
     # first at a first value that stands for an orbit of 4; the fast sweep,
-    # reduced and by rows, gives up, and the per-tuple sweep reports the cap
+    # reduced and by rows, reports the per-tuple sweep's verdict and reason,
+    # with the rows before that value's row counted, each by its orbit
     law = law_by_id("L2.2-icap-comm")
     values = list(instances("mrel", GenSpec((2, 2))))
     seen: set = set()
+    before = 0  # the values in the orbits before the first value's
     for first, weight in _orbits(iter(values), _group((2, 2), False)):
         fresh = set(first.rows) - seen
         if weight == 4 and fresh and seen:
             break
         seen.update(first.rows)
+        before += weight
     x = min(fresh)
     inner_bool = mrel.inner_bool
     hits = []
@@ -205,4 +222,5 @@ def test_a_cap_in_a_row_sweep_gives_the_per_tuple_report(monkeypatch):
     monkeypatch.setattr(mrel, "inner_bool", capped)
     report = by_rows(law, (2, 2))
     assert report["verdict"] == "skipped" and hits
-    assert report == report_by(law, (2, 2))
+    assert but_counts(report) == but_counts(report_by(law, (2, 2)))
+    assert counts(report) == (before * len(values), 0)

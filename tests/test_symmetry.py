@@ -6,11 +6,13 @@ permuting the operands' carriers permutes the value the same way.  Then a
 law's claim and guard give the same verdict on a tuple and on its image,
 and ``laws.check`` may run its first slot over orbit representatives only.
 These tests check the equivariance itself, on seeded values, and that every
-reduced check reports the bytes of the plain sweep."""
+reduced check of a law that passes reports the bytes of the plain sweep,
+and one of a law that fails the plain sweep's first witness."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -23,7 +25,7 @@ from multirel.laws import Law, Slot, _resolve_sizes, _stream_args, _Terms, check
 from multirel.mrel import MREL_ROW_FLAGS
 from multirel.registry import law_by_id, registry
 from multirel.rel import REL_ROW_FLAGS, Carrier, pow_carrier
-from conftest import plan_of, report_by, seeded
+from conftest import but_counts, counted_to_stop, counts, plan_of, report_by, seeded
 
 SIZES = [(2, 2), (2, 3), (3, 3)]
 
@@ -181,9 +183,9 @@ def group_of(law: Law, sizes) -> tuple[list | None, int]:
     return plan.fast and plan.fast.group, prod(space_size(*a) for a in plan.plain.phases[0])
 
 
-def reduced_check(law: Law, sizes) -> dict:
+def reduced_check(law: Law, sizes, **kw) -> dict:
     """The report of ``check`` with no factored sweep."""
-    return report_by(law, sizes, "group", "row")
+    return report_by(law, sizes, "group", "row", **kw)
 
 
 def reduced(sizes) -> list[Law]:
@@ -213,28 +215,59 @@ def test_large_reduced_sweeps_equal_plain_ones(law_id, sizes):
 
 
 def test_a_failing_reduced_sweep_gives_the_plain_report():
+    # but for its counts, which weight each tuple by its orbit up to the
+    # last witness; its first witness is the plain one, and here the others
+    # are too
     law = Law("dev-peleg-kleisli", "theorem", "R*S = R@S (it does not hold)",
               "(R * S) == (R @ S)", (Slot("R"), Slot("S")))
     assert len(group_of(law, (2, 2))[0]) == 4
-    report = reduced_check(law, (2, 2))
-    assert report["verdict"] == "fail" and report["counterexamples"]
-    assert report == report_by(law, (2, 2))
+    for collect, weighted in [(1, (772, 0)), (3, (792, 0))]:
+        report = reduced_check(law, (2, 2), collect=collect)
+        assert report["verdict"] == "fail" and len(report["counterexamples"]) == collect
+        assert but_counts(report) == but_counts(report_by(law, (2, 2), collect=collect))
+        assert counts(report) == counted_to_stop(law, (2, 2), collect) == weighted
+
+
+# theorems that fail at 2,2, each reduced there
+FAILING = {"dev-peleg-kleisli": "(R * S) == (R @ S)",
+           "dev-guarded": "icap(R, S) == R",
+           "dev-icup": "icup(R, S) == R",
+           "dev-subset": "(R ; S) <= R"}
+
+
+@pytest.mark.parametrize("law_id", [*FAILING, "NEG-alpha-peleg-multiplicative",
+                                    "NEG-down-peleg-chain"])
+def test_the_first_witness_of_a_failing_reduced_sweep_is_the_plain_one(law_id):
+    # the first stream value with a failing tuple is first in its orbit, so
+    # the reduced sweep meets the plain sweep's first failing tuple first
+    if law_id in FAILING:
+        law = Law(law_id, "theorem", "", FAILING[law_id], (Slot("R"), Slot("S")),
+                  guard="R <= up(S)" if law_id == "dev-guarded" else None)
+    else:
+        law = replace(law_by_id(law_id), kind="theorem", expected="pass")
+    assert group_of(law, (2, 2))[0]
+    report = report_by(law, (2, 2), "group", collect=1)
+    assert report["verdict"] == "fail"
+    assert report["counterexamples"] == report_by(law, (2, 2), collect=1)["counterexamples"]
 
 
 def test_a_cap_error_in_a_reduced_sweep_gives_the_plain_report(monkeypatch):
     # a cap hit at a one-row pair (x, x) for icap, which reads both operands
     # row by row: x is a row of a first value that stands for an orbit of 4,
     # and of no first value before it, so that value's tuples meet the pair
-    # first; a reduced sweep would count the tuples of each earlier first
-    # value as often as its orbit is large
+    # first; the reduced sweep reports the plain sweep's verdict and reason,
+    # and counts the tuples of each earlier first value as often as its
+    # orbit is large
     law = law_by_id("L2.2-icap-comm")
     values = list(instances("mrel", GenSpec((2, 2))))
     seen: set = set()
+    before = 0  # the values in the orbits before the first value's
     for first, weight in _orbits(iter(values), _group((2, 2), False)):
         fresh = set(first.rows) - seen
         if weight == 4 and fresh and seen:
             break
         seen.update(first.rows)
+        before += weight
     x = min(fresh)
     inner_bool = mrel.inner_bool
     hits = []
@@ -246,9 +279,13 @@ def test_a_cap_error_in_a_reduced_sweep_gives_the_plain_report(monkeypatch):
         return inner_bool(op, r, s)
 
     monkeypatch.setattr(mrel, "inner_bool", capped)
-    report = reduced_check(law, (2, 2))
+    report = report_by(law, (2, 2), "group")
     assert report["verdict"] == "skipped" and hits
-    assert report == report_by(law, (2, 2))
+    assert but_counts(report) == but_counts(report_by(law, (2, 2)))
+    # and the first value's tuples up to the first whose second value has x
+    # where it does, which is checked as the cap is met
+    at = next(i for i, s in enumerate(values) if (x, x) in zip(first.rows, s.rows))
+    assert counts(report) == (before * len(values) + weight * (at + 1), 0)
 
 
 # Both reductions, the orbits of the first slot and the factored sweep, need
