@@ -76,7 +76,7 @@ from .peleg import (
     peleg_lift,
 )
 from .determinise import cofission, cofusion, fission, fusion
-from .generate import GenSpec, SplitMix64, instances, mix64, space_size
+from .generate import GenSpec, instances, mix64, space_size
 from .dsl import evaluate, parse, print_term
 from .laws import Law, LawReport, Slot, check
 from .registry import law_by_id, registry

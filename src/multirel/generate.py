@@ -24,8 +24,8 @@ are computed together, each in a 64-bit lane of one wide int.  A lane
 sits in its own 128-bit slot, so no multiply or shift carries into the
 next one, and one mask per step brings each lane back to 64 bits.  The
 lanes are computed one block of whole rows at a time: as many rows as fit
-in 64 lanes, and at least one.  The streams are ``SplitMix64``'s bit for
-bit.
+in 64 lanes, and at least one.  So each candidate reads the outputs of
+the scalar splitmix64 stream from its sub-seed, bit for bit.
 
 Every property flag is row-wise: a value has it when each of its rows
 passes the flag's test in its class's ``FLAGS`` table (``Rel.FLAGS`` or
@@ -42,8 +42,9 @@ Exhaustive streams use numeric encoding order.  For a subset draw with
 exactly when bit ``a * n + j`` of ``i`` is set, so row 0 varies fastest.
 Pick draws follow ``itertools.product`` order over the rows, so row 0
 varies slowest.  A filtered exhaustive stream drops the rows that fail
-first and enumerates the rest in the same order.  So ``space_size``, the product over source elements of the number of rows
-that pass, is the exact length of every exhaustive stream.  The cap of
+first and enumerates the rest in the same order.  So ``space_size``, the
+product over source elements of the number of rows that pass, is the
+exact length of every exhaustive stream.  The cap of
 2^EXHAUSTIVE_BITS bounds both the candidate rows a stream tests and its
 length.
 """
@@ -88,24 +89,6 @@ def mix64(x: int) -> int:
 def _lane(x: int) -> bytes:
     """A 64-bit value in its 128-bit lane slot, little-endian."""
     return x.to_bytes(16, "little")
-
-
-class SplitMix64:
-    """splitmix64 stream; state advances by the golden-ratio increment."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        x = mix64(self.state)
-        self.state = (self.state + GAMMA) & _MASK64
-        return x
-
-    def below(self, n: int) -> int:
-        return self.next_u64() % n
-
-    def bernoulli(self, threshold: int) -> bool:
-        return self.next_u64() < threshold
 
 
 def density_threshold(p: float) -> int:

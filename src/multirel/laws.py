@@ -6,14 +6,14 @@ slots are filled from the instance generators, honoring per-slot property
 requirements through the constructive generators where available.  Reports
 are canonical: given the same law, sizes and seed, two runs produce
 byte-identical JSON.  ``_plan`` settles how a law is swept before its
-first tuple: by a fast sweep, where there is one, else by the plain
-per-tuple sweep, with its streams and any cap met on the way.  A fast
-sweep runs the first slot over orbit representatives, the last slot a row
-at a time, or both; or, where claim and guard read a role of the slots'
-source row by row, it is factored: the law is swept at one element of
-that role, and its counts are raised to the power of the role's size.
-``check`` runs that one sweep, which shrinks and collects its own
-witnesses and reports its own caps.
+first tuple: it returns the one sweep that ``check`` runs, with its
+streams and any cap met on the way, and that sweep shrinks and collects
+its own witnesses and reports its own caps.  A sweep is plain, tuple by
+tuple, or fast: it runs the first slot over orbit representatives, the
+last slot a row at a time, or both; or, where claim and guard read a role
+of the slots' source row by row, it is factored: the law is swept at one
+element of that role, and its counts are raised to the power of the
+role's size.
 """
 
 from __future__ import annotations
@@ -114,14 +114,12 @@ class _Terms:
         a kept error is raised as a fresh copy, so that no traceback grows."""
         key = tuple(carriers[r].size for r in self.law.roles)
         if key not in self.typed:
-            # kept if typing raises ShapeMismatch
-            self.typed[key] = ShapeMismatch(f"{self.law.id} is ill-shaped at sizes {key}")
             types = {r: c.size for r, c in carriers.items()}
             types.update((s.name, Sig(s.sort, types[s.src], types[s.dst])) for s in self.law.slots)
             try:
                 guard = self.guard and self.boolean("guard", types)
                 self.typed[key] = (self.boolean("claim", types), guard)
-            except CapExceeded as e:  # a constant too large to build
+            except (ShapeMismatch, CapExceeded) as e:
                 self.typed[key] = e.with_traceback(None)
         if isinstance(self.typed[key], Exception):
             raise copy.copy(self.typed[key])
@@ -240,58 +238,54 @@ def check(
         cex = [] if ok else [_pinned_json(law.pinned or {})]
         return finish("pinned", 1, 0, "pass" if ok else "fail", None, cex)
 
-    plan = _plan(terms, resolved, law_seed(seed, law.id), law.count if count is None else count,
-                 law.density if density is None else density)
-    if plan.capped is not None:
-        return finish(plan.mode, 0, 0, "skipped", plan.capped, [])
+    run = _plan(terms, resolved, law_seed(seed, law.id), law.count if count is None else count,
+                law.density if density is None else density)
+    if run.capped is not None:
+        return finish(run.mode, 0, 0, "skipped", run.capped, [])
+    # The report up to the ``collect``-th witness or the first cap.  A row
+    # sweep counts a row whose claim holds wherever its guard does, and
+    # checks any other place by place.  Each count, of g of c tuples
+    # checked, is reported to ``run.power``: ``checked`` g^power and
+    # ``skipped_by_condition`` c^power - g^power.
     names = [s.name for s in law.slots]
-
-    def sweep(run: _Sweep) -> LawReport:
-        """The report of ``run`` up to its ``collect``-th witness or first
-        cap.  A row sweep counts a row whose claim holds wherever its guard
-        does, and checks any other place by place.  Each count, of g of c
-        tuples checked, is reported to ``run.power``: ``checked`` g^power
-        and ``skipped_by_condition`` c^power - g^power."""
-        rows, power = run.row, run.power
-        env = {}
-        checked = skipped = 0
-        failures: list[dict] = []
-        capped = None
-        try:
-            claim, guard = terms.at(run.carriers)
-            for weight, tup in _tuples(run, len(names) - bool(rows)):
-                tups = (tup,)
-                if rows:
-                    env.update(zip(names, tup))
-                    env[names[-1]] = rows
-                    held, ok = _cells(guard, env, len(rows)), _cells(claim, env, len(rows))
-                    if any(map(operator.gt, held, ok)):  # the claim fails where the guard holds
-                        tups = [(*tup, last) for last in instances(*run.phases[0][-1])]
-                    else:
-                        checked += weight * held.count(1)
-                        skipped += weight * held.count(0)
-                        continue
-                for tup in tups:
-                    env.update(zip(names, tup))
-                    if guard is not None and not eval_term(guard, env):
-                        skipped += weight
-                        continue
-                    checked += weight
-                    if not eval_term(claim, env):
-                        small = shrink(law, run.carriers, dict(zip(names, tup)), terms)
-                        failures.append(_counterexample_json(*small))
-                        if len(failures) >= collect:
-                            break
-                if len(failures) >= collect:
-                    break
-        except CapExceeded as e:
-            capped, failures = str(e), []
-        failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
-        verdict = "skipped" if capped is not None else "fail" if failures else "pass"
-        checked, skipped = checked**power, (checked + skipped)**power - checked**power
-        return finish(plan.mode, checked, skipped, verdict, capped, failures)
-
-    return sweep(plan.fast or plan.plain)
+    rows, power = run.row, run.power
+    env = {}
+    checked = skipped = 0
+    failures: list[dict] = []
+    capped = None
+    try:
+        claim, guard = terms.at(run.carriers)
+        for weight, tup in _tuples(run):
+            tups = (tup,)
+            if rows:
+                env.update(zip(names, tup))
+                env[names[-1]] = rows
+                held, ok = _cells(guard, env, len(rows)), _cells(claim, env, len(rows))
+                if any(map(operator.gt, held, ok)):  # the claim fails where the guard holds
+                    tups = [(*tup, last) for last in instances(*run.phases[0][-1])]
+                else:
+                    checked += weight * held.count(1)
+                    skipped += weight * held.count(0)
+                    continue
+            for tup in tups:
+                env.update(zip(names, tup))
+                if guard is not None and not eval_term(guard, env):
+                    skipped += weight
+                    continue
+                checked += weight
+                if not eval_term(claim, env):
+                    small = shrink(law, run.carriers, dict(zip(names, tup)), terms)
+                    failures.append(_counterexample_json(*small))
+                    if len(failures) >= collect:
+                        break
+            if len(failures) >= collect:
+                break
+    except CapExceeded as e:
+        capped, failures = str(e), []
+    failures = sorted({_stable_key(c): c for c in failures}.values(), key=_stable_key)
+    verdict = "skipped" if capped is not None else "fail" if failures else "pass"
+    checked, skipped = checked**power, (checked + skipped)**power - checked**power
+    return finish(run.mode, checked, skipped, verdict, capped, failures)
 
 
 def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
@@ -301,21 +295,22 @@ def _cells(typed: Typed | None, env: dict, n: int) -> bytes:
     return held if type(held) is bytes else bytes([held]) * n
 
 
-# A sweep: ``phases``, lists of each slot's ``(kind, spec)``, the ``carriers``
-# it runs at, the symmetry ``group`` of its first slot and the id ``row`` of
-# its last (see ``_plan``), and the ``power`` its counts are raised to.
-_Sweep = namedtuple("_Sweep", "phases carriers group row power", defaults=(None, None, 1))
-_Plan = namedtuple("_Plan", "mode capped fast plain")
+# A sweep: its ``mode``, the message of a cap met in planning or None,
+# ``phases``, lists of each slot's ``(kind, spec)``, the ``carriers`` it runs
+# at, the symmetry ``group`` of its first slot and the id ``row`` of its last
+# (see ``_plan``), and the ``power`` its counts are raised to.
+_Sweep = namedtuple("_Sweep", "mode capped phases carriers group row power",
+                    defaults=(None, None, 1))
 
 
-def _tuples(run: _Sweep, slots: int) -> Iterator[tuple[int, tuple]]:
-    """Each tuple of the first ``slots`` slots of ``run`` to check and the
-    number of tuples it stands for, phase by phase: random streams zipped,
-    exhaustive ones by their product.  With a ``run.group``, the first slot
-    runs over the values first in their orbits under it, each standing for
-    its orbit."""
+def _tuples(run: _Sweep) -> Iterator[tuple[int, tuple]]:
+    """Each tuple of ``run``'s slots to check, the last one left out where
+    it runs by ``run.row``, and the number of tuples it stands for, phase
+    by phase: random streams zipped, exhaustive ones by their product.  With
+    a ``run.group``, the first slot runs over the values first in their
+    orbits under it, each standing for its orbit."""
     for phase in run.phases:
-        args = phase[:slots]
+        args = phase[:-1] if run.row else phase
         if args and args[0][1].mode == "random":
             yield from zip(repeat(1), zip(*(instances(*a) for a in args)))
         elif run.group is None:
@@ -326,16 +321,17 @@ def _tuples(run: _Sweep, slots: int) -> Iterator[tuple[int, tuple]]:
                 yield from zip(repeat(weight), product((first,), *others))
 
 
-def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: float) -> _Plan:
-    """How ``check`` sweeps ``terms.law`` at ``sizes``: by the ``fast``
-    sweep where there is one, else by the ``plain`` per-tuple sweep.  The
-    ``mode`` is "exhaustive" where the slots' streams have at most BUDGET
-    tuples, swept as one phase.  Else it is "random": a phase of ``count``
-    tuples at ``density``, slot i of phase p drawn from the sub-seed
+def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: float) -> _Sweep:
+    """The one sweep that ``check`` runs of ``terms.law`` at ``sizes``.  It
+    is fast where it has a reduction (an orbit ``group``, an id ``row`` or
+    a ``power`` over 1), else plain: the per-tuple sweep.  Its ``mode`` is
+    "exhaustive" where the slots' streams have at most BUDGET tuples, swept
+    as one phase.  Else it is "random": a phase of ``count`` tuples at
+    ``density``, slot i of phase p drawn from the sub-seed
     ``mix64(seed ^ (1000 * p + i + 1))``; a NEG entry hunts for a witness
     in one more phase at each of 0.15, 0.5 and 0.75 that is not
-    ``density``.  ``capped`` is the message of a cap met here, by a stream
-    that cannot be sized or a constant too large to build (see
+    ``density``.  Its ``capped`` is the message of a cap met here, by a
+    stream that cannot be sized or a constant too large to build (see
     ``_Terms.at``), under the mode chosen by then.  Raises ShapeMismatch
     where the claim is ill-shaped.
 
@@ -353,7 +349,7 @@ def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: 
     index, between two roles.
 
     - Where the law has a row-local role X (``_Terms.local``) of n > 1
-      elements, it is factored: ``fast`` is its own plan's sweep at |X| = 1
+      elements, it is factored: the sweep is its own plan's at |X| = 1
       with ``power`` n, so that its terms are never typed at n.  Each
       slot's stream at n is the product of n copies of its stream at 1, as
       its filters are row tests, and claim and guard hold on a tuple
@@ -372,27 +368,25 @@ def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: 
     law = terms.law
     carriers = {role: Carrier(n) for role, n in sizes.items()}
     args = [_stream_args(s, sizes) for s in law.slots]
-    plain = _Sweep([args], carriers)
-    mode = "exhaustive"
+    run = _Sweep("exhaustive", None, [args], carriers)
     try:
         spaces = [space_size(*a) for a in args]
         if prod(spaces) > BUDGET:
             hunt = [d for d in (0.15, 0.5, 0.75) if law.kind == "neg" and d != density]
-            mode, plain = "random", plain._replace(phases=[
+            run = run._replace(mode="random", phases=[
                 [_stream_args(s, sizes, "random", mix64(seed ^ (1000 * p + i + 1)), count, d)
                  for i, s in enumerate(law.slots)] for p, d in enumerate([density, *hunt])])
-        eligible = mode == "exhaustive" and law.expected == "pass"
+        eligible = run.mode == "exhaustive" and law.expected == "pass"
         own = eligible and not terms.roles_given and not any(
             "test" in s.needs and s.src != s.dst for s in law.slots)
         if own and sizes.get(terms.local, 1) > 1:
             one = _plan(terms, {**sizes, terms.local: 1}, seed, count, density)
-            run = (one.fast or one.plain)._replace(power=sizes[terms.local])
-            return _Plan(mode, one.capped, run, plain)
+            return one._replace(power=sizes[terms.local])
         claim, guard = terms.at(carriers)
     except CapExceeded as e:
-        return _Plan(mode, str(e), None, plain)
+        return run._replace(capped=str(e))
     if not eligible:
-        return _Plan(mode, None, None, plain)
+        return run
     row = group = None
     if args and claim.rows and (guard is None or guard.rows):
         inner = list(instances(*args[-1]))
@@ -400,8 +394,7 @@ def _plan(terms: _Terms, sizes: dict[str, int], seed: int, count: int, density: 
     if len(law.slots) >= 2 and own:
         first = law.slots[0]
         group = _group((sizes[first.src], sizes[first.dst]), first.src == first.dst)
-    fast = _Sweep([args], carriers, group, row) if group or row else None
-    return _Plan(mode, None, fast, plain)
+    return run._replace(group=group, row=row)
 
 
 def _stable_key(cex: dict) -> str:

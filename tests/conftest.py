@@ -50,9 +50,9 @@ ENV_DOC = {
 
 
 def plan_of(law, sizes, factored: bool = True):
-    """``laws._plan``'s result for ``law`` at ``sizes``; unless ``factored``,
-    as if the law had no row-local role, so that its ``fast`` sweep is the
-    one that ``check`` runs at those sizes where it does not factor."""
+    """``laws._plan``'s sweep for ``law`` at ``sizes``; unless ``factored``,
+    as if the law had no row-local role, so that it is the sweep that
+    ``check`` runs at those sizes where it does not factor."""
     terms = laws._Terms(law)
     terms.local = terms.local if factored else None
     law = terms.law
@@ -62,18 +62,14 @@ def plan_of(law, sizes, factored: bool = True):
 
 def report_by(law, sizes, *kept: str, **kw) -> dict:
     """The report of ``laws.check`` at seed 7 where ``laws._plan`` does not
-    factor the law and its fast sweep keeps only the fields named in
+    factor the law and its sweep keeps only the reductions named in
     ``kept``, "group" (the orbits of the first slot) and "row" (the last
-    slot by rows): with neither, there is no fast sweep, and the plain
-    per-tuple sweep reports."""
+    slot by rows): with neither, the plain per-tuple sweep reports."""
     plan = laws._plan
 
     def only(terms, *args):
         terms.local = None
-        made = plan(terms, *args)
-        fast = made.fast and made.fast._replace(
-            **{f: None for f in ("group", "row") if f not in kept})
-        return made._replace(fast=fast if fast and (fast.group or fast.row) else None)
+        return plan(terms, *args)._replace(**{f: None for f in ("group", "row") if f not in kept})
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_plan", only)
@@ -95,13 +91,12 @@ def counted_to_stop(law, sizes, collect: int = 3) -> tuple[int, int]:
     not factor it: each tuple up to the ``collect``-th that fails, claim
     and guard evaluated on it alone, counts as often as its first value's
     orbit is large."""
-    run = plan_of(law, sizes, factored=False).fast._replace(row=None)
+    run = plan_of(law, sizes, factored=False)._replace(row=None)
     terms = laws._Terms(law)
     claim, guard = terms.at(run.carriers)
-    names = [s.name for s in terms.law.slots]
     counted, failed = [0, 0], 0
-    for weight, tup in laws._tuples(run, len(names)):
-        env = dict(zip(names, tup))
+    for weight, tup in laws._tuples(run):
+        env = dict(zip((s.name for s in terms.law.slots), tup))
         held = guard is None or eval_term(guard, env)
         counted[not held] += weight
         failed += held and not eval_term(claim, env)

@@ -34,8 +34,7 @@ from conftest import but_counts, counts, plan_of, report_by
 def power(law: Law, sizes) -> int:
     """The power ``check`` raises the counts of ``law`` to at ``sizes``: the
     size of its row-local role where it factors it, else 1."""
-    fast = plan_of(law, sizes).fast
-    return fast.power if fast else 1
+    return plan_of(law, sizes).power
 
 
 def factored(sizes) -> list[Law]:
@@ -61,8 +60,8 @@ def test_factored_reports_equal_plain_ones(sizes):
 def test_a_seeded_handful_of_factored_reports_at_2x3_equal_plain_ones():
     # of the laws whose plain sweep has at most 4,096 tuples, as in
     # test_symmetry: a plain sweep over MRel(2,3) takes up to 4 s
-    small = [law for law in factored((2, 3))
-             if prod(space_size(*a) for a in plan_of(law, (2, 3)).plain.phases[0]) <= 4096]
+    small = [law for law in factored((2, 3)) if prod(
+        space_size(*a) for a in plan_of(law, (2, 3), factored=False).phases[0]) <= 4096]
     for law in random.Random(7).sample(small, 5):
         assert check(law, sizes=(2, 3), seed=7).to_json() == report_by(law, (2, 3)), law.id
 
@@ -70,8 +69,8 @@ def test_a_seeded_handful_of_factored_reports_at_2x3_equal_plain_ones():
 def one_element(law: Law, sizes) -> bool:
     """Whether ``check`` sweeps ``law`` first at one element of its
     row-local role X."""
-    fast = plan_of(law, sizes).fast
-    return fast.carriers["X"].size == 1 and fast.power == sizes[0]
+    run = plan_of(law, sizes)
+    return run.carriers["X"].size == 1 and run.power == sizes[0]
 
 
 def raised(report: dict, n: int) -> tuple[int, int]:

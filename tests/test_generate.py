@@ -14,7 +14,6 @@ from multirel import (
     PropertyFlags,
     Rel,
     RelFlags,
-    SplitMix64,
     classify_mrel,
     classify_rel,
     instances,
@@ -26,6 +25,7 @@ from multirel.mrel import MREL_ROW_FLAGS
 from multirel.rel import REL_ROW_FLAGS, row_test
 from conftest import C, M, R
 from setmodel import mrel_flags, rel_flags
+from splitmix import SplitMix64
 
 
 def _length(kind, spec):

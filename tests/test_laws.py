@@ -168,14 +168,14 @@ class TestRegistry:
 
 def plan_line(law: Law, sizes) -> str:
     """How ``check`` sweeps ``law`` at ``sizes``: the mode, any cap met in
-    planning, and the fast sweep's sizes, power, group size and row length,
-    or None where only the plain sweep runs."""
-    plan = plan_of(law, sizes)
-    fast = plan.fast and (
-        f"{','.join(str(c.size) for c in plan.fast.carriers.values())} power={plan.fast.power}"
-        f" group={plan.fast.group and len(plan.fast.group)}"
-        f" row={plan.fast.row and len(plan.fast.row)}")
-    return f"{law.id} {sizes} {plan.mode} capped={plan.capped} fast={fast}"
+    planning, and where the sweep is fast, its sizes, power, group size and
+    row length, or None where it is plain (no group, no row, power 1)."""
+    run = plan_of(law, sizes)
+    fast = None
+    if run.group or run.row or run.power > 1:
+        fast = (f"{','.join(str(c.size) for c in run.carriers.values())} power={run.power}"
+                f" group={run.group and len(run.group)} row={run.row and len(run.row)}")
+    return f"{law.id} {sizes} {run.mode} capped={run.capped} fast={fast}"
 
 
 class TestCheck:
@@ -314,7 +314,7 @@ class TestCheck:
             sampled += 1
             hunt = (0.15, 0.5, 0.75) if law.kind == "neg" else ()
             densities = list(dict.fromkeys([law.density, *hunt]))
-            phases = plan.plain.phases
+            phases = plan.phases
             assert [{spec.density for _, spec in phase} for phase in phases] == [
                 {d} for d in densities], law.id
             specs = [spec for phase in phases for _, spec in phase]
@@ -326,20 +326,29 @@ class TestCheck:
     def test_a_sampled_sweep_draws_count_tuples_per_phase(self):
         law = law_by_id("NEG-peleg-assoc-general")  # at densities 0.3, 0.15, 0.5, 0.75
         plan = plan_of(law, (2, 2))
-        assert len(plan.plain.phases) == 4 and law.count == 400
-        assert sum(w for w, _ in _tuples(plan.plain, 3)) == 4 * 400
+        assert len(plan.phases) == 4 and law.count == 400
+        assert sum(w for w, _ in _tuples(plan)) == 4 * 400
 
-    def test_a_capped_constant_is_no_shape_error(self):
-        # typing at those sizes raises the cap each time, a fresh error each time
-        law = Law("dev-capped-constant", "theorem", "", "mu(pw(X)) == mu(pw(X))", (Slot("R"),))
+    @pytest.mark.parametrize("law,sizes,error,message", [
+        pytest.param(Law("dev-capped-constant", "theorem", "", "mu(pw(X)) == mu(pw(X))",
+                         (Slot("R"),)), (3, 3), PowersetTooLarge, "of size 256", id="cap"),
+        pytest.param(Law("dev-ill-shaped", "theorem", "", "(R * S) == (R * S)",
+                         (Slot("R", "mrel", "X", "Y"), Slot("S", "mrel", "X", "Y"))),
+                     (2, 3), ShapeMismatch, "'\\*' cannot take S: it is 2 -> pw\\(3\\)",
+                     id="shape"),
+    ])
+    def test_a_capped_constant_is_no_shape_error(self, law, sizes, error, message):
+        # typing at those sizes raises its own error each time, a fresh one
+        # each time: a cap is no shape error, and a shape error keeps its text
         terms = _Terms(law)
-        carriers = {role: Carrier(3) for role in terms.law.roles}
+        carriers = {role: Carrier(n) for role, n in _resolve_sizes(terms.law, sizes).items()}
         raised = []
         for _ in range(2):
-            with pytest.raises(PowersetTooLarge, match="of size 256") as info:
+            with pytest.raises(error, match=message) as info:
                 terms.at(carriers)
             raised.append(info.value)
         assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
 
     def test_law_seed_is_stable(self):
         assert law_seed(7, "some-law") == law_seed(7, "some-law")
@@ -463,7 +472,7 @@ class TestShrink:
             law = replace(law_by_id(law), kind="theorem", expected="pass")
         else:
             law = Law("dev-fast", "theorem", "", law, (Slot("R"),))
-        fast = plan_of(law, sizes, factored=kept is None).fast
+        fast = plan_of(law, sizes, factored=kept is None)
         if kept is None:
             assert fast.power == sizes[0]
             report = check(law, sizes=sizes, seed=7, collect=5).to_json()

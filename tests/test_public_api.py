@@ -14,7 +14,7 @@ PUBLIC = [
     "CapExceeded", "Carrier", "ENUM_CAP", "EnumerationTooLarge", "GenSpec",
     "IdentityShapeMismatch", "Law", "LawReport", "MASK_CAP", "MRel", "MaskTooWide",
     "MultirelError", "POW_CAP", "PowersetTooLarge", "PropertyFlags", "Rel",
-    "RelFlags", "ShapeMismatch", "Slot", "SplitMix64", "TermSyntaxError",
+    "RelFlags", "ShapeMismatch", "Slot", "TermSyntaxError",
     "UnboundVariable", "UnknownLaw", "alpha", "bits", "ccomp", "check",
     "classify_mrel", "classify_rel", "closure", "cofission", "cofusion",
     "d_subrelations", "domain", "eta", "evaluate", "fission", "full_mask", "fusion",

@@ -179,8 +179,8 @@ def group_of(law: Law, sizes) -> tuple[list | None, int]:
     """The group ``check`` reduces ``law``'s first slot by at ``sizes`` where
     it does not factor it, or None where it runs the plain sweep, and the
     size of its tuple space (see ``laws._plan``)."""
-    plan = plan_of(law, sizes, factored=False)
-    return plan.fast and plan.fast.group, prod(space_size(*a) for a in plan.plain.phases[0])
+    run = plan_of(law, sizes, factored=False)
+    return run.group, prod(space_size(*a) for a in run.phases[0])
 
 
 def reduced_check(law: Law, sizes, **kw) -> dict:
@@ -295,8 +295,8 @@ def test_a_cap_error_in_a_reduced_sweep_gives_the_plain_report(monkeypatch):
 
 def neither_reduced_nor_factored(law: Law, local: str | None) -> None:
     assert _Terms(law).local == local
-    fast = plan_of(law, (2, 2)).fast
-    assert fast is None or (fast.group is None and fast.power == 1)
+    run = plan_of(law, (2, 2))
+    assert run.group is None and run.power == 1
     assert check(law, sizes=(2, 2), seed=7).to_json() == report_by(law, (2, 2))
 
 
@@ -352,6 +352,6 @@ def test_a_test_slot_from_a_role_to_itself_is_reduced_and_not_factored(claim, or
     # the slot's role is its target, which a row-local role never is, so
     # the premise of both reductions need not refuse every ``test`` slot
     law = Law("dev-test", "theorem", "", claim, tuple(TEST_SLOTS[name] for name in order))
-    fast = plan_of(law, (2, 2)).fast
-    assert len(fast.group) == size and fast.power == 1
+    run = plan_of(law, (2, 2))
+    assert len(run.group) == size and run.power == 1
     assert check(law, sizes=(2, 2), seed=7).to_json() == report_by(law, (2, 2))
